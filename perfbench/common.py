@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
+MANIFEST = ROOT / "BENCHMARK.json"
 
 # Host variables that would change what is measured: backend and
 # executor selection, program-internal tracing, and fault injection.
@@ -32,6 +33,15 @@ SCRUBBED_ENV = (
 )
 
 monotonic = time.perf_counter
+
+# Host-speed scaling.  The hosts this benchmark runs on are shared: the
+# same work ran up to 1.5x slower for minutes at a time, on every
+# workload at once.  Where the reference work below can run between a
+# workload's operations, its gated times are scaled to a host on which
+# that work, which shares no code with the program, takes
+# REFERENCE_NOMINAL_S.  Unscaled wall times are printed next to them.
+REFERENCE_NOMINAL_S = 0.020
+REFERENCE_BLOCKS = 3
 
 
 class CheckFailed(Exception):
@@ -94,6 +104,36 @@ def host_probe() -> tuple[float, int, int]:
     with open("/proc/stat", encoding="ascii") as handle:
         fields = [int(x) for x in handle.readline().split()[1:9]]
     return min(timings), fields[7], sum(fields)
+
+
+def reference_block() -> float:
+    """Seconds for a fixed mix of interpreter and NumPy work."""
+    import numpy
+
+    started = monotonic()
+    table: dict[int, int] = {}
+    for i in range(40_000):
+        key = (i * 7919) % 4093
+        table[key] = table.get(key, 0) + i
+    values = numpy.random.default_rng(0).permutation(200_000)
+    for _ in range(4):
+        numpy.sort(values)
+    return monotonic() - started
+
+
+def reference_s() -> float:
+    """How fast the host runs right now: median reference-block seconds."""
+    return median(reference_block() for _ in range(REFERENCE_BLOCKS))
+
+
+def scaled(seconds: float, references: list[float]) -> float:
+    """``seconds`` on the nominal host, from the run's reference timings.
+
+    One reference timing swings with the host from second to second; the
+    median of those spread over the run follows the slower changes that
+    move a whole run.
+    """
+    return seconds * REFERENCE_NOMINAL_S / median(references)
 
 
 def percentile(values, fraction: float) -> float:
@@ -221,6 +261,19 @@ def check_ledger(key: str, value_digest: str) -> None:
     os.replace(staged, path)
 
 
+def declared_metrics(trace: bool) -> dict[str, str]:
+    """Name -> unit of the metrics the result line carries.
+
+    ``BENCHMARK.json`` declares them: the end-to-end metrics for an
+    untraced run, the per-layer metrics for a traced one.
+    """
+    manifest = json.loads(MANIFEST.read_text())
+    return {
+        metric["name"]: metric["unit"]
+        for metric in manifest["per_layer" if trace else "end_to_end"]
+    }
+
+
 class Report:
     """Collects metrics, sample counts and checks for one run."""
 
@@ -228,7 +281,8 @@ class Report:
         self.workload = workload
         self.seed = seed
         self.trace = trace
-        self.metrics: dict[str, tuple[float, str, int, bool]] = {}
+        self.declared = declared_metrics(trace)
+        self.metrics: dict[str, tuple[float, str, int]] = {}
         self.notes: list[str] = []
         self.failures: list[str] = []
         self.attempted = 0
@@ -236,13 +290,17 @@ class Report:
         self.environment: dict[str, object] = {}
         self._probe = host_probe()
 
-    def metric(
-        self, name: str, value: float, unit: str, samples: int,
-        result: bool = True,
-    ) -> None:
-        """Record a metric; ``result=False`` prints it (with its sample
-        count) but leaves it out of the result line."""
-        self.metrics[name] = (float(value), unit, int(samples), result)
+    def metric(self, name: str, value: float, unit: str,
+               samples: int) -> None:
+        """Record a metric, printed with its sample count.
+
+        The result line carries the metrics ``BENCHMARK.json`` declares
+        for this kind of run; any other is printed only.
+        """
+        declared = self.declared.get(name, unit)
+        if declared != unit:
+            raise ValueError(f"{name} is declared in {declared}, not {unit}")
+        self.metrics[name] = (float(value), unit, int(samples))
 
     def check(self, ok: bool, message: str) -> None:
         if not ok:
@@ -262,32 +320,44 @@ class Report:
                 (steal - self._probe[1]) / max(1, jiffies - self._probe[2]), 4
             ),
         }
-        if not self.trace:
+        if self.trace and not self.failures:
+            # A layer this workload's traced passes never call did no
+            # work in it: its time and counts read 0, from 0 samples.
+            unused = [name for name in self.declared
+                      if name not in self.metrics]
+            for name in unused:
+                self.metric(name, 0.0, self.declared[name], 0)
+            if unused:
+                self.note(f"layers not exercised (reported as 0): {unused}")
+        elif not self.trace:
             # Failed over attempted operations.  It is 0 on a healthy run,
             # so the result line carries it as `failed`/`attempted`.
-            self.metric(
-                "error_rate", self.failed / max(1, self.attempted), "ratio",
-                self.attempted, result=False,
-            )
+            self.metric("error_rate", self.failed / max(1, self.attempted),
+                        "ratio", self.attempted)
+        missing = [name for name in self.declared if name not in self.metrics]
+        if missing and not self.failures:
+            raise RuntimeError(f"declared metrics not measured: {missing}")
         print(f"# perfbench {self.workload} seed={self.seed} ({mode})")
         print("# environment " + json.dumps(self.environment, sort_keys=True))
         for line in self.notes:
             print(f"# {line}")
         width = max((len(name) for name in self.metrics), default=10)
-        for name, (value, unit, samples, _result) in self.metrics.items():
+        for name, (value, unit, samples) in self.metrics.items():
             print(f"{name:<{width}}  {value:>14.6g} {unit:<14} n={samples}")
         for failure in self.failures:
             print(f"# CHECK FAILED: {failure}")
+        if missing:
+            # A failed check ended the run before it measured everything.
+            print(f"# not measured: {missing}")
+            return 1
         correct = not self.failures
         print(json.dumps({
             "correct": correct,
             "attempted": max(1, self.attempted),
             "failed": self.failed,
             "metrics": {
-                name: {"value": value, "unit": unit}
-                for name, (value, unit, _samples, result)
-                in self.metrics.items()
-                if result
+                name: {"value": self.metrics[name][0], "unit": unit}
+                for name, unit in self.declared.items()
             },
         }))
         return 0 if correct else 1

@@ -1,11 +1,10 @@
-"""pipeline_select: ``run_experiment`` selection on the large dataset.
+"""pipeline_select: ``run_experiment`` selection on the small preset.
 
-Each run starts a fresh interpreter (``pipeline_child.py``) that, CALLS
-times, builds ``flixster_like("large")`` (set-up) and times one
+Each run starts a fresh interpreter (``pipeline_child.py``) that, for
+``--seconds``, builds ``flixster_like("small")`` (set-up) and times one
 ``run_experiment`` call on that build with the ``cd``, ``ris`` and
-``hop`` selectors over a k-grid up to 25; both figures are medians.
-One call takes longer than ``--seconds``, so the call count is fixed
-instead.
+``hop`` selectors over a k-grid up to 25; both figures are medians over
+the run's calls.
 """
 
 from __future__ import annotations
@@ -25,17 +24,17 @@ from common import (
     monotonic,
     program_env,
     report_passes,
+    scaled,
 )
 
 CHILD = ROOT / "perfbench" / "pipeline_child.py"
-CALLS = 2
-CHILD_TIMEOUT_S = 170
+CHILD_TIMEOUT_S = 150
 
 
-def _child(mode: str, seed: int) -> dict:
+def _child(mode: str, seed: int, seconds: int) -> dict:
     command = [
         sys.executable, str(CHILD), "--mode", mode,
-        "--seed", str(seed), "--calls", str(CALLS),
+        "--seed", str(seed), "--seconds", str(seconds),
     ]
     completed = subprocess.run(
         command, env=program_env(), cwd=ROOT, capture_output=True,
@@ -74,18 +73,19 @@ def _seeds(outputs: dict) -> dict:
     return {label: output["seeds"] for label, output in outputs.items()}
 
 
-def _run_child(report: Report, seed: int, mode: str) -> dict:
+def _run_child(report: Report, seed: int, seconds: int, mode: str) -> dict:
     """Run the child and check every call's outputs; returns the child."""
     from pipeline_child import KS
 
-    report.attempted += CALLS
     try:
-        child = _child(mode, seed)
+        child = _child(mode, seed, seconds)
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as error:
-        report.failed += CALLS
+        report.attempted += 1
+        report.failed += 1
         raise CheckFailed(
             f"run_experiment ({mode}) failed: {error}") from error
     calls = child["calls"]
+    report.attempted += len(calls)
     first = calls[0]["outputs"]
     report.environment = environment_record(**calls[0]["environment"])
     for call in calls:
@@ -96,41 +96,54 @@ def _run_child(report: Report, seed: int, mode: str) -> dict:
     return child
 
 
-def run(report: Report, seed: int) -> None:
+def run(report: Report, seed: int, seconds: int) -> None:
     if report.trace:
-        _run_traced(report, seed)
+        _run_traced(report, seed, seconds)
         return
-    child = _run_child(report, seed, "untraced")
+    child = _run_child(report, seed, seconds, "untraced")
     builds = child["build_s"]
     experiments = [call["experiment_s"] for call in child["calls"]]
-    report.metric("setup_s", median(builds), "s", len(builds))
-    report.metric("experiment_s", median(experiments), "s", len(experiments))
+    references = child["references"]
+    report.metric("setup_s", scaled(median(builds), references), "s",
+                  len(builds))
+    report.metric("latency_p50_ms",
+                  scaled(median(experiments), references) * 1000, "ms",
+                  len(experiments))
     report.metric("peak_rss_mb", child["peak_rss_mb"], "MB", 1)
+    report.metric("wall_setup_s", median(builds), "s", len(builds))
+    report.metric("wall_latency_p50_ms", median(experiments) * 1000, "ms",
+                  len(experiments))
+    report.metric("host_reference_ms", median(references) * 1000, "ms",
+                  len(references))
 
 
-def _run_traced(report: Report, seed: int) -> None:
+def _run_traced(report: Report, seed: int, seconds: int) -> None:
     from pipeline_child import KS
 
     started = monotonic()
-    child = _run_child(report, seed, "traced")
+    child = _run_child(report, seed, seconds, "traced")
     report.note(f"traced child wall {monotonic() - started:.1f}s")
     calls = child["calls"]
-    replay = child["replay"]
-    _check_outputs(report, replay["outputs"], KS[-1])
-    report.check(
-        _seeds(replay["outputs"]) == _seeds(calls[0]["outputs"]),
-        "replay seeds differ from run_experiment's",
-    )
-    report.check(
-        replay["outputs"] == calls[0]["outputs"],
-        "replay spread curves differ from run_experiment's",
-    )
-    # Counters come from each run_experiment call; timings from the replay.
-    passes = [{"counts": call["counts"]} for call in calls]
-    passes[0]["times"] = replay["times"]
-    report_passes(report, passes)
+    replays = child["replays"]
+    for replay in replays:
+        _check_outputs(report, replay["outputs"], KS[-1])
+        report.check(
+            _seeds(replay["outputs"]) == _seeds(calls[0]["outputs"]),
+            "replay seeds differ from run_experiment's",
+        )
+        report.check(
+            replay["outputs"] == calls[0]["outputs"],
+            "replay spread curves differ from run_experiment's",
+        )
+    # Pass i: the counters of run_experiment call i, the timings of
+    # replay i.
+    report_passes(report, [
+        {"counts": call["counts"], "times": replay["times"]}
+        for call, replay in zip(calls, replays)
+    ])
     report.metric(
         "trace.overhead_ratio",
-        replay["wall_s"] / median([call["experiment_s"] for call in calls]),
-        "ratio", 1,
+        median([replay["wall_s"] for replay in replays])
+        / median([call["experiment_s"] for call in calls]),
+        "ratio", len(replays),
     )

@@ -3,14 +3,17 @@
 Run by ``perfbench/pipeline.py`` with the scrubbed environment; prints
 one JSON object as its last stdout line.
 
-``--calls N``: N times, build the dataset (set-up) and time one
+``--mode untraced --seconds S``: until S seconds have passed (at least
+MIN_CALLS times), build the dataset (set-up) and time one
 ``run_experiment`` call on that fresh build, so every call pays what a
-researcher's first call pays.
+researcher's call on a new data set pays.  The reference work is timed
+before the first build and after every call.
 
-``--mode traced`` also records, in each call, the calls the program
-makes into the CD evaluator and the sketch builder (the work counters),
-then replays the same work once, on one more fresh build, through the
-layers' public functions with a span around each call (the timings).
+``--mode traced`` makes TRACED_PASSES such calls and records, in each,
+the sketch batches the program builds and the cd selection's oracle
+calls (the work counters), then replays the same work as often, each
+time on a fresh build, through the layers' public functions with a
+span around each call (the timings).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -29,11 +32,18 @@ from common import (  # noqa: E402
     monotonic,
     peak_rss_mb,
     recorded_calls,
+    reference_s,
 )
 
-SCALE = "large"
+# The small preset: one call takes under a second, so a run holds a few
+# dozen calls and reports their median.  On "large" one call takes 17 s
+# after a 5 s build, a run holds one, and over ten seeds its spread
+# stayed above a third of the bound.
+SCALE = "small"
 KS = [1, 5, 10, 15, 20, 25]
 SKETCHES = 2000
+MIN_CALLS = 5
+TRACED_PASSES = 3
 SELECTORS = [
     {"name": "cd", "params": {}},
     {"name": "ris", "params": {"num_rr_sets": SKETCHES}},
@@ -74,21 +84,16 @@ def outputs_of(result) -> dict:
 def experiment(dataset, config, counted: bool) -> dict:
     """One timed ``run_experiment`` call; with ``counted``, its work too.
 
-    The counters are what the program did inside the call: CD evaluator
-    calls (the evaluate stage), members of the sketch batches it built
-    (distinct batches; a cached batch counts once) and the cd
-    selector's oracle calls.
+    The counters are what the program did inside the call: members of
+    the sketch batches it built (distinct batches; a cached batch counts
+    once) and the cd selector's oracle calls.
     """
     from repro.api import SelectionContext, run_experiment
-    from repro.core.spread import CDSpreadEvaluator
     from repro.runtime.executor import as_executor
 
-    with ExitStack() as stack:
-        if counted:
-            spreads = stack.enter_context(
-                recorded_calls(CDSpreadEvaluator, "spread"))
-            sketches = stack.enter_context(
-                recorded_calls(SelectionContext, "sketches"))
+    watched = (recorded_calls(SelectionContext, "sketches") if counted
+               else nullcontext())
+    with watched as sketches:
         started = monotonic()
         result = run_experiment(config, dataset=dataset)
         elapsed = monotonic() - started
@@ -105,7 +110,6 @@ def experiment(dataset, config, counted: bool) -> dict:
         oracle = [run.selection.oracle_calls for run in result.runs
                   if run.label == "cd"]
         call["counts"] = {
-            "core.cd_spread_calls": len(spreads),
             "core.sketch.members": sum(
                 batch.total_members for batch in batches.values()),
             "maximization.cd_oracle_calls": int(oracle[0]),
@@ -203,29 +207,40 @@ def main() -> int:
     parser.add_argument("--mode", choices=("untraced", "traced"),
                         required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--calls", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args()
 
     config = experiment_config(args.seed)
     traced = args.mode == "traced"
     build_s, calls = [], []
-    for _ in range(args.calls):
+    started = monotonic()
+
+    def another_call() -> bool:
+        if traced:
+            return len(calls) < TRACED_PASSES
+        return len(calls) < MIN_CALLS or monotonic() - started < args.seconds
+
+    references = [reference_s()]
+    while another_call():
         dataset = None  # the previous build is freed before the next
-        started = monotonic()
+        built = monotonic()
         dataset = build_dataset()
-        build_s.append(monotonic() - started)
+        build_s.append(monotonic() - built)
         calls.append(experiment(dataset, config, counted=traced))
-    payload = {"build_s": build_s, "calls": calls}
+        references.append(reference_s())
+    payload = {"build_s": build_s, "calls": calls, "references": references}
     if traced:
-        dataset = None
-        dataset = build_dataset()
-        tracer = Tracer()
-        wall, replayed = replay(dataset, config, tracer)
-        payload["replay"] = {
-            "wall_s": wall,
-            "outputs": replayed,
-            "times": layer_times(tracer),
-        }
+        payload["replays"] = []
+        for _ in range(TRACED_PASSES):
+            dataset = None
+            dataset = build_dataset()
+            tracer = Tracer()
+            wall, replayed = replay(dataset, config, tracer)
+            payload["replays"].append({
+                "wall_s": wall,
+                "outputs": replayed,
+                "times": layer_times(tracer),
+            })
     payload["peak_rss_mb"] = peak_rss_mb()
     print(json.dumps(payload))
     return 0

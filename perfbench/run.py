@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.workload == "pipeline_select":
             import pipeline
 
-            pipeline.run(report, args.seed)
+            pipeline.run(report, args.seed, args.seconds)
         elif args.workload == "serve_mixed":
             import serving
 

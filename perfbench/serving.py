@@ -36,13 +36,15 @@ from common import (
     peak_rss_mb,
     percentile,
     program_env,
-    recorded_calls,
+    reference_s,
     report_passes,
+    scaled,
 )
 
+PROBE = ROOT / "perfbench" / "reference_probe.py"
 K_MAX = 20
 STORE_SEED = 7
-SETUPS = 3
+SETUPS = 5
 NEEDED = [
     "credit_index",
     "cd_evaluator",
@@ -56,37 +58,27 @@ POOL_SEED = 20110901
 REQUEST_TIMEOUT_S = 30.0
 HEALTHZ_RPS = 4.0
 
-# serve_mixed: nominal open-loop rate and mix, then a fixed rate ladder.
-# No traffic record backs these numbers; they are assumptions (see
-# perfbench/README.md).  The mix keeps the order select > spread >
-# predict, and the rate sits well below the ~200 req/s where two
-# connections saturate.
+# serve_mixed: open-loop rate and mix.  The 1:1:1 mix is the round
+# benchmarks/bench_serve_load.py sends; no traffic record backs a mix or
+# a rate (see perfbench/README.md).  The rate sits well below the
+# 140-330 req/s at which two connections saturated on a 2-vCPU host.
 NOMINAL_RPS = 40.0
-MIX = (("select", 0.5), ("spread", 0.3), ("predict", 0.2))
-# The nominal phase is cut into this many windows by due time; a p50 or
-# p90 is the median of the windows' own, so one slow stretch of the host
-# moves at most one window.
-WINDOWS = 3
-# Ladder rates: LADDER_BASE_RPS * LADDER_RATIO ** (i / LADDER_FINE).
-LADDER_BASE_RPS = 150.0
-LADDER_RATIO = 1.25
-LADDER_FINE = 4
-LADDER_COARSE_STEPS = 8
-LADDER_COARSE_DOWN = 3
-LADDER_STEP_S = 2.5
-LATENCY_LIMIT_S = 0.100
-MEET_FRACTION = 0.99
-LATENESS_GROWTH_S = 0.050
+MIX = (("select", 1.0), ("spread", 1.0), ("predict", 1.0))
+# The phase is cut into this many windows by due time; a percentile is
+# the median of the windows' own, so one slow stretch of the host moves
+# at most one window.
+WINDOWS = 5
 REPLAY_REQUESTS = 300
 
 # ingest_live: base store from the first 80% of actions, the rest in
 # chained deltas beside a low-rate read stream on the other connection.
 BASE_FRACTION = 0.8
-DELTAS = 8
+DELTAS = 20
+# The in-process replay of a traced run follows the first deltas of the
+# chain only, so that a traced run ends well within its time limit.
+REPLAY_DELTAS = 8
 READ_RPS = 10.0
 READ_MIX = (("select", 0.5), ("spread", 0.5))
-READ_METRICS = ("select_p50_ms", "select_p90_ms", "spread_p50_ms",
-                "spread_p90_ms", "healthz_p50_ms")
 
 
 # ----------------------------------------------------------------------
@@ -269,23 +261,30 @@ def make_request(kind: str, rng: random.Random, pool, counter: list,
 
 
 def schedule(rng: random.Random, rate: float, duration: float, mix, pool,
-             healthz_rps: float = HEALTHZ_RPS) -> list[Request]:
-    """Poisson arrivals of the mix, plus a fixed-interval /healthz probe."""
+             poisson: bool = True) -> list[Request]:
+    """Arrivals of the mix, plus a fixed-interval /healthz probe.
+
+    Arrivals are Poisson, or with ``poisson=False`` evenly spaced (the
+    seed then picks only what each request asks).
+    """
     requests = []
     kinds = [kind for kind, _share in mix]
     weights = [share for _kind, share in mix]
     counter = [0]
-    due = rng.expovariate(rate)
+
+    def gap() -> float:
+        return rng.expovariate(rate) if poisson else 1.0 / rate
+
+    due = gap() if poisson else 0.5 / rate
     while due < duration:
         kind = rng.choices(kinds, weights)[0]
         requests.append(make_request(kind, rng, pool, counter, due))
-        due += rng.expovariate(rate)
-    if healthz_rps > 0:
-        step = 1.0 / healthz_rps
-        due = step / 2
-        while due < duration:
-            requests.append(make_request("healthz", rng, pool, counter, due))
-            due += step
+        due += gap()
+    step = 1.0 / HEALTHZ_RPS
+    due = step / 2
+    while due < duration:
+        requests.append(make_request("healthz", rng, pool, counter, due))
+        due += step
     requests.sort(key=lambda request: request.due)
     return requests
 
@@ -353,36 +352,36 @@ def count_phase(report: Report, phase: str, outcomes: list[Outcome]) -> None:
     )
 
 
-def latency_metrics(report: Report, outcomes: list[Outcome], kinds,
-                    duration: float, windows: int = 1,
-                    ungated=()) -> None:
-    """p50/p90 per kind (p50 only for /healthz), failures excluded.
+def windowed_percentile(outcomes: list[Outcome], kinds, fraction: float,
+                        duration: float, windows: int) -> tuple[float, int]:
+    """(ms, samples): a percentile of the successful ``kinds`` requests.
 
-    With ``windows`` > 1 the phase (``duration`` seconds of due times)
-    is cut into that many equal windows and each figure is the median
-    of the windows' percentiles; the sample count is the whole phase's.
-    Metrics named in ``ungated`` are printed but left out of the result
-    line.
+    The phase (``duration`` seconds of due times) is cut into
+    ``windows`` equal windows and the figure is the median of the
+    windows' percentiles; the sample count is the whole phase's.
     """
+    by_window: list[list[float]] = [[] for _ in range(windows)]
+    for o in outcomes:
+        if o.request.kind in kinds and o.ok:
+            index = min(windows - 1, int(o.request.due / duration * windows))
+            by_window[index].append(o.latency * 1000)
+    by_window = [values for values in by_window if values]
+    if not by_window:
+        raise CheckFailed(f"no successful {'/'.join(kinds)} requests")
+    value = median([percentile(values, fraction) for values in by_window])
+    return value, sum(len(values) for values in by_window)
+
+
+def latency_metrics(report: Report, outcomes: list[Outcome], kinds,
+                    duration: float, windows: int = 1) -> None:
+    """p50/p90 per kind (p50 only for /healthz), failures excluded."""
     for kind in kinds:
-        by_window: list[list[float]] = [[] for _ in range(windows)]
-        for o in outcomes:
-            if o.request.kind == kind and o.ok:
-                index = min(windows - 1,
-                            int(o.request.due / duration * windows))
-                by_window[index].append(o.latency * 1000)
-        by_window = [values for values in by_window if values]
-        if not by_window:
-            raise CheckFailed(f"no successful {kind} requests")
-        samples = sum(len(values) for values in by_window)
         quantiles = [("p50", 0.5)] if kind == "healthz" else [
             ("p50", 0.5), ("p90", 0.9)]
         for label, fraction in quantiles:
-            name = f"{kind}_{label}_ms"
-            value = median([percentile(values, fraction)
-                            for values in by_window])
-            report.metric(name, value, "ms", samples,
-                          result=name not in ungated)
+            value, samples = windowed_percentile(
+                outcomes, (kind,), fraction, duration, windows)
+            report.metric(f"{kind}_{label}_ms", value, "ms", samples)
 
 
 def check_deterministic(report: Report, outcomes: list[Outcome]) -> None:
@@ -448,6 +447,7 @@ def deploy(report: Report, workdir: Path, ingest: bool,
            kinds) -> Deployment:
     """Set up SETUPS times (median reported); keep the last deployment."""
     times = []
+    references = [reference_s()]
     deployment = None
     for index in range(SETUPS):
         if deployment is not None:
@@ -471,8 +471,14 @@ def deploy(report: Report, workdir: Path, ingest: bool,
             raise
         times.append(monotonic() - started)
         deployment = Deployment(root, server, pool, dataset, deltas, base_key)
-    report.metric("setup_s", median(times), "s", len(times),
-                  result=not report.trace)
+        references.append(reference_s())
+    # Scaled by the references timed between the set-ups.  That widens the
+    # spread within a set of runs (a set-up is mostly a fresh server
+    # process and store writes), but keeps the median where the host's
+    # speed moved the unscaled one by 45% from one set to the next.
+    report.metric("setup_s", scaled(median(times), references), "s",
+                  len(times))
+    report.metric("wall_setup_s", median(times), "s", len(times))
     report.environment = environment_record("numpy", "serial")
     return deployment
 
@@ -480,72 +486,6 @@ def deploy(report: Report, workdir: Path, ingest: bool,
 # ----------------------------------------------------------------------
 # serve_mixed
 # ----------------------------------------------------------------------
-def ladder_step(outcomes: list[Outcome]) -> tuple[bool, float, str]:
-    """(passes, fraction meeting the limit, detail) of one rate step.
-
-    A step passes when at least MEET_FRACTION of its requests succeed
-    within LATENCY_LIMIT_S of their due time and the generator's
-    lateness does not grow from the first to the last quarter.
-    """
-    met = sum(1 for o in outcomes if o.ok and o.latency <= LATENCY_LIMIT_S)
-    fraction = met / max(1, len(outcomes))
-    ordered = sorted(outcomes, key=lambda o: o.request.due)
-    quarter = max(1, len(ordered) // 4)
-    early = median([o.lateness for o in ordered[:quarter]])
-    late = median([o.lateness for o in ordered[-quarter:]])
-    growing = late - early > LATENESS_GROWTH_S
-    ok = fraction >= MEET_FRACTION and not growing
-    return ok, fraction, (f"met {fraction:.3f}, lateness {early * 1000:.1f}"
-                          f"->{late * 1000:.1f} ms")
-
-
-def ladder_rate(index: int) -> float:
-    """Step ``index`` of the fixed geometric rate ladder (req/s)."""
-    return round(LADDER_BASE_RPS * LADDER_RATIO ** (index / LADDER_FINE), 1)
-
-
-def search_ladder(run_step, floor: float) -> tuple[float, int]:
-    """(highest passing ladder rate, steps run), searched coarse to fine.
-
-    Coarse steps move LADDER_FINE grid points at a time from the base
-    rate: up while they pass, or down (at most LADDER_COARSE_DOWN steps)
-    while they fail.  Bisections of the bracket then settle on a fine
-    grid point.  ``floor`` is the answer when no step passes.
-    """
-    steps = 0
-
-    def passes(index: int) -> bool:
-        nonlocal steps
-        steps += 1
-        return run_step(ladder_rate(index))
-
-    if passes(0):
-        low, high = 0, None
-        while high is None:
-            if low + LADDER_FINE >= LADDER_COARSE_STEPS * LADDER_FINE:
-                return ladder_rate(low), steps
-            if passes(low + LADDER_FINE):
-                low += LADDER_FINE
-            else:
-                high = low + LADDER_FINE
-    else:
-        low, high = None, 0
-        while low is None:
-            if high <= -LADDER_COARSE_DOWN * LADDER_FINE:
-                return floor, steps
-            if passes(high - LADDER_FINE):
-                low = high - LADDER_FINE
-            else:
-                high -= LADDER_FINE
-    while high - low > 1:
-        middle = (low + high) // 2
-        if passes(middle):
-            low = middle
-        else:
-            high = middle
-    return ladder_rate(low), steps
-
-
 def serve_mixed(report: Report, workdir: Path, seed: int,
                 seconds: int) -> None:
     kinds = ("select", "spread", "predict")
@@ -557,52 +497,53 @@ def serve_mixed(report: Report, workdir: Path, seed: int,
         if report.trace:
             _serve_mixed_traced(report, deployment, nominal)
             return
-        outcomes = run_open_loop(port, nominal, connections=2)
+        outcomes, references = _probed_open_loop(port, nominal, seconds)
         count_phase(report, "nominal", outcomes)
-        everything = list(outcomes)
-        # The tails are printed, not gated.  About one select in ten
-        # overlaps a /spread or /predict on the server, so its p90 falls
-        # on the edge between overlapped and free selects; and queueing
-        # turns a slow minute of the shared host into a 1.5-2x tail.
-        # The /predict median mixes three engines of different cost and
-        # moved by up to 0.29 IQR/median over ten seeds: printed only.
-        latency_metrics(report, outcomes, kinds + ("healthz",),
-                        seconds, WINDOWS,
-                        ungated=("select_p90_ms", "spread_p90_ms",
-                                 "predict_p50_ms", "predict_p90_ms"))
-        # The nominal phase is the ladder's first step: when no ladder
-        # step passes, the answer is the rate it served within the limit.
-        ok, fraction, detail = ladder_step(outcomes)
-        report.note(f"ladder {NOMINAL_RPS:g}/s (nominal): "
-                    f"{'pass' if ok else 'FAIL'} ({detail})")
-
-        def run_step(rate: float) -> bool:
-            # A failed step is run once more: one stall of the shared
-            # host inside 2.5 s must not end the search.
-            for attempt in ("", " again"):
-                time.sleep(0.2)
-                step = schedule(rng, rate, LADDER_STEP_S, MIX,
-                                deployment.pool)
-                step_outcomes = run_open_loop(port, step, connections=2)
-                count_phase(report, f"ladder {rate:g}/s{attempt}",
-                            step_outcomes)
-                everything.extend(step_outcomes)
-                ok, _fraction, detail = ladder_step(step_outcomes)
-                report.note(f"ladder {rate:g}/s{attempt}: "
-                            f"{'pass' if ok else 'FAIL'} ({detail})")
-                if ok:
-                    return True
-            return False
-
-        # Printed, not gated: the saturation point follows the host's
-        # speed, and over ten seeds it moved by up to 0.27 IQR/median.
-        max_rate, steps = search_ladder(run_step, NOMINAL_RPS * fraction)
-        report.metric("max_rate_rps", max_rate, "req/s", steps, result=False)
+        # The gated figure is the p50 over every request of the mix; the
+        # per-kind figures are printed.  With a 1:1:1 mix the pooled
+        # median falls inside the /spread and CD /predict cluster, not on
+        # the edge between two request kinds.
+        for label, fraction in (("p50", 0.5), ("p90", 0.9)):
+            value, samples = windowed_percentile(
+                outcomes, kinds, fraction, seconds, WINDOWS)
+            report.metric(f"wall_latency_{label}_ms", value, "ms", samples)
+            report.metric(f"latency_{label}_ms", scaled(value, references),
+                          "ms", samples)
+        report.metric("host_reference_ms", median(references) * 1000, "ms",
+                      len(references))
+        latency_metrics(report, outcomes, kinds + ("healthz",), seconds,
+                        WINDOWS)
         report.metric("peak_rss_mb", deployment.server.peak_rss_mb(), "MB", 1)
-        check_deterministic(report, everything)
-        _check_cold_sample(report, deployment, everything)
+        check_deterministic(report, outcomes)
+        _check_cold_sample(report, deployment, outcomes)
     finally:
         deployment.server.stop()
+
+
+def _probed_open_loop(port: int, requests: list[Request],
+                      seconds: int) -> tuple[list[Outcome], list[float]]:
+    """The open-loop phase, with the host's speed sampled beside it.
+
+    The reference work runs in a process of its own
+    (``reference_probe.py``) every half second through the phase:
+    timed only around the phase, it missed changes of host speed inside
+    it, and run in this process it would hold up the senders.
+    """
+    probe = subprocess.Popen(
+        [sys.executable, str(PROBE), "--seconds", str(seconds)],
+        stdout=subprocess.PIPE, cwd=ROOT, text=True,
+    )
+    try:
+        if probe.stdout.readline().strip() != "ready":
+            raise RuntimeError("the reference probe did not start")
+        outcomes = run_open_loop(port, requests, connections=2)
+        output, _ = probe.communicate(timeout=60)
+    finally:
+        if probe.poll() is None:
+            probe.kill()
+            probe.wait()
+        probe.stdout.close()
+    return outcomes, json.loads(output)
 
 
 def _check_cold_sample(report: Report, deployment: Deployment,
@@ -676,14 +617,11 @@ def _service_replay(report: Report, store_root: Path,
     """Replay requests against an in-process QueryService and its layers.
 
     Each request is answered by the public ``QueryService`` method, whose
-    body must equal the bytes the server sent for the same request; the
-    CD evaluator and ``spread_many`` calls the service makes meanwhile
-    are the work counters.  Then each request is answered again by the
-    layer call underneath it: the prefix slice for /select, the CD
-    evaluator for /spread and CD /predict, ``spread_many`` for IC/LT
-    /predict.
+    body must equal the bytes the server sent for the same request.
+    Then each request is answered again by the layer call underneath
+    it: the prefix slice for /select, the CD evaluator for /spread and
+    CD /predict, ``spread_many`` for IC/LT /predict.
     """
-    from repro.core.spread import CDSpreadEvaluator
     from repro.runtime.estimator import SpreadEstimator
     from repro.store import ArtifactStore
     from repro.store.prefix import bind_selector, load_prefix, selection_at
@@ -721,22 +659,16 @@ def _service_replay(report: Report, store_root: Path,
                 "healthz": lambda _payload: service.healthz()}
     handlers["healthz"](None)
     differing = []
-    with recorded_calls(CDSpreadEvaluator, "spread") as cd_calls, \
-            recorded_calls(SpreadEstimator, "spread_many") as many_calls:
-        for request in requests:
-            with tracer.span(f"service.{request.kind}"):
-                body = handlers[request.kind](request.payload)
-            expected = served.get(request.key)
-            if expected is not None and expected != json.dumps(
-                    body, sort_keys=True).encode("utf-8"):
-                differing.append(request.key)
+    for request in requests:
+        with tracer.span(f"service.{request.kind}"):
+            body = handlers[request.kind](request.payload)
+        expected = served.get(request.key)
+        if expected is not None and expected != json.dumps(
+                body, sort_keys=True).encode("utf-8"):
+            differing.append(request.key)
     report.check(not differing, "in-process QueryService bodies differ "
                  f"from the served ones: {sorted(set(differing))[:5]}")
-    counts = {
-        "core.cd_spread_calls": len(cd_calls),
-        "runtime.spread_many_items": sum(
-            len(args[0]) for args, _result in many_calls),
-    }
+    counts = {}
     for request in requests:
         payload = request.payload
         if request.kind == "select":
@@ -784,12 +716,18 @@ def ingest_chain(report: Report, deployment: Deployment, seconds: int,
     """Chained /ingest deltas on one connection, reads on the other.
 
     The deltas are spread over ``seconds``; the reads run open loop for
-    ``seconds`` and until the last delta is served.
+    ``seconds`` and until the last delta is served.  The reference work
+    is timed before the first delta and after each one returns.
     """
     port = deployment.server.port
-    reads = schedule(rng, READ_RPS, 600.0, READ_MIX, deployment.pool)
+    # Evenly spaced: with Poisson arrivals, how many reads landed inside
+    # a derive depended on the seed, and moved the ingest median by up to
+    # a fifth between seeds.
+    reads = schedule(rng, READ_RPS, 600.0, READ_MIX, deployment.pool,
+                     poisson=False)
     jobs: list[dict] = []
     ingest_s: list[float] = []
+    references: list[float] = []
     errors: list[str] = []
     finished = threading.Event()
     started = monotonic()
@@ -800,6 +738,7 @@ def ingest_chain(report: Report, deployment: Deployment, seconds: int,
         # resolves its base through the store, not the pinned default.
         context = deployment.base_key
         slot = seconds / len(deployment.deltas)
+        references.append(reference_s())
         try:
             for index, tuples in enumerate(deployment.deltas):
                 # Paced: delta i is sent at i * slot (or when the previous
@@ -816,6 +755,7 @@ def ingest_chain(report: Report, deployment: Deployment, seconds: int,
                     status, body, _ = http_call(port, "POST", "/ingest",
                                                 payload)
                 ingest_s.append(monotonic() - sent)
+                references.append(reference_s())
                 job = json.loads(body) if status == 200 else {
                     "status": f"http {status}", "error": body[:200]}
                 jobs.append(job)
@@ -843,7 +783,7 @@ def ingest_chain(report: Report, deployment: Deployment, seconds: int,
         1 for job in jobs if job.get("status") == "done")
     for error in errors:
         report.check(False, error)
-    return outcomes, jobs, ingest_s
+    return outcomes, jobs, ingest_s, references
 
 
 def _payload_bytes(root: Path) -> int:
@@ -857,11 +797,12 @@ def ingest_live(report: Report, workdir: Path, seed: int,
     deployment = deploy(report, workdir, ingest=True, kinds=kinds)
     rng = random.Random(seed * 7919 + 2)
     try:
-        outcomes, jobs, ingest_s = ingest_chain(report, deployment, seconds,
-                                                rng)
+        outcomes, jobs, ingest_s, references = ingest_chain(
+            report, deployment, seconds, rng)
         count_phase(report, "ingest reads", outcomes)
         report.note(f"phase ingest writes: sent {len(ingest_s)} succeeded "
-                    f"{sum(1 for j in jobs if j.get('status') == 'done')}")
+                    f"{sum(1 for j in jobs if j.get('status') == 'done')}; "
+                    f"seconds {[round(x, 3) for x in ingest_s]}")
         check_deterministic(report, outcomes)
         _check_union(report, deployment, jobs)
         if report.trace:
@@ -871,9 +812,14 @@ def ingest_live(report: Report, workdir: Path, seed: int,
         # Reads beside a running derive wait on the server's interpreter
         # lock; their latencies swing far more between runs than any bound
         # allows, so they are printed, not gated.
-        latency_metrics(report, outcomes, kinds + ("healthz",), seconds,
-                        ungated=READ_METRICS)
-        report.metric("ingest_p50_s", median(ingest_s), "s", len(ingest_s))
+        latency_metrics(report, outcomes, kinds + ("healthz",), seconds)
+        report.metric("wall_latency_p50_ms", median(ingest_s) * 1000, "ms",
+                      len(ingest_s))
+        report.metric("latency_p50_ms",
+                      scaled(median(ingest_s), references) * 1000, "ms",
+                      len(ingest_s))
+        report.metric("host_reference_ms", median(references) * 1000, "ms",
+                      len(references))
         report.metric("peak_rss_mb", deployment.server.peak_rss_mb(), "MB", 1)
     finally:
         deployment.server.stop()
@@ -915,7 +861,7 @@ def _ingest_live_traced(report: Report, workdir: Path, deployment, seed,
         warm_up(traced_deployment.server.port, deployment.pool,
                 ("select", "spread"))
         rng = random.Random(seed * 7919 + 2)
-        outcomes, jobs, ingest_s = ingest_chain(
+        outcomes, jobs, ingest_s, _references = ingest_chain(
             report, traced_deployment, seconds, rng, tracer=tracer,
             growth=growth)
         count_phase(report, "ingest reads traced", outcomes)
@@ -938,7 +884,8 @@ def _ingest_live_traced(report: Report, workdir: Path, deployment, seed,
     for index in range(2):
         replay_root = workdir / f"store-replay-{index}"
         build_store(replay_root, deployment.dataset.graph, base)
-        passes.append(_stream_replay(report, replay_root, deltas, Tracer(),
+        passes.append(_stream_replay(report, replay_root,
+                                     deltas[:REPLAY_DELTAS], Tracer(),
                                      derived))
     report_passes(report, passes)
 
