@@ -32,6 +32,7 @@ index-based maximizer, see DESIGN.md):
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Hashable, Iterable
 
 from repro.core.credit import DirectCredit, UniformCredit
@@ -48,9 +49,14 @@ class CDSpreadEvaluator:
     """Pre-compiled sigma_cd evaluator (a ``SpreadOracle``).
 
     Construction walks the log once, caching per action the chronological
-    list of ``(user, [(influencer, gamma), ...])``; each ``spread`` call
-    is then a linear pass over the cached structure, independent of the
-    social graph.
+    list of ``(user, [(influencer, gamma), ...])``.  A seed set earns
+    credit only inside actions one of its members performed, and only
+    from that member's adoption onward, so each ``spread`` call walks
+    just those actions, each from its earliest seed's position: the cost
+    grows with the seeds' own actions, not with the log, and is
+    independent of the social graph.  The user -> ``[(action index,
+    position), ...]`` map that finds them is built on the first query
+    and never pickled, so stored payloads do not depend on queries.
 
     Example
     -------
@@ -134,23 +140,65 @@ class CDSpreadEvaluator:
         """``A_u`` within the evaluated log."""
         return self._activity.get(user, 0)
 
+    def __getstate__(self) -> dict:
+        # The seed map is derived from ``_compiled``; leaving it out keeps
+        # stored payloads and worker pickles independent of past queries.
+        state = dict(self.__dict__)
+        state.pop("_positions", None)
+        return state
+
+    def _seed_positions(self) -> dict[User, list[tuple[int, int]]]:
+        """Every user's ``(action index, position)`` pairs, built once.
+
+        Published by a single attribute assignment, so a concurrent
+        query sees either no map (and builds an identical one) or a
+        complete one.
+        """
+        positions = self.__dict__.get("_positions")
+        if positions is None:
+            positions = {}
+            for action_index, compiled_action in enumerate(self._compiled):
+                for position, (user, _) in enumerate(compiled_action):
+                    positions.setdefault(user, []).append(
+                        (action_index, position)
+                    )
+            self._positions = positions
+        return positions
+
     def kappa(self, seeds: Iterable[User]) -> dict[User, float]:
-        """``kappa_{S,u}`` for every user ``u`` in the log."""
+        """``kappa_{S,u}`` for every user ``u`` in the log.
+
+        Only the actions some seed performed are walked, in log order,
+        each from its earliest seed's position.  Until a walk reaches a
+        seed every credit it computes is zero, so the skipped positions
+        and actions add nothing: the values, and the dict order, are
+        those of a walk over every action.
+        """
         seed_set = set(seeds)
+        positions = self._seed_positions()
+        starts: dict[int, int] = {}
+        for seed in seed_set:
+            for action_index, position in positions.get(seed, ()):
+                start = starts.get(action_index)
+                if start is None or position < start:
+                    starts[action_index] = position
         totals: dict[User, float] = {}
-        for compiled_action in self._compiled:
+        for action_index in sorted(starts):
+            # Only positive credits are kept: an influencer missing here
+            # is one whose zero credit the sum below would skip anyway.
             gamma_s: dict[User, float] = {}
-            for user, incoming in compiled_action:
+            for user, incoming in islice(
+                self._compiled[action_index], starts[action_index], None
+            ):
                 if user in seed_set:
                     credit = 1.0
                 else:
                     credit = 0.0
                     for influencer, gamma in incoming:
-                        source = gamma_s.get(influencer, 0.0)
-                        if source > 0.0 and gamma > 0.0:
-                            credit += source * gamma
-                gamma_s[user] = credit
+                        if influencer in gamma_s and gamma > 0.0:
+                            credit += gamma_s[influencer] * gamma
                 if credit > 0.0:
+                    gamma_s[user] = credit
                     totals[user] = totals.get(user, 0.0) + credit
         return {
             user: total / self._activity[user] for user, total in totals.items()

@@ -890,10 +890,17 @@ class QueryService:
             raise ServiceError("'closed' must be a list of action ids")
         if not delta.tuples and not delta.closed:
             raise ServiceError("an ingest needs 'tuples' and/or 'closed'")
+        # An omitted context is the pinned serving default, as in
+        # slot(): after a swap the store holds several contexts, and
+        # the keyless base is the one being served.
+        context_ref = payload.get("context")
+        if context_ref is None:
+            with self._lock:
+                context_ref = self._default_key
         try:
             record = self._read_with_retry(
                 "ingest_load_context_record",
-                lambda: load_context_record(self.store, payload.get("context")),
+                lambda: load_context_record(self.store, context_ref),
             )
         except StoreMiss as error:
             raise ServiceError(str(error), status=404) from error

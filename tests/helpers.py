@@ -12,6 +12,7 @@ import random
 from typing import Hashable, Iterable, Mapping
 
 from repro.core.credit import DirectCredit, UniformCredit
+from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
@@ -144,6 +145,36 @@ def naive_sigma_cd(
                 )
             total += value / log.activity(user)
     return total
+
+
+def full_walk_kappa(
+    evaluator: CDSpreadEvaluator, seeds: Iterable[User]
+) -> dict[User, float]:
+    """``kappa_{S,u}`` by walking *every* compiled action of ``evaluator``.
+
+    The evaluator itself walks only the actions its seeds performed;
+    this full forward pass is the reference it must match exactly, in
+    values and in dict order.
+    """
+    seed_set = set(seeds)
+    totals: dict[User, float] = {}
+    for compiled_action in evaluator._compiled:
+        gamma_s: dict[User, float] = {}
+        for user, incoming in compiled_action:
+            if user in seed_set:
+                credit = 1.0
+            else:
+                credit = 0.0
+                for influencer, gamma in incoming:
+                    source = gamma_s.get(influencer, 0.0)
+                    if source > 0.0 and gamma > 0.0:
+                        credit += source * gamma
+            gamma_s[user] = credit
+            if credit > 0.0:
+                totals[user] = totals.get(user, 0.0) + credit
+    return {
+        user: total / evaluator.activity(user) for user, total in totals.items()
+    }
 
 
 def random_instance(

@@ -548,6 +548,24 @@ class TestServiceIngest:
         assert explicit["context"] == before["context"]
         assert service.ingest_status()["default"] == job["derived"]
 
+    def test_keyless_ingests_chain_on_the_serving_default(
+        self, store_root, delta_tuples
+    ):
+        # After the first swap the store holds two contexts; a keyless
+        # ingest must resolve to the pinned default, not 404 on the
+        # ambiguity.
+        service = QueryService(store_root)
+        actions = list(dict.fromkeys(action for _, action, _ in delta_tuples))
+        first_actions = set(actions[:2])
+        first = [t for t in delta_tuples if t[1] in first_actions]
+        second = [t for t in delta_tuples if t[1] not in first_actions]
+        one = service.ingest({"tuples": first, "wait": True})
+        assert one["status"] == "done", one["error"]
+        two = service.ingest({"tuples": second, "wait": True})
+        assert two["status"] == "done", two["error"]
+        assert two["base"] == one["derived"]
+        assert service.ingest_status()["default"] == two["derived"]
+
     def test_failed_ingest_leaves_serving_untouched(
         self, store_root, flixster_mini
     ):
