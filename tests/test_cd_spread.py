@@ -160,9 +160,6 @@ class TestSeedIndexedParity:
         union = CDSpreadEvaluator(graph, log, actions=actions)
         assert dump_payload(extended) == dump_payload(union)
         for seeds in _seed_sets(union.candidates(), random.Random(seed)):
-            assert list(extended.kappa(seeds).items()) == list(
-                union.kappa(seeds).items()
-            )
             _assert_exact(extended, seeds)
 
     def test_extend_leaves_base_answers_unchanged(self, flixster_mini):
