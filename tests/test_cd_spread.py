@@ -211,7 +211,7 @@ class TestSeedMapStaysOutOfBytes:
             for seeds in seed_sets
         ]
         fresh = CDSpreadEvaluator(flixster_mini.graph, flixster_mini.log)
-        workers = 4  # more than the cores, so the map builds interleave
+        workers = 4  # with a 1 µs switch interval their map builds interleave
         barrier = threading.Barrier(workers)
         answers: list = [None] * workers
 
