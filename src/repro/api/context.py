@@ -169,10 +169,12 @@ class SelectionContext:
         self._oracles: dict[tuple, SpreadOracle] = {}
         self._models: dict[tuple, object] = {}
         # Per-action propagation DAGs, built at most once per action and
-        # shared by every consumer (influenceability learning, EM, the
-        # scan, the CD evaluator).
+        # shared by their consumers: LT weight learning on both backends,
+        # and on the python backend influenceability learning, EM, the
+        # scan and the CD evaluator (the numpy kernels read the compiled
+        # log instead).
         self._propagations: dict[Hashable, PropagationGraph] = {}
-        # Interned CSR representation for the numpy kernels (lazy).
+        # Interned CSR representation the numpy kernels share (lazy).
         self._compiled_log = None
         # The default sketch batch (the persistable slot) plus an
         # ad-hoc cache for other (method, count, hops, seed) requests —
@@ -520,14 +522,30 @@ class SelectionContext:
         return self._credit_index
 
     def cd_evaluator(self) -> CDSpreadEvaluator:
-        """The exact ``sigma_cd`` evaluator (cached) — the CD-proxy yardstick."""
+        """The exact ``sigma_cd`` evaluator (cached) — the CD-proxy yardstick.
+
+        Under the ``numpy`` backend it is built from the cached
+        :meth:`compiled_log` by :mod:`repro.kernels.cd_numpy`, byte for
+        byte the reference construction.
+        """
         if self._cd_evaluator is None:
-            self._cd_evaluator = CDSpreadEvaluator(
-                self.graph,
-                self._require_log("sigma_cd evaluation"),
-                credit=self._credit(),
-                propagations=self.propagation,
-            )
+            log = self._require_log("sigma_cd evaluation")
+            if self.backend == "numpy":
+                from repro.kernels.cd_numpy import cd_evaluator_numpy
+
+                self._cd_evaluator = cd_evaluator_numpy(
+                    self.graph,
+                    log,
+                    credit=self._credit(),
+                    compiled=self.compiled_log(),
+                )
+            else:
+                self._cd_evaluator = CDSpreadEvaluator(
+                    self.graph,
+                    log,
+                    credit=self._credit(),
+                    propagations=self.propagation,
+                )
         return self._cd_evaluator
 
     # ------------------------------------------------------------------

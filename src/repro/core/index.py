@@ -133,24 +133,46 @@ class CreditIndex:
                         self._entries += 1
                     existing[influenced] = value
 
-    def subtract_credit(
-        self, influencer: User, action: Action, influenced: User, amount: float
-    ) -> None:
-        """Apply a Lemma-2 decrement, dropping the entry if it hits zero.
+    def discount_through(self, seed: User) -> None:
+        """Apply Lemma 2 for a new seed: remove the credit that flowed through it.
 
-        A missing entry is a no-op: with truncation active, the credit
-        that flowed through the new seed may have been below ``lambda``
-        at scan time and therefore never stored.
+        ``Gamma^{W-x}_{v,u}(a) = Gamma^W_{v,u}(a) - Gamma^W_{v,x}(a) Gamma^W_{x,u}(a)``
+        for every source ``v`` and target ``u`` of ``seed`` on each of its
+        actions, dropping entries that fall to ``<= 1e-15``.  A missing
+        ``(v, a, u)`` entry is skipped: with truncation active, that
+        credit may have been below ``lambda`` at scan time and never
+        stored.
+
+        Call it before :meth:`remove_user`: the seed's own entries keep
+        ``out[v][a]`` and ``inc[u][a]`` non-empty throughout, so no
+        container is ever dropped here.  Every entry changes at most once
+        and none is inserted, so the source-major order (each source's
+        row fetched once) leaves exactly the state, dict order included,
+        of applying the decrements one entry at a time.
         """
-        targets = self.out.get(influencer, {}).get(action)
-        if targets is None or influenced not in targets:
-            return
-        remaining = targets[influenced] - amount
-        if remaining <= _ZERO:
-            self._remove(influencer, action, influenced)
-        else:
-            targets[influenced] = remaining
-            self.inc[influenced][action][influencer] = remaining
+        in_credits = self.inc.get(seed, {})
+        for action, targets in self.out.get(seed, {}).items():
+            sources = in_credits.get(action)
+            if not sources:
+                continue
+            target_rows = [
+                (target, seed_to_target, self.inc[target][action])
+                for target, seed_to_target in targets.items()
+            ]
+            for source, source_to_seed in sources.items():
+                row = self.out[source][action]
+                for target, seed_to_target, target_sources in target_rows:
+                    value = row.get(target)
+                    if value is None:
+                        continue
+                    remaining = value - source_to_seed * seed_to_target
+                    if remaining <= _ZERO:
+                        del row[target]
+                        del target_sources[source]
+                        self._entries -= 1
+                    else:
+                        row[target] = remaining
+                        target_sources[source] = remaining
 
     def remove_user(self, user: User) -> None:
         """Delete every credit entry to or from ``user`` (it became a seed).

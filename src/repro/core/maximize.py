@@ -92,20 +92,8 @@ def _absorb_seed(index: CreditIndex, seed_credits: SeedCredits, seed: User) -> N
         for target, value in targets.items():
             seed_credits.add(target, action, value * factor)
     # Lemma 2: remove, from every remaining pair, the credit that flowed
-    # through the new seed:
-    # Gamma^{W-x}_{v,u}(a) = Gamma^W_{v,u}(a) - Gamma^W_{v,x}(a) Gamma^W_{x,u}(a).
-    in_credits = index.inc.get(seed, {})
-    for action, targets in out_credits.items():
-        sources = in_credits.get(action)
-        if not sources:
-            continue
-        target_items = list(targets.items())
-        source_items = list(sources.items())
-        for target, seed_to_target in target_items:
-            for source, source_to_seed in source_items:
-                index.subtract_credit(
-                    source, action, target, source_to_seed * seed_to_target
-                )
+    # through the new seed.
+    index.discount_through(seed)
     # The seed leaves V - S: its remaining in/out credits are dead.
     index.remove_user(seed)
     seed_credits.drop_user(seed)

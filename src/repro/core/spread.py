@@ -81,6 +81,24 @@ class CDSpreadEvaluator:
         self._compiled: list[list[tuple[User, list[tuple[User, float]]]]] = []
         self._compile_into(graph, log, credit, actions, propagations)
 
+    @classmethod
+    def from_compiled(
+        cls,
+        activity: dict[User, int],
+        compiled: list[list[tuple[User, list[tuple[User, float]]]]],
+    ) -> "CDSpreadEvaluator":
+        """An evaluator over already compiled traces, adopted as given.
+
+        ``activity`` and ``compiled`` take the shapes construction builds
+        (see ``__init__``); the NumPy kernel
+        :func:`repro.kernels.cd_numpy.cd_evaluator_numpy` builds them
+        from a :class:`~repro.kernels.interning.CompiledLog`.
+        """
+        evaluator = cls.__new__(cls)
+        evaluator._activity = activity
+        evaluator._compiled = compiled
+        return evaluator
+
     def _compile_into(
         self,
         graph: SocialGraph,
@@ -126,9 +144,9 @@ class CDSpreadEvaluator:
         counts are copied shallowly (entries are never mutated), so an
         evaluator currently serving queries stays valid.
         """
-        extended = CDSpreadEvaluator.__new__(CDSpreadEvaluator)
-        extended._activity = dict(self._activity)
-        extended._compiled = list(self._compiled)
+        extended = CDSpreadEvaluator.from_compiled(
+            dict(self._activity), list(self._compiled)
+        )
         extended._compile_into(graph, log, credit, actions, propagations)
         return extended
 

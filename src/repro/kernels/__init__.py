@@ -1,24 +1,35 @@
 """``repro.kernels`` — interned, NumPy-vectorized compute kernels.
 
-The reproduction's three hot loops — the Algorithm-2 credit scan, the
-Saito-EM fixed point and IC/LT Monte-Carlo spread estimation — are all
-array-shaped: frontier expansion over CSR adjacency, segment reductions
-over flat episode arrays, batched Bernoulli trials over edge arrays.
-This subpackage provides NumPy implementations of each, dispatched as a
-selectable *backend* of the :mod:`repro.api` layer:
+The reproduction's hot paths — learning (Eq.-9 influenceability, the
+Saito-EM fixed point), the Algorithm-2 credit scan, the sigma_cd
+evaluator build, the CD maximizer's cold start, Monte-Carlo IC/LT
+spread and reverse-reachability sketches — are array-shaped: frontier
+expansion over CSR adjacency, segment reductions over flat episode
+arrays, batched Bernoulli trials over edge arrays.  This subpackage
+provides NumPy implementations of each, dispatched as a selectable
+*backend* of the :mod:`repro.api` layer:
 
 * :mod:`repro.kernels.interning` — :class:`IdMap` (users/actions to
   contiguous ``int32`` ids) and the :class:`CompiledGraph` /
   :class:`CompiledLog` CSR representations, built once and cached on
   :class:`~repro.api.context.SelectionContext`;
+* :mod:`repro.kernels.params_numpy` — Eq.-9 ``tau``/``infl`` learning
+  over the compiled log (bit-for-bit
+  :func:`repro.core.params.learn_influenceability`);
 * :mod:`repro.kernels.em_numpy` — the EM fixed point over flat
   episode/parent-edge arrays (bit-for-bit the estimator of
   :func:`repro.probabilities.em.learn_ic_probabilities_em`);
 * :mod:`repro.kernels.scan_numpy` — Algorithm 2 with per-action
   frontier arrays, bulk-loaded into the
   :class:`~repro.core.index.CreditIndex`;
+* :mod:`repro.kernels.cd_numpy` — the sigma_cd evaluator built from the
+  compiled log (byte-for-byte
+  :class:`~repro.core.spread.CDSpreadEvaluator`) and the CD
+  maximizer's empty-seed-set gain sweep;
 * :mod:`repro.kernels.mc_numpy` — batched Monte-Carlo IC/LT spread
-  estimation over precompiled CSR edge-probability arrays.
+  estimation over precompiled CSR edge-probability arrays;
+* :mod:`repro.kernels.sketch_numpy` — batched reverse-reachability
+  sketch generation and greedy coverage (byte-identical batches).
 
 The pure-Python implementations remain the documented reference
 semantics; the kernels are held to them by the cross-backend parity

@@ -44,6 +44,7 @@ interleaved); the parity suite pins both backends to the same entry
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -158,6 +159,41 @@ class CompiledCredit:
             base[alive] * np.exp(-delays / taus),
             0.0,
         )
+        return gammas
+
+    def exact_gammas(
+        self,
+        link_child: np.ndarray,
+        link_parent: np.ndarray,
+        link_edge_ids: np.ndarray,
+        node_ids_flat: np.ndarray,
+        times_flat: np.ndarray,
+        in_degrees: np.ndarray,
+    ) -> np.ndarray:
+        """``gamma`` per link, bit-identical to the scheme's ``__call__``.
+
+        :meth:`gammas_flat` multiplies by ``1 / d_in`` and decays with
+        ``np.exp``, which the scan's 1e-9 contract allows; the sigma_cd
+        evaluator stores its gammas, so here ``infl / d_in`` is divided
+        as :class:`TimeDecayCredit` divides it, and :func:`math.exp`
+        (which ``np.exp`` may miss by an ulp) runs per link whose child
+        has positive influenceability.  ``in_degrees`` is the child's
+        ``d_in`` per link.
+        """
+        if self._mode == "uniform":
+            return 1.0 / in_degrees
+        influenceability = self._infl[node_ids_flat[link_child]]
+        gammas = np.zeros(len(link_child))
+        alive = np.flatnonzero(influenceability > 0.0)
+        child = link_child[alive]
+        exponents = -(
+            times_flat[child] - times_flat[link_parent[alive]]
+        ) / self._tau_edges[link_edge_ids[alive]]
+        decays = np.fromiter(
+            map(math.exp, exponents.tolist()), dtype=np.float64,
+            count=len(alive),
+        )
+        gammas[alive] = influenceability[alive] / in_degrees[alive] * decays
         return gammas
 
 

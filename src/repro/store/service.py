@@ -1038,6 +1038,13 @@ class QueryService:
 class _Handler(BaseHTTPRequestHandler):
     service: QueryService  # injected by make_server
     access_log = False  # set by make_server (`repro serve --access-log`)
+    # Seconds any one socket read or write may block (socketserver
+    # applies it to the connection).  A client that stalls mid-request,
+    # e.g. sending fewer body bytes than its Content-Length, gets its
+    # connection closed instead of pinning a handler thread for as long
+    # as it holds the socket.  Waiting on the engine (a long /ingest
+    # with "wait") is not socket I/O and is not bounded by it.
+    timeout = 30.0
 
     # Quiet: http.server's own lines carry no request ids or latency;
     # the structured access log in _run replaces them when enabled.
@@ -1141,6 +1148,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")

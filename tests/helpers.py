@@ -12,6 +12,7 @@ import random
 from typing import Hashable, Iterable, Mapping
 
 from repro.core.credit import DirectCredit, UniformCredit
+from repro.core.index import CreditIndex, SeedCredits
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
@@ -175,6 +176,62 @@ def full_walk_kappa(
     return {
         user: total / evaluator.activity(user) for user, total in totals.items()
     }
+
+
+def per_entry_discount(index: CreditIndex, seed: User) -> None:
+    """Lemma 2 for a new seed, one ``(v, a, u)`` decrement at a time.
+
+    :meth:`CreditIndex.discount_through` applies the same decrements
+    source-major; this target-major loop, which looks every entry up
+    through both mirrors, is the reference it must match exactly, in
+    values and in dict order.
+    """
+    in_credits = index.inc.get(seed, {})
+    for action, targets in index.out.get(seed, {}).items():
+        sources = in_credits.get(action)
+        if not sources:
+            continue
+        for target, seed_to_target in list(targets.items()):
+            for source, source_to_seed in list(sources.items()):
+                _subtract_credit(
+                    index, source, action, target,
+                    source_to_seed * seed_to_target,
+                )
+
+
+def _subtract_credit(
+    index: CreditIndex, influencer: User, action: Hashable,
+    influenced: User, amount: float,
+) -> None:
+    """One decrement, dropping the entry at ``<= 1e-15``.
+
+    A missing entry is a no-op: under truncation that credit may never
+    have been stored.
+    """
+    targets = index.out.get(influencer, {}).get(action)
+    if targets is None or influenced not in targets:
+        return
+    remaining = targets[influenced] - amount
+    if remaining <= 1e-15:
+        index._remove(influencer, action, influenced)
+    else:
+        targets[influenced] = remaining
+        index.inc[influenced][action][influencer] = remaining
+
+
+def reference_absorb_seed(
+    index: CreditIndex, seed_credits: SeedCredits, seed: User
+) -> None:
+    """Algorithm 5 with the per-entry Lemma-2 loop of :func:`per_entry_discount`."""
+    for action, targets in index.out.get(seed, {}).items():
+        factor = 1.0 - seed_credits.get(seed, action)
+        if factor <= 0.0:
+            continue
+        for target, value in targets.items():
+            seed_credits.add(target, action, value * factor)
+    per_entry_discount(index, seed)
+    index.remove_user(seed)
+    seed_credits.drop_user(seed)
 
 
 def random_instance(

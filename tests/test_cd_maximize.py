@@ -10,13 +10,15 @@ The decisive correctness checks:
 
 import pytest
 
+from repro.core.credit import TimeDecayCredit
 from repro.core.index import SeedCredits
-from repro.core.maximize import cd_maximize, marginal_gain
+from repro.core.maximize import _absorb_seed, cd_maximize, marginal_gain
+from repro.core.params import learn_influenceability
 from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator
 from repro.maximization.celf import celf_maximize
 
-from tests.helpers import random_instance
+from tests.helpers import random_instance, reference_absorb_seed
 
 
 class TestMarginalGain:
@@ -145,3 +147,72 @@ class TestCDMaximize:
         exact_spread = evaluator.spread(exact.seeds)
         truncated_spread = evaluator.spread(truncated.seeds)
         assert truncated_spread >= 0.95 * exact_spread
+
+
+def _entries_in_order(mirror):
+    """Every ``(outer, action, inner, value)`` of one mirror, in dict order."""
+    return [
+        (outer, action, inner, value)
+        for outer, by_action in mirror.items()
+        for action, row in by_action.items()
+        for inner, value in row.items()
+    ]
+
+
+class TestLemma2Discount:
+    """``discount_through`` leaves exactly the per-entry loop's state."""
+
+    @staticmethod
+    def _missing_pairs(index, seed):
+        """``(v, a, u)`` decrements of ``seed`` with no stored entry."""
+        return sum(
+            target not in index.out[source][action]
+            for action, targets in index.out.get(seed, {}).items()
+            for source in index.inc.get(seed, {}).get(action, {})
+            for target in targets
+        )
+
+    def _absorb_both(self, index, k):
+        """Absorb cd's first ``k`` seeds both ways, comparing after each.
+
+        Returns how many decrements found no entry to discount.
+        """
+        seeds = cd_maximize(index, k=k).seeds
+        fast, fast_credits = index.copy(), SeedCredits()
+        slow, slow_credits = index.copy(), SeedCredits()
+        missing = 0
+        for seed in seeds:
+            missing += self._missing_pairs(fast, seed)
+            _absorb_seed(fast, fast_credits, seed)
+            reference_absorb_seed(slow, slow_credits, seed)
+            assert _entries_in_order(fast.out) == _entries_in_order(slow.out)
+            assert _entries_in_order(fast.inc) == _entries_in_order(slow.inc)
+            assert fast.total_entries == slow.total_entries
+            assert list(fast_credits._credits.items()) == list(
+                slow_credits._credits.items()
+            )
+            assert list(fast_credits._sums.items()) == list(
+                slow_credits._sums.items()
+            )
+        return missing
+
+    @pytest.mark.parametrize("truncation", [0.0, 0.05, 0.2])
+    def test_random_instances(self, truncation):
+        missing = 0
+        for seed in range(8):
+            graph, log = random_instance(seed, num_nodes=10, num_actions=8)
+            index = scan_action_log(graph, log, truncation=truncation)
+            missing += self._absorb_both(index, k=6)
+        if truncation > 0.0:
+            # Truncation leaves some decrements without an entry to hit.
+            assert missing > 0
+
+    def test_flixster_mini(self, flixster_mini):
+        credit = TimeDecayCredit(
+            learn_influenceability(flixster_mini.graph, flixster_mini.log)
+        )
+        index = scan_action_log(
+            flixster_mini.graph, flixster_mini.log, credit=credit,
+            truncation=0.001,
+        )
+        assert self._absorb_both(index, k=15) > 0

@@ -27,24 +27,39 @@ class TestCreditIndex:
         assert index.total_entries == 1
         assert index.credit("v", "a", "u") == 0.7
 
-    def test_subtract_credit(self):
+    @staticmethod
+    def _through_x(v_to_u=None, v_to_x=0.5, x_to_u=0.4):
+        """``v -> x -> u`` on action ``a``, plus ``v -> u`` when given."""
         index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
-        index.subtract_credit("v", "a", "u", 0.2)
+        index.set_credit("v", "a", "x", v_to_x)
+        index.set_credit("x", "a", "u", x_to_u)
+        if v_to_u is not None:
+            index.set_credit("v", "a", "u", v_to_u)
+        return index
+
+    def test_subtract_credit(self):
+        # Gamma_{v,u} - Gamma_{v,x} Gamma_{x,u} = 0.5 - 0.5 * 0.4.
+        index = self._through_x(v_to_u=0.5)
+        index.discount_through("x")
         assert index.credit("v", "a", "u") == pytest.approx(0.3)
         assert index.inc["u"]["a"]["v"] == pytest.approx(0.3)
+        # The seed's own entries stay for remove_user to drop.
+        assert index.credit("v", "a", "x") == 0.5
+        assert index.credit("x", "a", "u") == 0.4
 
     def test_subtract_to_zero_removes_entry(self):
-        index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
-        index.subtract_credit("v", "a", "u", 0.5)
-        assert index.total_entries == 0
-        assert "v" not in index.out
+        index = self._through_x(v_to_u=0.2)
+        index.discount_through("x")
+        assert index.total_entries == 2
+        assert "u" not in index.out["v"]["a"]
+        assert "v" not in index.inc["u"]["a"]
 
     def test_subtract_missing_entry_is_noop(self):
-        index = CreditIndex()
-        index.subtract_credit("v", "a", "u", 0.5)  # must not raise
-        assert index.total_entries == 0
+        index = self._through_x()
+        index.discount_through("x")  # no v -> u entry: must not raise
+        assert index.total_entries == 2
+        assert index.credit("v", "a", "u") == 0.0
+        CreditIndex().discount_through("x")  # an unknown seed, too
 
     def test_remove_user_clears_both_directions(self):
         index = CreditIndex()
@@ -74,7 +89,7 @@ class TestCreditIndex:
         index.record_activity("v")
         index.set_credit("v", "a", "u", 0.5)
         duplicate = index.copy()
-        duplicate.subtract_credit("v", "a", "u", 0.5)
+        duplicate.remove_user("u")
         duplicate.record_activity("v")
         assert index.credit("v", "a", "u") == 0.5
         assert index.activity["v"] == 1

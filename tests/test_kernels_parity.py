@@ -9,6 +9,9 @@ The pure-Python implementations are the documented reference; the
 * **scan** — identical credit-entry sets post-truncation, values
   within 1e-9 (summation-order float dust only), identical activity
   counters;
+* **sigma_cd evaluator** — byte-identical stored payloads: the same
+  compiled traces and activity counters, built from the same user
+  objects (which the pickle memo sees);
 * **Monte-Carlo spread** — *statistically* matched under the fixed
   RNG protocol (both backends deterministically seeded per call;
   level-synchronous batching reorders the uniform stream, so values
@@ -25,6 +28,8 @@ a missing NumPy by monkeypatching the probe).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -34,15 +39,22 @@ from repro.api import ExperimentConfig, SelectionContext, run_experiment
 from repro.core.credit import TimeDecayCredit
 from repro.core.params import learn_influenceability
 from repro.core.scan import scan_action_log
+from repro.core.spread import CDSpreadEvaluator
+from repro.data.actionlog import ActionLog
 from repro.data.datasets import flickr_like, flixster_like
+from repro.data.propagation import PropagationGraph
 from repro.diffusion.ic import estimate_spread_ic
 from repro.diffusion.lt import estimate_spread_lt
+from repro.graphs.digraph import SocialGraph
+from repro.kernels.cd_numpy import cd_evaluator_numpy
 from repro.kernels.em_numpy import learn_ic_probabilities_em_numpy
 from repro.kernels.scan_numpy import (
     UnsupportedCreditScheme,
     scan_action_log_numpy,
 )
 from repro.probabilities.em import learn_ic_probabilities_em
+from repro.store.serialize import dump_payload
+from repro.stream import ActionLogDelta, fold_delta
 
 VALUE_TOLERANCE = 1e-9
 # Spread estimates are averages of >= 4000 simulations; 2.5% relative
@@ -153,6 +165,118 @@ class TestScanParity:
             scan_action_log_numpy(
                 dataset.graph, dataset.log, credit=ExoticCredit()
             )
+
+
+def _rough_instance(seed: int) -> tuple[SocialGraph, ActionLog]:
+    """A random (graph, log) with the shapes the evaluator must get right.
+
+    Users 9 and 10 act but are missing from the graph, zero-length time
+    steps give equal timestamps, and every fourth action has a single
+    adopter.
+    """
+    rng = random.Random(seed)
+    graph = SocialGraph()
+    for node in range(9):
+        graph.add_node(node)
+    for source in range(9):
+        for target in range(9):
+            if source != target and rng.random() < 0.35:
+                graph.add_edge(source, target)
+    log = ActionLog()
+    for action in range(8):
+        size = 1 if action % 4 == 0 else rng.randint(2, 11)
+        time = 0.0
+        for user in rng.sample(range(11), k=size):
+            time += rng.choice((0.0, 0.5, 1.25))
+            log.add(user, f"a{action}", time)
+    return graph, log
+
+
+def _fresh(value) -> str:
+    """A new str object per call: equal ids, distinct objects."""
+    return "".join(("u", str(value)))
+
+
+def _str_instance(seed: int) -> tuple[SocialGraph, ActionLog]:
+    """The rough instance over str ids, one fresh object per occurrence."""
+    graph, log = _rough_instance(seed)
+    str_graph = SocialGraph()
+    for node in graph.nodes():
+        str_graph.add_node(_fresh(node))
+    for source, target in graph.edges():
+        str_graph.add_edge(_fresh(source), _fresh(target))
+    str_log = ActionLog.from_tuples(
+        (_fresh(user), action, time) for user, action, time in log.tuples()
+    )
+    return str_graph, str_log
+
+
+def _evaluator_credit(scheme: str, graph, log):
+    """``None`` (uniform) or time-decay credits with some ``infl = 0``."""
+    if scheme == "uniform":
+        return None
+    params = learn_influenceability(graph, log)
+    for user in list(params.infl)[::3]:
+        params.infl[user] = 0.0
+    return TimeDecayCredit(params)
+
+
+def _assert_evaluator_parity(graph, log, scheme: str) -> None:
+    credit = _evaluator_credit(scheme, graph, log)
+    reference = CDSpreadEvaluator(graph, log, credit=credit)
+    kernel = cd_evaluator_numpy(graph, log, credit=credit)
+    assert kernel._compiled == reference._compiled
+    assert list(kernel._activity.items()) == list(reference._activity.items())
+    assert dump_payload(kernel) == dump_payload(reference)
+
+
+class TestCDEvaluatorParity:
+    """The evaluator kernel builds the reference evaluator byte for byte."""
+
+    @pytest.mark.parametrize("scheme", ["uniform", "timedecay"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances(self, seed, scheme):
+        _assert_evaluator_parity(*_rough_instance(seed), scheme)
+
+    @pytest.mark.parametrize("scheme", ["uniform", "timedecay"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_equal_str_ids(self, seed, scheme):
+        assert _fresh(1) is not _fresh(1)
+        _assert_evaluator_parity(*_str_instance(seed), scheme)
+
+    @pytest.mark.parametrize("scheme", ["uniform", "timedecay"])
+    def test_flixster_mini(self, flixster_mini, scheme):
+        _assert_evaluator_parity(flixster_mini.graph, flixster_mini.log, scheme)
+
+    def test_context_builds_no_propagation_graphs(
+        self, flixster_mini, monkeypatch
+    ):
+        expected = SelectionContext(
+            flixster_mini.graph, flixster_mini.log, backend="python"
+        ).cd_evaluator()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("PropagationGraph.build was called")
+
+        monkeypatch.setattr(PropagationGraph, "build", refuse)
+        context = SelectionContext(
+            flixster_mini.graph, flixster_mini.log, backend="numpy"
+        )
+        assert dump_payload(context.cd_evaluator()) == dump_payload(expected)
+
+    def test_uniform_fold_verifies_over_str_ids(self):
+        """``verify=True`` compares ``extend()``'s bytes with the kernel's."""
+        graph, log = _str_instance(3)
+        actions = list(log.actions())
+        base = log.restrict_to_actions(actions[:-3])
+        delta = ActionLogDelta.from_log(log.restrict_to_actions(actions[-3:]))
+        context = SelectionContext(
+            graph, base, credit_scheme="uniform", backend="numpy"
+        )
+        context.cd_evaluator()
+        fold = fold_delta(context, delta, verify=True)
+        assert fold.report.updated == ["cd_evaluator"]
+        assert fold.report.verified
 
 
 class TestMonteCarloParity:

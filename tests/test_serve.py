@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.api import ExperimentConfig, SelectionContext, run_experiment
 from repro.store import ArtifactStore
-from repro.store.service import QueryService, ServiceError, make_server
+from repro.store.service import (
+    QueryService,
+    ServiceError,
+    _Handler,
+    make_server,
+)
 from repro.store.warm import load_context_record, load_serving_context, warm_start
 
 
@@ -240,6 +247,39 @@ class TestHTTP:
         assert response.status == 400
         response.read()
         connection.close()
+
+    @staticmethod
+    def _raw_post(port, content_length, body=b""):
+        """POST with a hand-written Content-Length; all bytes until close."""
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /select HTTP/1.0\r\n"
+                + f"Content-Length: {content_length}\r\n\r\n".encode()
+                + body
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        return reply
+
+    def test_negative_content_length_is_400(self, server):
+        reply = self._raw_post(server, -1, b'{"selector": "cd", "k": 1}')
+        assert reply.split(b" ", 2)[1] == b"400", reply
+        assert b"negative Content-Length" in reply
+        assert self._call(server, "GET", "/healthz")[0] == 200
+
+    def test_stalled_body_closes_the_connection(self, server, monkeypatch):
+        # Handler threads ship with a finite socket timeout; patched
+        # down here so the stall resolves quickly.
+        assert _Handler.timeout is not None and 0 < _Handler.timeout <= 60
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        started = time.monotonic()
+        # 100 bytes promised, 10 sent: the handler waits for the rest
+        # until its read times out, then drops the connection unanswered.
+        reply = self._raw_post(server, 100, b'{"k": 1, "')
+        assert reply == b""
+        assert time.monotonic() - started < 4
+        assert self._call(server, "GET", "/healthz")[0] == 200
 
 
 class TestLRU:
