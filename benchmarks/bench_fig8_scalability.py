@@ -102,7 +102,7 @@ def test_fig8_sketch_million_node(benchmark, report):
                 n, mean_in_degree=6.0, seed=29
             )
             num_sketches = int(n * sketches_per_node)
-            sketcher = CompiledSketcher.from_csr(indptr, sources, probabilities)
+            sketcher = CompiledSketcher(indptr, sources, probabilities)
             start = time.perf_counter()
             batch = sketcher.generate(num_sketches, hops=2, seed=41)
             generate_seconds = time.perf_counter() - start

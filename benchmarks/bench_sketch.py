@@ -14,8 +14,8 @@ record):
   the MC-evaluated spread within 5% of the MC-oracle selection.
 * **million_node** — a synthetic ~1M-node / ~6M-edge graph built
   directly in CSR form (Poisson in-degrees, weighted-cascade
-  probabilities ``1/d_in``), pushed through
-  :meth:`repro.kernels.sketch_numpy.CompiledSketcher.from_csr`:
+  probabilities ``1/d_in``), handed straight to the
+  :class:`repro.kernels.sketch_numpy.CompiledSketcher` constructor:
   2-hop sketch generation plus ``k = 25`` coverage selection must
   complete in minutes on one core — the scale regime where the
   per-node Monte-Carlo sweep is simply not runnable.
@@ -137,7 +137,7 @@ def build_synthetic_csr(n: int, mean_in_degree: float, seed: int):
     """A random n-node in-CSR with Poisson in-degrees and WC probabilities.
 
     Returns ``(in_indptr, in_indices, probabilities)`` — the raw-array
-    form :meth:`CompiledSketcher.from_csr` consumes, with edges sorted
+    form the :class:`CompiledSketcher` constructor takes, with edges sorted
     ``(dst, src)`` so flat positions are canonical edge ids.
     """
     import numpy as np
@@ -174,7 +174,7 @@ def bench_million_node(mode: str) -> dict:
     (indptr, sources, probabilities), build_seconds = _timed(
         lambda: build_synthetic_csr(n, mean_in_degree, seed=29)
     )
-    sketcher = CompiledSketcher.from_csr(indptr, sources, probabilities)
+    sketcher = CompiledSketcher(indptr, sources, probabilities)
     sketches, generate_seconds = _timed(
         lambda: sketcher.generate(num_sketches, hops=2, seed=41)
     )

@@ -2,7 +2,8 @@
 
 The paper's second dataset treats "join interest group g" as the action.
 A platform that can *predict* how far a group will spread from its first
-few members can rank nascent groups for promotion.  This example:
+few members can rank nascent groups for promotion.  This example runs
+the prediction protocol through :func:`repro.api.run_experiment`:
 
 1. builds a Flickr-like dataset (dense graph, many short cascades);
 2. trains the CD, IC(EM) and LT models on 80% of the traces;
@@ -13,25 +14,33 @@ few members can rank nascent groups for promotion.  This example:
 Run with:  python examples/group_recommendation.py
 """
 
-from repro import flickr_like
+from repro.api import ExperimentConfig, run_experiment
 from repro.evaluation.metrics import binned_rmse, capture_curve
-from repro.evaluation.prediction import spread_prediction_experiment
 from repro.evaluation.reporting import format_table
 
 
 def main() -> None:
-    dataset = flickr_like("small")
-    print(f"dataset: {dataset.name} ({dataset.log.num_actions} group histories)")
     print("training IC / LT / CD on 80% of traces, predicting the rest...\n")
-
-    experiment = spread_prediction_experiment(
-        dataset.graph, dataset.log, max_test_traces=60
+    result = run_experiment(
+        ExperimentConfig(
+            task="prediction",
+            dataset="flickr",
+            scale="small",
+            methods=["IC", "LT", "CD"],
+            num_simulations=200,
+            max_test_traces=60,
+        )
+    )
+    methods = result.prediction_methods()
+    print(
+        f"dataset: {result.dataset_name} "
+        f"({len(result.pairs(methods[0]))} held-out group histories)\n"
     )
 
     print("binned RMSE (lower is better):")
     rows = []
-    for method in experiment.methods:
-        binned = binned_rmse(experiment.pairs(method), bin_width=20)
+    for method in methods:
+        binned = binned_rmse(result.pairs(method), bin_width=20)
         overall = sum(r * c for _, r, c in binned) / sum(c for _, _, c in binned)
         rows.append([method, f"{overall:.1f}"])
     print(format_table(["method", "weighted RMSE"], rows))
@@ -39,8 +48,8 @@ def main() -> None:
     print("\nfraction of groups predicted within an absolute error of e:")
     thresholds = [1, 2, 5, 10, 20]
     rows = []
-    for method in experiment.methods:
-        curve = dict(capture_curve(experiment.pairs(method), thresholds))
+    for method in methods:
+        curve = dict(capture_curve(result.pairs(method), thresholds))
         rows.append([method, *[f"{curve[t]:.2f}" for t in thresholds]])
     print(
         format_table(

@@ -66,8 +66,8 @@ For a single algorithm, bind it from the registry and run it against a
 True
 
 The underlying algorithm functions (``cd_maximize``, ``celf_maximize``,
-``ris_maximize``, ...) remain public and unchanged for callers that
-want direct control; see ``docs/API.md`` for the full registry surface.
+``ris_maximize``, ...) remain public for callers that want direct
+control; see ``docs/API.md`` for the full registry surface.
 """
 
 from repro.api import (
@@ -146,7 +146,7 @@ from repro.maximization.irie import irie_seeds
 from repro.maximization.ldag import LDAGModel
 from repro.maximization.oracle import ICSpreadOracle, LTSpreadOracle
 from repro.maximization.pmia import PMIAModel
-from repro.maximization.ris import RISResult, ris_maximize, ris_spread
+from repro.maximization.ris import RISResult, ris_maximize
 from repro.maximization.simpath import (
     SimPathOracle,
     simpath_maximize,
@@ -229,7 +229,6 @@ __all__ = [
     "LDAGModel",
     "RISResult",
     "ris_maximize",
-    "ris_spread",
     "SimPathOracle",
     "simpath_maximize",
     "simpath_spread",

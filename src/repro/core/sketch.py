@@ -144,15 +144,17 @@ class SketchSet:
         """The original node label behind ``node_id``."""
         return self.nodes[node_id] if self.nodes is not None else node_id
 
-    def id_of(self, label) -> int:
-        """The node id of ``label`` (identity on the raw-CSR path)."""
-        if self.nodes is None:
-            return label
+    def _ids(self) -> dict:
+        """Label -> node id, built on first use and left out of pickles."""
         mapping = self.__dict__.get("_id_of")
         if mapping is None:
             mapping = {node: i for i, node in enumerate(self.nodes)}
             self.__dict__["_id_of"] = mapping
-        return mapping[label]
+        return mapping
+
+    def id_of(self, label) -> int:
+        """The node id of ``label`` (identity on the raw-CSR path)."""
+        return label if self.nodes is None else self._ids()[label]
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -167,16 +169,26 @@ class SketchSet:
         return len(self.members)
 
     def estimate_spread(self, seeds: Iterable) -> float:
-        """``n * (covered sketches) / (total sketches)`` for seed labels."""
+        """Estimate ``sigma_IC(seeds)`` from this batch (the RR estimator).
+
+        ``n * (covered sketches) / (total sketches)`` — unbiased, with
+        variance shrinking as 1/#sketches.  Seeds outside the universe
+        (labels that are not nodes, or ids outside ``[0, num_nodes)`` on
+        the raw-CSR path) are skipped, as the Monte-Carlo estimators
+        skip seeds missing from the graph.
+        """
         if not self.num_sketches:
             return 0.0
-        wanted = {self.id_of(label) for label in seeds}
-        covered = 0
-        for index in range(self.num_sketches):
-            for member in self.members_of(index):
-                if member in wanted:
-                    covered += 1
-                    break
+        if self.nodes is None:
+            wanted = {seed for seed in seeds if 0 <= seed < self.num_nodes}
+        else:
+            ids = self._ids()
+            wanted = {ids[label] for label in seeds if label in ids}
+        covered = sum(
+            1
+            for index in range(self.num_sketches)
+            if not wanted.isdisjoint(self.members_of(index))
+        )
         return self.num_nodes * covered / self.num_sketches
 
     def describe(self) -> str:
@@ -322,9 +334,6 @@ def hop_spread(
       second-level edge, which is exact on directed trees of depth <= 2
       rooted at a single seed (the accuracy suite's test hook) and a
       near-linear-time estimate everywhere else.
-
-    The numpy twin (:func:`repro.kernels.sketch_numpy.hop_spread_numpy`)
-    matches within the 1e-9 parity tolerance (float sums reassociate).
     """
     require(hops in (1, 2), f"hops must be 1 or 2, got {hops}")
     seed_set = {node for node in seeds if node in graph}

@@ -56,9 +56,9 @@ def load_graph(path: str | os.PathLike[str]) -> SocialGraph:
                 continue
             fields = line.split("\t")
             if len(fields) == 1:
-                graph.add_node(_parse_id(fields[0]))
+                graph.add_node(parse_id(fields[0]))
             elif len(fields) == 2:
-                graph.add_edge(_parse_id(fields[0]), _parse_id(fields[1]))
+                graph.add_edge(parse_id(fields[0]), parse_id(fields[1]))
             else:
                 raise ValueError(
                     f"{path}:{line_number}: expected 1 or 2 fields, "
@@ -87,7 +87,7 @@ def load_action_log(path: str | os.PathLike[str]) -> ActionLog:
                 raise ValueError(
                     f"{path}:{line_number}: expected 3 fields, got {len(fields)}"
                 )
-            log.add(_parse_id(fields[0]), _parse_id(fields[1]), float(fields[2]))
+            log.add(parse_id(fields[0]), parse_id(fields[1]), float(fields[2]))
     return log
 
 
@@ -121,7 +121,7 @@ def load_edge_values(
                 raise ValueError(
                     f"{path}:{line_number}: expected 3 fields, got {len(fields)}"
                 )
-            edge = (_parse_id(fields[0]), _parse_id(fields[1]))
+            edge = (parse_id(fields[0]), parse_id(fields[1]))
             values[edge] = float(fields[2])
     return values
 
@@ -137,7 +137,3 @@ def parse_id(token: str) -> Hashable:
         return int(token)
     except ValueError:
         return token
-
-
-# Backward-compatible private alias (pre-1.6 internal name).
-_parse_id = parse_id

@@ -73,10 +73,10 @@ def estimate_spread_ic(
     """
     require(num_simulations >= 1, f"num_simulations must be >= 1, got {num_simulations}")
     if resolve_backend(backend) == "numpy":
-        from repro.kernels.mc_numpy import estimate_spread_ic_numpy
+        from repro.kernels.mc_numpy import CompiledDiffusion
 
-        return estimate_spread_ic_numpy(
-            graph, probabilities, seeds, num_simulations, integer_seed(seed)
+        return CompiledDiffusion(graph, probabilities).spread_ic(
+            seeds, num_simulations, integer_seed(seed)
         )
     rng = make_rng(seed)
     seed_list = list(seeds)

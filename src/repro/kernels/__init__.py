@@ -10,9 +10,11 @@ provides NumPy implementations of each, dispatched as a selectable
 *backend* of the :mod:`repro.api` layer:
 
 * :mod:`repro.kernels.interning` — :class:`IdMap` (users/actions to
-  contiguous ``int32`` ids) and the :class:`CompiledGraph` /
+  contiguous ``int32`` ids), the :class:`CompiledGraph` /
   :class:`CompiledLog` CSR representations, built once and cached on
-  :class:`~repro.api.context.SelectionContext`;
+  :class:`~repro.api.context.SelectionContext`, and
+  :func:`positive_csr`, the one CSR over positive-valued edges that
+  the Monte-Carlo and sketch kernels compile;
 * :mod:`repro.kernels.params_numpy` — Eq.-9 ``tau``/``infl`` learning
   over the compiled log (bit-for-bit
   :func:`repro.core.params.learn_influenceability`);
@@ -27,9 +29,10 @@ provides NumPy implementations of each, dispatched as a selectable
   :class:`~repro.core.spread.CDSpreadEvaluator`) and the CD
   maximizer's empty-seed-set gain sweep;
 * :mod:`repro.kernels.mc_numpy` — batched Monte-Carlo IC/LT spread
-  estimation over precompiled CSR edge-probability arrays;
+  estimation over the positive-edge out-CSR;
 * :mod:`repro.kernels.sketch_numpy` — batched reverse-reachability
-  sketch generation and greedy coverage (byte-identical batches).
+  sketch generation over the positive-edge in-CSR and greedy coverage
+  (byte-identical batches).
 
 The pure-Python implementations remain the documented reference
 semantics; the kernels are held to them by the cross-backend parity

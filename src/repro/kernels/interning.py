@@ -14,6 +14,10 @@ rebuilt here exactly once per ``(graph, log)`` pair as flat arrays:
   every social edge a stable *global edge id* — the key the EM kernel
   uses to accumulate per-edge statistics with ``np.bincount`` /
   ``np.add.at``;
+* :func:`positive_csr` is the one CSR over the edges carrying a
+  positive value (an IC probability or an LT weight) — the layout the
+  Monte-Carlo and sketch kernels run on, interned over the graph's own
+  nodes only;
 * :class:`CompiledLog` holds one :class:`CompiledAction` per action:
   the chronological trace as id/time arrays plus the propagation DAG's
   parent adjacency in CSR form, parents ordered exactly like
@@ -45,7 +49,7 @@ compilation produced.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,9 +57,16 @@ from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
 from repro.utils.ordering import node_sort_key
 
-__all__ = ["IdMap", "CompiledGraph", "CompiledAction", "CompiledLog"]
+__all__ = [
+    "IdMap",
+    "positive_csr",
+    "CompiledGraph",
+    "CompiledAction",
+    "CompiledLog",
+]
 
 User = Hashable
+Edge = tuple[User, User]
 
 
 def _concat(chunks: list, dtype) -> "np.ndarray":
@@ -116,6 +127,48 @@ class IdMap:
     def __setstate__(self, state: dict) -> None:
         self.values = state["values"]
         self.ids = {value: index for index, value in enumerate(self.values)}
+
+
+def positive_csr(
+    graph: SocialGraph,
+    edge_values: Mapping[Edge, float],
+    reverse: bool,
+) -> tuple[IdMap, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR over the edges with a positive value, canonically ordered.
+
+    Returns ``(idmap, indptr, indices, values)``: ``int64`` index
+    arrays and ``float64`` values aligned with ``indices``.  Edges
+    absent from ``edge_values`` count as 0 and, like every other
+    non-positive edge, are left out — they can never fire.
+    ``reverse=False`` builds the out-CSR sorted by ``(src, dst)``;
+    ``reverse=True`` the in-CSR sorted by ``(dst, src)``, whose flat
+    positions are the canonical edge ids the sketch coins key off.
+
+    The id map covers ``graph.nodes()`` and nothing else: sketch
+    targets are ``hash % n`` over exactly these nodes, so a map that
+    also interned log users missing from the graph (as the context's
+    :class:`CompiledGraph` does) would shift every id.
+    """
+    idmap = IdMap(graph.nodes())
+    n = len(idmap)
+    ids = idmap.ids
+    sources: list[int] = []
+    targets: list[int] = []
+    weights: list[float] = []
+    for source, target in graph.edges():
+        value = edge_values.get((source, target), 0.0)
+        if value > 0.0:
+            sources.append(ids[source])
+            targets.append(ids[target])
+            weights.append(value)
+    src = np.asarray(sources, dtype=np.int64)
+    dst = np.asarray(targets, dtype=np.int64)
+    values = np.asarray(weights, dtype=np.float64)
+    rows, cols = (dst, src) if reverse else (src, dst)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return idmap, indptr, cols[order], values[order]
 
 
 def _gather_csr(

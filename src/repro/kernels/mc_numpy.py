@@ -43,14 +43,10 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import IdMap, _gather_csr
+from repro.kernels.interning import _gather_csr, positive_csr
 from repro.utils.validation import require
 
-__all__ = [
-    "CompiledDiffusion",
-    "estimate_spread_ic_numpy",
-    "estimate_spread_lt_numpy",
-]
+__all__ = ["CompiledDiffusion"]
 
 User = Hashable
 Edge = tuple[User, User]
@@ -63,38 +59,21 @@ _STATE_BUDGET = 262_144
 
 
 class CompiledDiffusion:
-    """CSR edge-value arrays for batched IC/LT simulation.
+    """The positive-value out-CSR for batched IC/LT simulation.
 
-    Only edges with a positive value are compiled (zero-probability
-    edges can never fire); values for edges absent from ``edge_values``
-    default to 0, matching the reference's ``.get(edge, 0.0)``.
+    Built by :func:`~repro.kernels.interning.positive_csr`: only edges
+    with a positive value are compiled (zero-probability edges can
+    never fire); values for edges absent from ``edge_values`` default
+    to 0, matching the reference's ``.get(edge, 0.0)``.
     """
 
     def __init__(
         self, graph: SocialGraph, edge_values: Mapping[Edge, float]
     ) -> None:
-        self.idmap = IdMap(graph.nodes())
-        n = len(self.idmap)
-        self.n = n
-        sources: list[int] = []
-        targets: list[int] = []
-        weights: list[float] = []
-        ids = self.idmap.ids
-        for source, target in graph.edges():
-            value = edge_values.get((source, target), 0.0)
-            if value > 0.0:
-                sources.append(ids[source])
-                targets.append(ids[target])
-                weights.append(value)
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
-        value_array = np.asarray(weights)
-        order = np.lexsort((dst, src))
-        self.indices = dst[order]
-        self.values = value_array[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        if len(src):
-            np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.idmap, self.indptr, self.indices, self.values = positive_csr(
+            graph, edge_values, reverse=False
+        )
+        self.n = len(self.idmap)
 
     # ------------------------------------------------------------------
     # Shared frontier expansion
@@ -231,35 +210,3 @@ class CompiledDiffusion:
                 rows = keys // self.n
                 nodes = keys % self.n
         return total_active / num_simulations
-
-
-def estimate_spread_ic_numpy(
-    graph: SocialGraph,
-    probabilities: Mapping[Edge, float],
-    seeds: Iterable[User],
-    num_simulations: int = 10_000,
-    seed: int | None = None,
-) -> float:
-    """One-shot batched IC estimate (compiles the graph per call).
-
-    Repeated estimates over the same ``(graph, probabilities)`` pair —
-    the greedy/CELF inner loop — should build one
-    :class:`CompiledDiffusion` and call :meth:`spread_ic`, which is what
-    the Monte-Carlo oracles do under the numpy backend.
-    """
-    return CompiledDiffusion(graph, probabilities).spread_ic(
-        seeds, num_simulations, seed
-    )
-
-
-def estimate_spread_lt_numpy(
-    graph: SocialGraph,
-    weights: Mapping[Edge, float],
-    seeds: Iterable[User],
-    num_simulations: int = 10_000,
-    seed: int | None = None,
-) -> float:
-    """One-shot batched LT estimate (compiles the graph per call)."""
-    return CompiledDiffusion(graph, weights).spread_lt(
-        seeds, num_simulations, seed
-    )

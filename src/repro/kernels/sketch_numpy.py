@@ -7,10 +7,10 @@ frontiers per level in one CSR gather and still produce *byte-identical*
 membership to the reference generator — the property the parity suite
 pins.
 
-Layout mirrors :class:`repro.kernels.interning.CompiledGraph`: node ids
-in :func:`~repro.utils.ordering.node_sort_key` order, an in-CSR sorted
-by ``(dst, src)`` via one ``lexsort`` whose flat positions *are* the
-canonical edge ids.  Per-sketch state lives in flat ``row * n + node``
+The layout is :func:`repro.kernels.interning.positive_csr`'s in-CSR:
+node ids in :func:`~repro.utils.ordering.node_sort_key` order, rows
+sorted by ``(dst, src)`` via one ``lexsort`` whose flat positions *are*
+the canonical edge ids.  Per-sketch state lives in flat ``row * n + node``
 keys (no dense ``(batch, n)`` buffers), so memory scales with sketch
 membership, not with graph size — that is what lets the million-node
 benchmark generate 10^5 sketches over 10^6 nodes in-core.
@@ -23,7 +23,7 @@ tie-break, so selections match integer-for-integer.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -35,17 +35,11 @@ from repro.core.sketch import (
     _mix64,
 )
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import _gather_csr
-from repro.utils.ordering import node_sort_key
+from repro.kernels.interning import _gather_csr, positive_csr
 from repro.utils.rng import integer_seed, make_rng
 from repro.utils.validation import require
 
-__all__ = [
-    "CompiledSketcher",
-    "coverage_maximize_numpy",
-    "HopEstimator",
-    "hop_spread_numpy",
-]
+__all__ = ["CompiledSketcher", "coverage_maximize_numpy"]
 
 User = Hashable
 Edge = tuple[User, User]
@@ -65,39 +59,6 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     x = x * _M2
     x = x ^ (x >> _U33)
     return x
-
-
-def _positive_csr(
-    graph: SocialGraph,
-    probabilities: Mapping[Edge, float],
-    reverse: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """CSR over the positive-probability edges, canonically ordered.
-
-    ``reverse=True`` builds the in-CSR sorted by ``(dst, src)`` — flat
-    positions are the canonical edge ids the sketch coins key off —
-    ``reverse=False`` the out-CSR sorted by ``(src, dst)``.
-    """
-    nodes = sorted(graph.nodes(), key=node_sort_key)
-    ids = {node: index for index, node in enumerate(nodes)}
-    n = len(nodes)
-    sources: list[int] = []
-    targets: list[int] = []
-    weights: list[float] = []
-    for source, target in graph.edges():
-        probability = probabilities.get((source, target), 0.0)
-        if probability > 0.0:
-            sources.append(ids[source])
-            targets.append(ids[target])
-            weights.append(probability)
-    src = np.asarray(sources, dtype=np.int64)
-    dst = np.asarray(targets, dtype=np.int64)
-    prob = np.asarray(weights, dtype=np.float64)
-    rows, cols = (dst, src) if reverse else (src, dst)
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order], prob[order], nodes
 
 
 class CompiledSketcher:
@@ -135,21 +96,11 @@ class CompiledSketcher:
     def from_graph(
         cls, graph: SocialGraph, probabilities: Mapping[Edge, float]
     ) -> "CompiledSketcher":
-        indptr, indices, probs, nodes = _positive_csr(
+        """Compile the positive-probability in-CSR of ``graph``."""
+        idmap, indptr, indices, values = positive_csr(
             graph, probabilities, reverse=True
         )
-        return cls(indptr, indices, probs, nodes=nodes)
-
-    @classmethod
-    def from_csr(
-        cls,
-        in_indptr: np.ndarray,
-        in_indices: np.ndarray,
-        probabilities: np.ndarray,
-        nodes: list | None = None,
-    ) -> "CompiledSketcher":
-        """Wrap a prebuilt in-CSR (rows must be sorted by ``(dst, src)``)."""
-        return cls(in_indptr, in_indices, probabilities, nodes=nodes)
+        return cls(indptr, indices, values, nodes=idmap.values)
 
     def generate(
         self,
@@ -295,93 +246,3 @@ def coverage_maximize_numpy(
         covered |= newly
         counts -= np.bincount(members[newly[sketch_ids]], minlength=n)
     return seeds, gains
-
-
-class HopEstimator:
-    """The 1-hop/2-hop spread bound over a positive-probability out-CSR."""
-
-    def __init__(
-        self,
-        out_indptr: np.ndarray,
-        out_indices: np.ndarray,
-        probabilities: np.ndarray,
-        nodes: list | None = None,
-    ) -> None:
-        self.out_indptr = np.asarray(out_indptr, dtype=np.int64)
-        self.out_indices = np.asarray(out_indices, dtype=np.int64)
-        self.probabilities = np.asarray(probabilities, dtype=np.float64)
-        self.n = len(self.out_indptr) - 1
-        self.nodes = nodes
-        self._ids = (
-            None
-            if nodes is None
-            else {node: index for index, node in enumerate(nodes)}
-        )
-
-    @classmethod
-    def from_graph(
-        cls, graph: SocialGraph, probabilities: Mapping[Edge, float]
-    ) -> "HopEstimator":
-        indptr, indices, probs, nodes = _positive_csr(
-            graph, probabilities, reverse=False
-        )
-        return cls(indptr, indices, probs, nodes=nodes)
-
-    def spread(self, seeds: Iterable[User], hops: int = 2) -> float:
-        """Matches :func:`repro.core.sketch.hop_spread` within 1e-9."""
-        require(hops in (1, 2), f"hops must be 1 or 2, got {hops}")
-        if self._ids is None:
-            seed_ids = np.unique(
-                np.asarray(
-                    [s for s in seeds if 0 <= s < self.n], dtype=np.int64
-                )
-            )
-        else:
-            seed_ids = np.unique(
-                np.asarray(
-                    [self._ids[s] for s in set(seeds) if s in self._ids],
-                    dtype=np.int64,
-                )
-            )
-        if len(seed_ids) == 0:
-            return 0.0
-        seed_mask = np.zeros(self.n, dtype=bool)
-        seed_mask[seed_ids] = True
-        _, neighbors, flat = _gather_csr(
-            self.out_indptr, self.out_indices, seed_ids
-        )
-        miss = np.ones(self.n)
-        keep = ~seed_mask[neighbors]
-        np.multiply.at(
-            miss, neighbors[keep], 1.0 - self.probabilities[flat[keep]]
-        )
-        direct = 1.0 - miss
-        total = float(len(seed_ids)) + float(direct.sum())
-        if hops == 1:
-            return total
-        middles = np.flatnonzero(direct > 0.0)
-        if len(middles) == 0:
-            return total
-        row_pos, second, flat2 = _gather_csr(
-            self.out_indptr, self.out_indices, middles
-        )
-        keep2 = ~seed_mask[second]
-        reach = direct[middles][row_pos[keep2]]
-        total += float(
-            np.sum(
-                reach
-                * self.probabilities[flat2[keep2]]
-                * (1.0 - direct[second[keep2]])
-            )
-        )
-        return total
-
-
-def hop_spread_numpy(
-    graph: SocialGraph,
-    probabilities: Mapping[Edge, float],
-    seeds: Iterable[User],
-    hops: int = 2,
-) -> float:
-    """One-shot convenience wrapper over :class:`HopEstimator`."""
-    return HopEstimator.from_graph(graph, probabilities).spread(seeds, hops=hops)

@@ -39,12 +39,7 @@ from repro.maximization.irie import (
     irie_seeds,
 )
 from repro.maximization.ldag import LDAGModel
-from repro.maximization.ris import (
-    RISResult,
-    generate_rr_sets,
-    ris_maximize,
-    ris_spread,
-)
+from repro.maximization.ris import RISResult, ris_maximize
 from repro.maximization.simpath import (
     SimPathOracle,
     simpath_maximize,
@@ -73,9 +68,7 @@ __all__ = [
     "irie_activation_probabilities",
     "irie_seeds",
     "RISResult",
-    "generate_rr_sets",
     "ris_maximize",
-    "ris_spread",
     "SimPathOracle",
     "simpath_maximize",
     "simpath_spread",

@@ -17,15 +17,17 @@ implements the fixed-sample-size variant as the natural "future work"
 bridge from the paper's possible-world analysis to the post-2011
 state of the art, and serves as an independent check of the library's
 Monte-Carlo IC machinery (the two estimate the same quantity by dual
-routes; tests compare them).
+routes; tests compare them).  The RR sets are the hash-keyed sketch
+batches of :mod:`repro.core.sketch`, and
+:meth:`~repro.core.sketch.SketchSet.estimate_spread` is the RR spread
+estimator.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from repro.core.sketch import (
     SketchSet,
@@ -36,82 +38,13 @@ from repro.core.sketch import (
 from repro.graphs.digraph import SocialGraph
 from repro.kernels import resolve_backend
 from repro.obs import trace as obs_trace
-from repro.utils.ordering import node_sort_key
-from repro.utils.rng import integer_seed, make_rng
+from repro.utils.rng import integer_seed
 from repro.utils.validation import require
 
-__all__ = [
-    "sample_rr_set",
-    "generate_rr_sets",
-    "RISResult",
-    "ris_spread",
-    "ris_maximize",
-]
+__all__ = ["RISResult", "ris_maximize"]
 
 User = Hashable
 Edge = tuple[User, User]
-
-
-def sample_rr_set(
-    graph: SocialGraph,
-    probabilities: Mapping[Edge, float],
-    target: User,
-    rng: random.Random,
-) -> frozenset[User]:
-    """One RR set: nodes reaching ``target`` in a freshly sampled world.
-
-    Edges are flipped lazily during a reverse BFS — each in-edge
-    ``(v, u)`` is live with probability ``p(v, u)``, independently —
-    which is equivalent to sampling the whole live-edge world up front
-    but touches only the reachable region.
-    """
-    reached = {target}
-    frontier = deque([target])
-    while frontier:
-        node = frontier.popleft()
-        for source in graph.in_neighbors(node):
-            if source in reached:
-                continue
-            probability = probabilities.get((source, node), 0.0)
-            if probability > 0.0 and rng.random() < probability:
-                reached.add(source)
-                frontier.append(source)
-    return frozenset(reached)
-
-
-def generate_rr_sets(
-    graph: SocialGraph,
-    probabilities: Mapping[Edge, float],
-    count: int,
-    seed: int | random.Random | None = None,
-) -> list[frozenset[User]]:
-    """Sample ``count`` RR sets with uniformly random targets."""
-    require(count >= 1, f"count must be >= 1, got {count}")
-    rng = make_rng(seed)
-    nodes = list(graph.nodes())
-    if not nodes:
-        return []
-    return [
-        sample_rr_set(graph, probabilities, rng.choice(nodes), rng)
-        for _ in range(count)
-    ]
-
-
-def ris_spread(
-    graph: SocialGraph,
-    rr_sets: list[frozenset[User]],
-    seeds: Iterable[User],
-) -> float:
-    """Estimate ``sigma_IC(seeds)`` from sampled RR sets.
-
-    ``n * (covered RR sets) / (total RR sets)`` — an unbiased estimator
-    whose variance shrinks as 1/#samples.
-    """
-    if not rr_sets:
-        return 0.0
-    seed_set = set(seeds)
-    covered = sum(1 for rr in rr_sets if not seed_set.isdisjoint(rr))
-    return graph.num_nodes * covered / len(rr_sets)
 
 
 @dataclass
@@ -179,7 +112,6 @@ def ris_maximize(
     k: int,
     num_rr_sets: int = 10_000,
     seed: int | random.Random | None = None,
-    rr_sets: list[frozenset[User]] | None = None,
     *,
     sketches: SketchSet | None = None,
     hops: int | None = None,
@@ -188,10 +120,10 @@ def ris_maximize(
 ) -> RISResult:
     """Select ``k`` seeds by greedy maximum coverage over RR sketches.
 
-    The default path generates ``num_rr_sets`` deterministic hash-keyed
-    sketches (:mod:`repro.core.sketch` / the batched NumPy kernel,
-    picked by ``backend`` through the usual seam — both produce
-    byte-identical sketches): ``seed`` feeds the shared
+    Generates ``num_rr_sets`` deterministic hash-keyed sketches
+    (:mod:`repro.core.sketch` / the batched NumPy kernel, picked by
+    ``backend`` through the usual seam — both produce byte-identical
+    sketches): ``seed`` feeds the shared
     :func:`~repro.utils.rng.derive_seed` schedule, so the same seed
     replays the same sketches on any backend or executor, and
     :meth:`SelectionContext.sketches
@@ -199,85 +131,30 @@ def ris_maximize(
     seed yields the very same batch.  ``hops`` bounds the reverse BFS
     depth (``None`` = classic unbounded RIS); pass prebuilt
     ``sketches`` to amortise generation across runs.
-
-    ``rr_sets`` keeps the legacy sequential-RNG path byte-for-byte
-    (precomputed frozensets from :func:`generate_rr_sets`).
     """
     require(k >= 0, f"k must be non-negative, got {k}")
-    require(
-        rr_sets is None or sketches is None,
-        "pass precomputed rr_sets or sketches, not both",
-    )
-    with obs_trace.span(
-        "maximize.ris", k=k, legacy=rr_sets is not None
-    ) as span:
-        if rr_sets is None:
-            if sketches is None:
-                base = integer_seed(seed)
-                generation_seed = (
-                    None
-                    if base is None
-                    else sketch_generation_seed(base, num_rr_sets, hops)
+    with obs_trace.span("maximize.ris", k=k) as span:
+        if sketches is None:
+            base = integer_seed(seed)
+            generation_seed = (
+                None
+                if base is None
+                else sketch_generation_seed(base, num_rr_sets, hops)
+            )
+            if resolve_backend(backend) == "numpy":
+                from repro.kernels.sketch_numpy import CompiledSketcher
+
+                sketches = CompiledSketcher.from_graph(
+                    graph, probabilities
+                ).generate(num_rr_sets, hops=hops, seed=generation_seed)
+            else:
+                sketches = generate_sketches(
+                    graph,
+                    probabilities,
+                    num_rr_sets,
+                    hops=hops,
+                    seed=generation_seed,
                 )
-                if resolve_backend(backend) == "numpy":
-                    from repro.kernels.sketch_numpy import CompiledSketcher
-
-                    sketches = CompiledSketcher.from_graph(
-                        graph, probabilities
-                    ).generate(num_rr_sets, hops=hops, seed=generation_seed)
-                else:
-                    sketches = generate_sketches(
-                        graph,
-                        probabilities,
-                        num_rr_sets,
-                        hops=hops,
-                        seed=generation_seed,
-                    )
-            result = _coverage_result(sketches, k, backend, checkpoints)
-            span.set(seeds=len(result.seeds), num_rr_sets=result.num_rr_sets)
-            return result
-        result = RISResult(num_rr_sets=len(rr_sets))
-        if k == 0 or not rr_sets:
-            span.set(seeds=0, num_rr_sets=result.num_rr_sets)
-            return result
-
-        # node -> indices of RR sets containing it.
-        membership: dict[User, list[int]] = {}
-        for index, rr in enumerate(rr_sets):
-            for node in rr:
-                membership.setdefault(node, []).append(index)
-        cover_count = {
-            node: len(indices) for node, indices in membership.items()
-        }
-        covered = [False] * len(rr_sets)
-        scale = graph.num_nodes / len(rr_sets)
-        total_covered = 0
-        for _ in range(min(k, len(cover_count))):
-            best = None
-            gain = 0
-            for node, count in cover_count.items():
-                if count > gain or (
-                    count == gain
-                    and best is not None
-                    and node_sort_key(node) < node_sort_key(best)
-                ):
-                    best = node
-                    gain = count
-            if best is None or gain <= 0:
-                break
-            result.seeds.append(best)
-            result.gains.append(gain * scale)
-            total_covered += gain
-            if checkpoints is not None:
-                checkpoints.append((0, total_covered * scale))
-            for index in membership[best]:
-                if covered[index]:
-                    continue
-                covered[index] = True
-                for node in rr_sets[index]:
-                    if node in cover_count:
-                        cover_count[node] -= 1
-            del cover_count[best]
-        result.spread = total_covered * scale
+        result = _coverage_result(sketches, k, backend, checkpoints)
         span.set(seeds=len(result.seeds), num_rr_sets=result.num_rr_sets)
         return result

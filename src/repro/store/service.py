@@ -1045,6 +1045,12 @@ class _Handler(BaseHTTPRequestHandler):
     # as it holds the socket.  Waiting on the engine (a long /ingest
     # with "wait") is not socket I/O and is not bounded by it.
     timeout = 30.0
+    # Largest POST body accepted, in bytes.  rfile.read(n) allocates
+    # its n-byte buffer before any byte arrives, so a larger declared
+    # Content-Length is refused unread.  Real bodies are far smaller:
+    # a whole small-preset action log sent as one /ingest delta is
+    # ~0.4 MB.
+    max_body_bytes = 16 * 1024 * 1024
 
     # Quiet: http.server's own lines carry no request ids or latency;
     # the structured access log in _run replaces them when enabled.
@@ -1151,6 +1157,17 @@ class _Handler(BaseHTTPRequestHandler):
             if length < 0:
                 # rfile.read(-1) would block until the client hangs up.
                 raise ValueError(f"negative Content-Length {length}")
+            if length > self.max_body_bytes:
+                # The unread body must not be parsed as a next request.
+                self.close_connection = True
+                self._respond(
+                    413,
+                    {
+                        "error": f"request body of {length} bytes exceeds "
+                        f"the {self.max_body_bytes}-byte limit"
+                    },
+                )
+                return
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")

@@ -88,7 +88,7 @@ class TestICFamily:
         from repro.diffusion.ctic import estimate_spread_ctic
         from repro.diffusion.ic import estimate_spread_ic
         from repro.diffusion.worlds import estimate_spread_via_worlds
-        from repro.maximization.ris import generate_rr_sets, ris_spread
+        from repro.core.sketch import generate_sketches
 
         graph, probabilities = ic_instance
         seeds = list(graph.nodes())[:2]
@@ -98,11 +98,9 @@ class TestICFamily:
         worlds = estimate_spread_via_worlds(
             graph, probabilities, seeds, num_worlds=4000, seed=2
         )
-        reverse = ris_spread(
-            graph,
-            generate_rr_sets(graph, probabilities, 8000, seed=3),
-            seeds,
-        )
+        reverse = generate_sketches(
+            graph, probabilities, 8000, seed=3
+        ).estimate_spread(seeds)
         continuous = estimate_spread_ctic(
             graph, probabilities, seeds, num_simulations=4000, seed=4
         )

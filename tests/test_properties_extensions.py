@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from repro.core.maximize import cd_maximize
 from repro.core.queries import explain_spread, kappa, most_influential
 from repro.core.scan import scan_action_log
+from repro.core.sketch import generate_sketches
 from repro.core.streaming import StreamingCreditIndex
 from repro.maximization.celf import celf_maximize
 from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.greedy import greedy_maximize
-from repro.maximization.ris import generate_rr_sets, ris_spread
 from repro.maximization.simpath import simpath_spread
 from tests.helpers import exact_lt_spread, random_instance
 
@@ -113,9 +113,9 @@ class TestRISProperties:
     def test_estimate_bounds(self, seed):
         graph, _ = random_instance(seed=seed, num_nodes=10, num_actions=1)
         probabilities = {edge: 0.4 for edge in graph.edges()}
-        rr_sets = generate_rr_sets(graph, probabilities, 300, seed=seed)
+        sketches = generate_sketches(graph, probabilities, 300, seed=seed)
         seeds = [0, 1]
-        estimate = ris_spread(graph, rr_sets, seeds)
+        estimate = sketches.estimate_spread(seeds)
         assert 0.0 <= estimate <= graph.num_nodes
 
     @settings(max_examples=15, deadline=None)
@@ -123,11 +123,11 @@ class TestRISProperties:
     def test_monotone_in_seed_set(self, seed):
         graph, _ = random_instance(seed=seed, num_nodes=10, num_actions=1)
         probabilities = {edge: 0.4 for edge in graph.edges()}
-        rr_sets = generate_rr_sets(graph, probabilities, 200, seed=seed)
+        sketches = generate_sketches(graph, probabilities, 200, seed=seed)
         nodes = list(graph.nodes())
         previous = 0.0
         for size in range(1, 5):
-            estimate = ris_spread(graph, rr_sets, nodes[:size])
+            estimate = sketches.estimate_spread(nodes[:size])
             assert estimate >= previous - 1e-9
             previous = estimate
 
@@ -136,8 +136,8 @@ class TestRISProperties:
     def test_all_nodes_cover_everything(self, seed):
         graph, _ = random_instance(seed=seed, num_nodes=8, num_actions=1)
         probabilities = {edge: 0.5 for edge in graph.edges()}
-        rr_sets = generate_rr_sets(graph, probabilities, 100, seed=seed)
-        assert ris_spread(graph, rr_sets, list(graph.nodes())) == (
+        sketches = generate_sketches(graph, probabilities, 100, seed=seed)
+        assert sketches.estimate_spread(list(graph.nodes())) == (
             pytest.approx(graph.num_nodes)
         )
 

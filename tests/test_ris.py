@@ -1,18 +1,16 @@
-"""Tests for repro.maximization.ris (reverse-influence sampling)."""
+"""Tests for reverse-influence sampling: RR sketch generation, the RR
+spread estimator (:meth:`SketchSet.estimate_spread`) and ``ris_maximize``."""
 
-import random
+import dataclasses
 
 import pytest
 
+import repro.kernels as kernels
+from repro.core.sketch import generate_sketches
 from repro.diffusion.ic import estimate_spread_ic
 from repro.graphs.digraph import SocialGraph
 from repro.graphs.generators import erdos_renyi_graph
-from repro.maximization.ris import (
-    generate_rr_sets,
-    ris_maximize,
-    ris_spread,
-    sample_rr_set,
-)
+from repro.maximization.ris import ris_maximize
 from repro.probabilities.static import uniform_probabilities
 
 
@@ -21,47 +19,85 @@ def chain():
     return SocialGraph.from_edges([(0, 1), (1, 2), (2, 3)])
 
 
-class TestSampleRRSet:
-    def test_deterministic_world_gives_ancestors(self, chain):
-        probabilities = {edge: 1.0 for edge in chain.edges()}
-        rr = sample_rr_set(chain, probabilities, 3, random.Random(0))
-        assert rr == frozenset({0, 1, 2, 3})
+def _numpy_sketches(graph, probabilities, num_sketches, **kwargs):
+    from repro.kernels.sketch_numpy import CompiledSketcher
 
-    def test_zero_probability_gives_singleton(self, chain):
-        rr = sample_rr_set(chain, {}, 2, random.Random(0))
-        assert rr == frozenset({2})
+    return CompiledSketcher.from_graph(graph, probabilities).generate(
+        num_sketches, **kwargs
+    )
 
-    def test_contains_target_always(self, chain):
+
+def _member_labels(sketches, index):
+    return {sketches.label_of(node) for node in sketches.members_of(index)}
+
+
+def _target_label(sketches, index):
+    return sketches.label_of(sketches.targets[index])
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        generate_sketches,
+        pytest.param(
+            _numpy_sketches,
+            marks=pytest.mark.skipif(
+                "numpy" not in kernels.available_backends(),
+                reason="NumPy unavailable",
+            ),
+        ),
+    ],
+    ids=["python", "numpy"],
+)
+class TestGenerateSketches:
+    def test_every_sketch_contains_its_target(self, generate, chain):
         probabilities = uniform_probabilities(chain, 0.5)
-        rng = random.Random(7)
-        for _ in range(20):
-            rr = sample_rr_set(chain, probabilities, 1, rng)
-            assert 1 in rr
+        sketches = generate(chain, probabilities, 50, seed=7)
+        for index in range(sketches.num_sketches):
+            assert sketches.targets[index] in list(sketches.members_of(index))
 
-    def test_only_ancestors_possible(self, chain):
-        # Node 3 is downstream of 1; it can never appear in 1's RR set.
+    def test_certain_world_gives_all_ancestors(self, generate, chain):
         probabilities = {edge: 1.0 for edge in chain.edges()}
-        rr = sample_rr_set(chain, probabilities, 1, random.Random(3))
-        assert 3 not in rr and 2 not in rr
+        sketches = generate(chain, probabilities, 40, seed=3)
+        for index in range(sketches.num_sketches):
+            target = _target_label(sketches, index)
+            assert _member_labels(sketches, index) == set(range(target + 1))
 
+    def test_one_hop_keeps_only_the_direct_parent(self, generate, chain):
+        probabilities = {edge: 1.0 for edge in chain.edges()}
+        sketches = generate(chain, probabilities, 40, hops=1, seed=3)
+        for index in range(sketches.num_sketches):
+            target = _target_label(sketches, index)
+            assert _member_labels(sketches, index) == {
+                max(target - 1, 0), target
+            }
 
-class TestGenerateRRSets:
-    def test_count_respected(self, chain):
-        rr_sets = generate_rr_sets(chain, {}, 17, seed=0)
-        assert len(rr_sets) == 17
+    def test_zero_probability_gives_singletons(self, generate, chain):
+        sketches = generate(chain, {}, 30, seed=0)
+        for index in range(sketches.num_sketches):
+            assert _member_labels(sketches, index) == {
+                _target_label(sketches, index)
+            }
 
-    def test_invalid_count_raises(self, chain):
+    def test_count_respected(self, generate, chain):
+        sketches = generate(chain, {}, 17, seed=0)
+        assert sketches.num_sketches == 17
+        assert len(sketches.indptr) - 1 == 17
+
+    def test_invalid_count_raises(self, generate, chain):
         with pytest.raises(ValueError):
-            generate_rr_sets(chain, {}, 0)
+            generate(chain, {}, 0)
 
-    def test_empty_graph(self):
-        assert generate_rr_sets(SocialGraph(), {}, 5, seed=0) == []
+    def test_empty_graph(self, generate):
+        assert generate(SocialGraph(), {}, 5, seed=0).num_sketches == 0
 
-    def test_deterministic_with_seed(self, chain):
+    def test_deterministic_with_seed(self, generate, chain):
         probabilities = uniform_probabilities(chain, 0.4)
-        first = generate_rr_sets(chain, probabilities, 50, seed=11)
-        second = generate_rr_sets(chain, probabilities, 50, seed=11)
-        assert first == second
+        first = generate(chain, probabilities, 50, seed=11)
+        second = generate(chain, probabilities, 50, seed=11)
+        assert list(first.targets) == list(second.targets)
+        assert list(first.indptr) == list(second.indptr)
+        assert list(first.members) == list(second.members)
 
 
 class TestRISSpread:
@@ -70,23 +106,38 @@ class TestRISSpread:
         graph = erdos_renyi_graph(25, 0.15, seed=4)
         probabilities = uniform_probabilities(graph, 0.3)
         seeds = [0, 1]
-        rr_sets = generate_rr_sets(graph, probabilities, 6000, seed=1)
-        ris = ris_spread(graph, rr_sets, seeds)
+        sketches = generate_sketches(graph, probabilities, 6000, seed=1)
+        ris = sketches.estimate_spread(seeds)
         forward = estimate_spread_ic(
             graph, probabilities, seeds, num_simulations=3000, seed=2
         )
         assert ris == pytest.approx(forward, rel=0.15)
 
     def test_full_seed_set_covers_everything(self, chain):
-        rr_sets = generate_rr_sets(chain, {}, 40, seed=0)
-        assert ris_spread(chain, rr_sets, list(chain.nodes())) == 4.0
+        sketches = generate_sketches(chain, {}, 40, seed=0)
+        assert sketches.estimate_spread(list(chain.nodes())) == 4.0
 
     def test_empty_seed_set(self, chain):
-        rr_sets = generate_rr_sets(chain, {}, 10, seed=0)
-        assert ris_spread(chain, rr_sets, []) == 0.0
+        sketches = generate_sketches(chain, {}, 10, seed=0)
+        assert sketches.estimate_spread([]) == 0.0
 
-    def test_no_rr_sets(self, chain):
-        assert ris_spread(chain, [], [0]) == 0.0
+    def test_no_sketches(self):
+        sketches = generate_sketches(SocialGraph(), {}, 5, seed=0)
+        assert sketches.estimate_spread([0]) == 0.0
+
+    def test_seeds_outside_the_universe_are_skipped(self, chain):
+        """Like the MC estimators, a seed that is no node adds nothing."""
+        probabilities = uniform_probabilities(chain, 0.5)
+        sketches = generate_sketches(chain, probabilities, 20, seed=1)
+        expected = sketches.estimate_spread([0])
+        assert expected > 0.0
+        assert sketches.estimate_spread([0, 99]) == expected
+        assert sketches.estimate_spread(["0"]) == 0.0
+        # Raw-CSR path: ids are their own labels; ids outside
+        # [0, num_nodes) are skipped the same way.
+        raw = dataclasses.replace(sketches, nodes=None)
+        assert raw.estimate_spread([0, 99, -1]) == expected
+        assert raw.estimate_spread([4]) == 0.0
 
 
 class TestRISMaximize:
@@ -111,14 +162,6 @@ class TestRISMaximize:
         probabilities = uniform_probabilities(graph, 0.2)
         result = ris_maximize(graph, probabilities, 5, num_rr_sets=2000, seed=5)
         assert result.gains == sorted(result.gains, reverse=True)
-
-    def test_precomputed_rr_sets_reused(self, chain):
-        probabilities = {edge: 1.0 for edge in chain.edges()}
-        rr_sets = generate_rr_sets(chain, probabilities, 200, seed=9)
-        first = ris_maximize(chain, probabilities, 2, rr_sets=rr_sets)
-        second = ris_maximize(chain, probabilities, 2, rr_sets=rr_sets)
-        assert first.seeds == second.seeds
-        assert first.num_rr_sets == 200
 
     def test_stops_when_everything_covered(self, chain):
         probabilities = {edge: 1.0 for edge in chain.edges()}

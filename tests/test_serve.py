@@ -268,6 +268,27 @@ class TestHTTP:
         assert b"negative Content-Length" in reply
         assert self._call(server, "GET", "/healthz")[0] == 200
 
+    def test_oversized_content_length_is_413(self, server):
+        # Refused before any body byte is read: no body is ever sent,
+        # so a handler that tried to read one would stall or, at a
+        # length this large, fail to allocate the buffer.
+        for length in (_Handler.max_body_bytes + 1, 10**13):
+            started = time.monotonic()
+            reply = self._raw_post(server, length)
+            assert reply.split(b" ", 2)[1] == b"413", reply
+            assert b"exceeds" in reply
+            assert time.monotonic() - started < 4
+        assert self._call(server, "GET", "/healthz")[0] == 200
+
+    def test_body_at_the_cap_is_answered(self, server, monkeypatch):
+        body = json.dumps({"selector": "cd", "k": 1}).encode()
+        monkeypatch.setattr(_Handler, "max_body_bytes", len(body))
+        reply = self._raw_post(server, len(body), body)
+        assert reply.split(b" ", 2)[1] == b"200", reply
+        reply = self._raw_post(server, len(body) + 1)
+        assert reply.split(b" ", 2)[1] == b"413", reply
+        assert self._call(server, "GET", "/healthz")[0] == 200
+
     def test_stalled_body_closes_the_connection(self, server, monkeypatch):
         # Handler threads ship with a finite socket timeout; patched
         # down here so the stall resolves quickly.

@@ -109,20 +109,8 @@ class TestGenerationParity:
         assert numpy_.gains == python.gains  # same scale multiply: exact
         assert numpy_.spread == python.spread
 
-    @pytest.mark.parametrize("hops", [1, 2])
-    def test_hop_spread_parity(self, mini, hops):
-        from repro.kernels.sketch_numpy import hop_spread_numpy
-
-        graph, probabilities = mini
-        seeds = sorted(graph.nodes())[:5]
-        assert hop_spread_numpy(
-            graph, probabilities, seeds, hops=hops
-        ) == pytest.approx(
-            hop_spread(graph, probabilities, seeds, hops=hops), abs=1e-9
-        )
-
     def test_empty_and_seedless_cases(self, mini):
-        from repro.kernels.sketch_numpy import CompiledSketcher, hop_spread_numpy
+        from repro.kernels.sketch_numpy import CompiledSketcher
 
         graph, probabilities = mini
         empty = SocialGraph.from_edges([])
@@ -130,7 +118,6 @@ class TestGenerationParity:
         assert CompiledSketcher.from_graph(empty, {}).generate(
             5, seed=1
         ).num_sketches == 0
-        assert hop_spread_numpy(graph, probabilities, [], hops=2) == 0.0
         assert hop_spread(graph, probabilities, [], hops=2) == 0.0
 
 
