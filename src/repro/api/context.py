@@ -16,7 +16,7 @@ identically — the property the registry's parity guarantees rest on.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.credit import TimeDecayCredit
 from repro.core.scan import scan_action_log
@@ -183,6 +183,9 @@ class SelectionContext:
         self._sketches = None
         self._sketch_cache: dict[tuple, object] = {}
         self._sketchers: dict[str, object] = {}
+        # Stored slots: artifact name -> the loader that fills the slot
+        # on its first read (see set_artifact_loader).
+        self._loaders: dict[str, Callable[[], Any]] = {}
 
     # ------------------------------------------------------------------
     # Guards and derived seeds
@@ -254,15 +257,20 @@ class SelectionContext:
         )
 
     def artifact_names(self) -> list[str]:
-        """Names of the artifact slots currently populated."""
+        """Names of the artifact slots populated or stored (not yet read)."""
         return [
             name for name in ARTIFACT_NAMES
-            if self._artifact_slot(name)[0]() is not None
+            if name in self._loaders
+            or self._artifact_slot(name)[0]() is not None
         ]
 
     def get_artifact(self, name: str):
-        """The cached artifact in slot ``name`` (``None`` if unbuilt)."""
-        return self._artifact_slot(name)[0]()
+        """The artifact in slot ``name`` (``None`` if unbuilt).
+
+        A stored slot (:meth:`set_artifact_loader`) is decoded here, on
+        its first read.
+        """
+        return self._stored(name)
 
     def set_artifact(self, name: str, value) -> None:
         """Inject a pre-built artifact into slot ``name``.
@@ -272,9 +280,36 @@ class SelectionContext:
         accessors (:meth:`ic_probabilities`, :meth:`credit_index`, ...)
         find the cache populated and never learn.  The caller is
         responsible for the value matching this context's
-        :meth:`learn_spec` and (graph, train log) pair.
+        :meth:`learn_spec` and (graph, train log) pair.  A pending
+        loader of the slot is dropped without being called.
         """
         self._artifact_slot(name)[1](value)
+        self._loaders.pop(name, None)
+
+    def set_artifact_loader(self, name: str, loader: Callable[[], Any]) -> None:
+        """Make slot ``name`` a stored slot, filled by ``loader()`` on first read.
+
+        The first read is :meth:`get_artifact` or the slot's lazy
+        accessor (:meth:`credit_index`, :meth:`ic_probabilities`, ...);
+        until then the slot is listed by :meth:`artifact_names` but
+        nothing is decoded.  A loader that raises leaves the slot
+        pending.  This is how a derive reads only the base artifacts
+        its fold needs (:func:`repro.stream.derive.load_base_state`).
+        """
+        self._artifact_slot(name)
+        self._loaders[name] = loader
+
+    def _stored(self, name: str):
+        """The value in slot ``name``, running its pending loader first."""
+        getter, setter = self._artifact_slot(name)
+        loader = self._loaders.get(name)
+        if loader is not None:
+            # Fill the slot before dropping the loader: a concurrent
+            # reader then finds either the loader (and decodes an equal
+            # value itself) or the value, never an empty slot.
+            setter(loader())
+            self._loaders.pop(name, None)
+        return getter()
 
     def build_artifact(self, name: str):
         """Build (or return the cached) artifact for slot ``name``."""
@@ -308,7 +343,7 @@ class SelectionContext:
 
     def compiled_log(self):
         """The interned CSR form of (graph, train log) — numpy kernels only."""
-        if self._compiled_log is None:
+        if self._compiled_log is None and self._stored("compiled_log") is None:
             from repro.kernels.interning import CompiledGraph, CompiledLog
 
             log = self._require_log("log compilation")
@@ -335,7 +370,10 @@ class SelectionContext:
             method in IC_PROBABILITY_METHODS,
             f"method must be one of {IC_PROBABILITY_METHODS}, got {method!r}",
         )
-        if method not in self._probabilities:
+        if (
+            method not in self._probabilities
+            and self._stored(_PROBABILITY_PREFIX + method) is None
+        ):
             if method == "UN":
                 value = uniform_probabilities(self.graph)
             elif method == "TV":
@@ -367,7 +405,7 @@ class SelectionContext:
         """Learned LT edge weights (cached)."""
         from repro.probabilities.lt_weights import learn_lt_weights
 
-        if self._lt_weights is None:
+        if self._lt_weights is None and self._stored("lt_weights") is None:
             self._lt_weights = learn_lt_weights(
                 self.graph,
                 self._require_log("LT weight learning"),
@@ -385,7 +423,7 @@ class SelectionContext:
         """
         from repro.core.params import learn_influenceability
 
-        if self._params is None:
+        if self._params is None and self._stored("influence_params") is None:
             log = self._require_log("influenceability learning")
             if self.backend == "numpy":
                 from repro.kernels.params_numpy import (
@@ -446,7 +484,9 @@ class SelectionContext:
             and hops == self.sketch_hops
             and base == self.seed
         )
-        if default and self._sketches is not None:
+        if default and (
+            self._sketches is not None or self._stored("sketches") is not None
+        ):
             return self._sketches
         key = (method, count, hops, generation_seed)
         if not default and key in self._sketch_cache:
@@ -492,7 +532,7 @@ class SelectionContext:
         cached :meth:`compiled_log`; credit schemes the kernel cannot
         vectorize fall back to the reference scan.
         """
-        if self._credit_index is None:
+        if self._credit_index is None and self._stored("credit_index") is None:
             log = self._require_log("the credit-index scan")
             credit = self._credit()
             if self.backend == "numpy":
@@ -528,7 +568,7 @@ class SelectionContext:
         :meth:`compiled_log` by :mod:`repro.kernels.cd_numpy`, byte for
         byte the reference construction.
         """
-        if self._cd_evaluator is None:
+        if self._cd_evaluator is None and self._stored("cd_evaluator") is None:
             log = self._require_log("sigma_cd evaluation")
             if self.backend == "numpy":
                 from repro.kernels.cd_numpy import cd_evaluator_numpy

@@ -100,6 +100,7 @@ from repro.store.warm import (
     CONTEXT_RECORD,
     load_context_record,
     load_serving_context,
+    serving_context,
 )
 from repro.utils.retry import RetryPolicy, with_retry
 from repro.utils.rng import derive_seed
@@ -132,14 +133,30 @@ class ServiceError(ValueError):
 
 
 def _parse_id(value: Any) -> Hashable:
-    """Coerce a JSON seed id to the library's convention (ints stay ints).
+    """Coerce a JSON user or action id to the library's convention.
 
-    String ids go through :func:`repro.data.io.parse_id` — the exact
-    rule the TSV loaders apply — so JSON-borne seeds match the ids
-    stored artifacts are keyed by.
+    An id is a JSON string or integer.  String ids go through
+    :func:`repro.data.io.parse_id` — the exact rule the TSV loaders
+    apply — so JSON-borne seeds match the ids stored artifacts are
+    keyed by; integers stay integers.  Anything else answers 400: a
+    ``true`` would alias user ``1`` (``bool`` is an ``int`` in Python),
+    and a list or object is not hashable.
     """
     if isinstance(value, str):
         return parse_id(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ServiceError(
+        f"ids must be JSON strings or integers, got {type(value).__name__}"
+    )
+
+
+def _context_ref(value: Any) -> str | None:
+    """A request's ``context``: absent (``None``) or a key string, else 400."""
+    if value is not None and not isinstance(value, str):
+        raise ServiceError(
+            "'context' must be a context key or unique prefix (a JSON string)"
+        )
     return value
 
 
@@ -394,6 +411,11 @@ class _Coalescer:
 class QueryService:
     """The request handlers, independent of any HTTP plumbing."""
 
+    # GET /ingest lists at most this many jobs, the newest: older
+    # finished jobs are dropped, so the history stays bounded for the
+    # life of the process.
+    max_ingest_history = 256
+
     def __init__(
         self,
         store_root: str,
@@ -473,8 +495,8 @@ class QueryService:
             "repro_last_ingest_seconds",
             "Derive duration of the most recent successful ingest",
         )
-        # Ingest bookkeeping: one job at a time, history kept for
-        # GET /ingest polling.
+        # Ingest bookkeeping: one job at a time, the newest
+        # max_ingest_history jobs kept for GET /ingest polling.
         self._ingests: "OrderedDict[int, dict[str, Any]]" = OrderedDict()
         self._ingest_seq = 0
         self._ingest_active = False
@@ -533,6 +555,7 @@ class QueryService:
         checked against *every* stored record, so a prefix never
         silently binds to whatever happens to be cached.
         """
+        context_ref = _context_ref(context_ref)
         with self._lock:
             if context_ref is None and self._default_key is not None:
                 context_ref = self._default_key
@@ -682,7 +705,7 @@ class QueryService:
             raise ServiceError("'selector' (a registry name) is required")
         try:
             k = int(payload.get("k", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServiceError("'k' must be an integer") from None
         if k < 1:
             raise ServiceError("'k' must be >= 1")
@@ -702,11 +725,11 @@ class QueryService:
                 )
             try:
                 selector = selector.with_params(budget=float(budget))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ServiceError("'budget' must be a number") from None
         try:
             trial = int(payload.get("trial", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServiceError("'trial' must be an integer") from None
         if selector.spec.stochastic and "seed" not in selector.params:
             selector = selector.with_params(
@@ -874,10 +897,13 @@ class QueryService:
                     "each tuple must be a [user, action, time] triple"
                 )
             user, action, time = item
+            user, action = _parse_id(user), _parse_id(action)
             try:
-                delta.add(_parse_id(user), _parse_id(action), float(time))
-            except (TypeError, ValueError):
-                raise ServiceError("tuple times must be numbers") from None
+                delta.add(user, action, float(time))
+            except (TypeError, ValueError, OverflowError):
+                raise ServiceError(
+                    "tuple times must be finite numbers"
+                ) from None
         closed = payload.get("closed")
         if closed is None:
             # The common case: the delta's traces are complete batches.
@@ -893,7 +919,7 @@ class QueryService:
         # An omitted context is the pinned serving default, as in
         # slot(): after a swap the store holds several contexts, and
         # the keyless base is the one being served.
-        context_ref = payload.get("context")
+        context_ref = _context_ref(payload.get("context"))
         if context_ref is None:
             with self._lock:
                 context_ref = self._default_key
@@ -935,6 +961,7 @@ class QueryService:
                 "report": None,
             }
             self._ingests[job["job"]] = job
+            self._trim_ingest_history()
         try:
             thread = threading.Thread(
                 target=self._run_ingest,
@@ -988,11 +1015,11 @@ class QueryService:
             # take on this store right now" from a /metrics scrape; a
             # failed derive leaves the previous value standing.
             self._last_ingest.set(monotonic() - started)
-            context = self._read_with_retry(
-                "ingest_load_serving_context",
-                lambda: load_serving_context(self.store, result.record),
+            # Served from the objects the derive built and committed,
+            # not read back from the store.
+            slot = _ServingSlot(
+                result.record, serving_context(result.record, result.context)
             )
-            slot = _ServingSlot(result.record, context)
             with self._lock:
                 key = result.derived_key
                 self._slots[key] = slot
@@ -1026,6 +1053,16 @@ class QueryService:
             # the next POST /ingest is a 202, never a permanent 409.
             with self._lock:
                 self._ingest_active = False
+
+    def _trim_ingest_history(self) -> None:
+        """Drop the oldest jobs past ``max_ingest_history``.
+
+        Caller holds ``self._lock``.  One ingest runs at a time and it
+        is the newest job, so a running job is never dropped; job
+        numbers keep increasing across drops.
+        """
+        while len(self._ingests) > self.max_ingest_history:
+            self._ingests.popitem(last=False)
 
     def ingest_status(self) -> dict[str, Any]:
         with self._lock:

@@ -443,10 +443,10 @@ def load_context_record(
     return matches[0]
 
 
-def load_serving_context(
-    store: ArtifactStore, record: Mapping[str, Any]
+def serving_context(
+    record: Mapping[str, Any], source: ArtifactStore | SelectionContext
 ) -> SelectionContext:
-    """Rebuild a query-ready context from stored artifacts alone.
+    """A query-ready context over ``record``'s artifacts, taken from ``source``.
 
     The returned context has **no training log** — every learned
     artifact named by the record is preloaded into its cache slots, so
@@ -454,11 +454,23 @@ def load_serving_context(
     artifact a query would need that is absent raises the context's
     usual "needs a training action log" error, which the service maps
     to a client-visible message.
+
+    ``source`` is the store, for a cold load: the graph and every
+    artifact are read and decoded.  Or it is the context a derive
+    built the bundle from (``DeriveResult.context``), for the ingest
+    swap: its graph and artifact objects are served as they are, and
+    nothing is read back.  Only the record's artifacts are taken, so
+    the served context keeps neither that context's log nor its
+    propagation memo alive.
     """
-    ckey = record["context_key"]
-    graph = store.get(
-        artifact_key(artifact_source_key(record, GRAPH_ARTIFACT), GRAPH_ARTIFACT)
-    )
+    if isinstance(source, SelectionContext):
+        graph, fetch = source.graph, source.get_artifact
+    else:
+        def fetch(name: str) -> Any:
+            key = artifact_key(artifact_source_key(record, name), name)
+            return source.get(key)
+
+        graph = fetch(GRAPH_ARTIFACT)
     learn = record["learn"]
     context = SelectionContext(
         graph,
@@ -478,6 +490,16 @@ def load_serving_context(
     )
     for name in record.get("artifacts", []):
         if name in ARTIFACT_NAMES:
-            source = artifact_source_key(record, name)
-            context.set_artifact(name, store.get(artifact_key(source, name)))
+            context.set_artifact(name, fetch(name))
     return context
+
+
+def load_serving_context(
+    store: ArtifactStore, record: Mapping[str, Any]
+) -> SelectionContext:
+    """Rebuild a query-ready context from stored artifacts alone.
+
+    The cold load of :func:`serving_context`: every artifact the
+    record names is read from ``store`` and decoded.
+    """
+    return serving_context(record, store)

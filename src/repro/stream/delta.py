@@ -30,6 +30,7 @@ store's ``derive``, the ``/ingest`` endpoint — goes through it, so
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -70,8 +71,11 @@ class ActionLogDelta:
     closed: list[Action] = field(default_factory=list)
 
     def add(self, user: User, action: Action, time: float) -> None:
-        """Append one new tuple."""
-        self.tuples.append((user, action, float(time)))
+        """Append one new tuple; its time must be a finite number."""
+        time = float(time)
+        if not math.isfinite(time):
+            raise ValueError(f"tuple times must be finite, got {time}")
+        self.tuples.append((user, action, time))
 
     def close(self, action: Action) -> None:
         """Mark ``action``'s trace as complete."""
@@ -255,9 +259,11 @@ def load_action_log_delta(path: str | os.PathLike[str]) -> ActionLogDelta:
             if len(fields) == 2 and fields[0] == _CLOSE_MARK:
                 delta.close(parse_id(fields[1]))
             elif len(fields) == 3:
-                delta.add(
-                    parse_id(fields[0]), parse_id(fields[1]), float(fields[2])
-                )
+                user, action = parse_id(fields[0]), parse_id(fields[1])
+                try:
+                    delta.add(user, action, float(fields[2]))
+                except ValueError as error:
+                    raise ValueError(f"{path}:{line_number}: {error}") from None
             else:
                 raise ValueError(
                     f"{path}:{line_number}: expected a 3-field tuple or a "

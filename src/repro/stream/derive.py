@@ -27,6 +27,7 @@ from under a live derived bundle (see :func:`referenced_context_keys`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping
 
 from repro.api.context import ARTIFACT_NAMES, SelectionContext
@@ -83,6 +84,11 @@ def load_base_state(
     context carries the **training log** — deltas validate against it
     and re-learn paths scan it.  Bundles written before streaming
     support hold no log; the error says how to refresh them.
+
+    Every learned artifact the record lists is a *stored* slot
+    (:meth:`~repro.api.context.SelectionContext.set_artifact_loader`):
+    it is read and decoded only if the fold reads it.  An artifact the
+    fold carries over or updates is read; one it re-learns is not.
     """
     ckey = record["context_key"]
     graph = store.get(
@@ -109,8 +115,8 @@ def load_base_state(
     )
     for name in record.get("artifacts", []):
         if name in ARTIFACT_NAMES:
-            source = artifact_source_key(record, name)
-            context.set_artifact(name, store.get(artifact_key(source, name)))
+            key = artifact_key(artifact_source_key(record, name), name)
+            context.set_artifact_loader(name, partial(store.get, key))
     try:
         stats = store.get(artifact_key(ckey, STREAM_STATS_ARTIFACT))
     except (StoreMiss, StoreCorruption):

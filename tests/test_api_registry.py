@@ -6,6 +6,9 @@ underlying public function returns, because adapters wrap — never
 fork — the originals.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import (
@@ -16,6 +19,7 @@ from repro.api import (
     register_selector,
     selector_names,
 )
+from repro.api.context import ARTIFACT_NAMES
 from repro.core.maximize import cd_maximize
 from repro.maximization.celf import celf_maximize
 from repro.maximization.celfpp import celfpp_maximize
@@ -247,6 +251,91 @@ class TestSelectionContext:
     def test_unknown_oracle_model_rejected(self, toy_context):
         with pytest.raises(ValueError, match="model"):
             toy_context.oracle("percolation")
+
+
+class _CountingLoader:
+    """A stored-slot loader that counts its calls."""
+
+    def __init__(self, value=None) -> None:
+        self.value = value
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.value is not None:
+            return self.value
+        # A fresh, equal object per call, and enough work that racing
+        # readers interleave inside it.
+        return {user: user * 2 for user in range(20_000)}
+
+
+class TestStoredSlots:
+    @pytest.mark.parametrize("name", ARTIFACT_NAMES)
+    def test_decoded_once_on_first_read(self, toy, name):
+        # A log-less context: any accessor that learned would raise, so
+        # the stored value is what every read returns.
+        ctx = SelectionContext(toy.graph)
+        value = object()
+        loader = _CountingLoader(value)
+        ctx.set_artifact_loader(name, loader)
+        assert name in ctx.artifact_names()
+        assert loader.calls == 0
+        assert ctx.build_artifact(name) is value  # the lazy accessor
+        assert ctx.get_artifact(name) is value
+        assert loader.calls == 1
+        assert name in ctx.artifact_names()
+
+    def test_get_artifact_decodes_for_the_accessor(self, toy):
+        ctx = SelectionContext(toy.graph)
+        value = object()
+        loader = _CountingLoader(value)
+        ctx.set_artifact_loader("credit_index", loader)
+        assert ctx.get_artifact("credit_index") is value
+        assert ctx.credit_index() is value
+        assert loader.calls == 1
+
+    def test_set_artifact_replaces_a_pending_loader(self, toy):
+        ctx = SelectionContext(toy.graph)
+        loader = _CountingLoader(object())
+        ctx.set_artifact_loader("lt_weights", loader)
+        value = {(0, 1): 0.5}
+        ctx.set_artifact("lt_weights", value)
+        assert ctx.lt_weights() is value
+        assert ctx.get_artifact("lt_weights") is value
+        assert loader.calls == 0
+
+    def test_racing_readers_never_see_an_empty_slot(self, toy):
+        ctx = SelectionContext(toy.graph)
+        loader = _CountingLoader()
+        ctx.set_artifact_loader("credit_index", loader)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        answers: list = [None] * workers
+
+        def read(slot: int) -> None:
+            barrier.wait()
+            if slot % 2:
+                answers[slot] = ctx.get_artifact("credit_index")
+            else:
+                answers[slot] = ctx.credit_index()
+
+        threads = [
+            threading.Thread(target=read, args=(slot,))
+            for slot in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = _CountingLoader()()
+        assert all(answer == expected for answer in answers)
+        assert 1 <= loader.calls <= workers
 
 
 class TestSeedSelection:

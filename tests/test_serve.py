@@ -168,6 +168,26 @@ class TestQueryService:
             service.spread({"seeds": []})
         with pytest.raises(ServiceError):
             service.predict({"seeds": [1], "method": "XX"})
+        # A seed id is a JSON string or integer: a list is unhashable,
+        # and true would alias user 1.
+        for seeds in ([[1], 2], [True]):
+            with pytest.raises(ServiceError, match="ids must be") as info:
+                service.spread({"seeds": seeds})
+            assert info.value.status == 400
+
+    @pytest.mark.parametrize("context", [123, ["a"], {"a": 1}])
+    @pytest.mark.parametrize("endpoint", ["select", "spread", "predict", "ingest"])
+    def test_non_string_context_is_400(self, service, endpoint, context):
+        payload = {
+            "select": {"selector": "cd", "k": 2},
+            "spread": {"seeds": [1, 2]},
+            "predict": {"seeds": [1, 2], "method": "CD"},
+            "ingest": {"tuples": [[1, "fresh-action", 0.0]]},
+        }[endpoint]
+        with pytest.raises(ServiceError, match="'context' must be") as info:
+            getattr(service, endpoint)({**payload, "context": context})
+        assert info.value.status == 400
+        assert service.ingest_status()["ingests"] == []
 
     def test_unknown_context_is_404(self, service):
         with pytest.raises(ServiceError) as info:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.store import ArtifactStore
 from repro.store.serialize import dump_payload
 from repro.store.service import QueryService, ServiceError, make_server
 from repro.store.warm import (
+    CONTEXT_RECORD,
+    STREAM_STATS_ARTIFACT,
     TRAIN_LOG_ARTIFACT,
     list_context_records,
     load_context_record,
@@ -82,6 +85,12 @@ class TestDeltaFormat:
         path = tmp_path / "delta.tsv"
         path.write_text("# repro-delta v1\n1\ta\n")
         with pytest.raises(ValueError, match="3-field"):
+            load_action_log_delta(path)
+
+    def test_non_finite_time_rejected(self, tmp_path):
+        path = tmp_path / "delta.tsv"
+        path.write_text("# repro-delta v1\n1\ta\t0.5\n2\ta\tnan\n")
+        with pytest.raises(ValueError, match=r"delta.tsv:3: .*finite"):
             load_action_log_delta(path)
 
     def test_close_marker_round_trips_pending(self, tmp_path):
@@ -592,12 +601,37 @@ class TestServiceIngest:
 
     def test_malformed_payloads_rejected(self, store_root):
         service = QueryService(store_root)
-        with pytest.raises(ServiceError, match="triple"):
-            service.ingest({"tuples": [[1, 2]]})
-        with pytest.raises(ServiceError, match="numbers"):
-            service.ingest({"tuples": [[1, 2, "soon"]]})
-        with pytest.raises(ServiceError, match="needs"):
-            service.ingest({})
+        cases = [
+            ({"tuples": [[1, 2]]}, "triple"),
+            ({"tuples": [[1, 2, "soon"]]}, "numbers"),
+            ({}, "needs"),
+            # json.loads accepts NaN and Infinity.
+            ({"tuples": [[1, 2, float("nan")]]}, "finite numbers"),
+            ({"tuples": [[1, 2, float("inf")]]}, "finite numbers"),
+            ({"tuples": [[1, 2, 10**400]]}, "finite numbers"),
+            ({"tuples": [[1, {"a": 1}, 3]]}, "ids must be"),
+            ({"tuples": [[True, 2, 3]]}, "ids must be"),
+            ({"tuples": [[1, 2, 3]], "closed": [[2]]}, "ids must be"),
+        ]
+        for payload, message in cases:
+            with pytest.raises(ServiceError, match=message) as info:
+                service.ingest(payload)
+            assert info.value.status == 400, payload
+        assert service.ingest_status()["ingests"] == []
+
+    def test_job_history_keeps_the_newest(self, store_root):
+        service = QueryService(store_root)
+        service.max_ingest_history = 2
+        for index in range(4):
+            # Pending tuples only: each job is done without a re-learn.
+            job = service.ingest({
+                "tuples": [[1, f"open-{index}", 0.0]],
+                "closed": [],
+                "wait": True,
+            })
+            assert job["status"] == "done", job["error"]
+        listed = service.ingest_status()["ingests"]
+        assert [job["job"] for job in listed] == [3, 4]
 
     def test_http_swap_with_no_failed_requests(self, store_root, delta_tuples):
         """Hammer /select over HTTP while an ingest lands: every request
@@ -659,6 +693,175 @@ class TestServiceIngest:
             stop.set()
             server.shutdown()
             server.server_close()
+
+
+# ----------------------------------------------------------------------
+# Ingest reads: only what the fold reads; the swap reads nothing back
+# ----------------------------------------------------------------------
+def _count_reads(monkeypatch) -> Counter:
+    """Count ``ArtifactStore.get`` calls by the entry's manifest artifact."""
+    reads: Counter = Counter()
+    get = ArtifactStore.get
+
+    def counting_get(self, key):
+        reads[self.entry(key).meta.get("artifact")] += 1
+        return get(self, key)
+
+    monkeypatch.setattr(ArtifactStore, "get", counting_get)
+    return reads
+
+
+def _learned_store(root, flixster_mini, base_log, needed, **spec) -> None:
+    from repro.store.warm import warm_start
+
+    context = SelectionContext(flixster_mini.graph, base_log, seed=3, **spec)
+    warm_start(
+        ArtifactStore(root), context, needed, dataset_name=flixster_mini.name
+    )
+
+
+class TestIngestReads:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_timedecay_ingest_reads_no_learned_artifact(
+        self, tmp_path, flixster_mini, monkeypatch, backend
+    ):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        root = str(tmp_path / "store")
+        base_log, delta = split_base_delta(flixster_mini.log)
+        _learned_store(
+            root, flixster_mini, base_log,
+            ["credit_index", "cd_evaluator", "ic_probabilities/EM",
+             "lt_weights", "influence_params"],
+            backend=backend,
+        )
+        service = QueryService(root)
+        reads = _count_reads(monkeypatch)
+        job = service.ingest({
+            "tuples": [list(t) for t in delta.tuples], "wait": True,
+        })
+        assert job["status"] == "done", job["error"]
+        records = reads.pop(CONTEXT_RECORD)
+        assert records >= 1
+        assert dict(reads) == {
+            "graph": 1, TRAIN_LOG_ARTIFACT: 1, STREAM_STATS_ARTIFACT: 1,
+        }
+
+    def test_uniform_ingest_reads_each_folded_artifact_once(
+        self, tmp_path, flixster_mini, monkeypatch
+    ):
+        root = str(tmp_path / "store")
+        base_log, delta = split_base_delta(flixster_mini.log)
+        # Sketches drawn over WC carry over, like the WC/UN dicts.
+        _learned_store(
+            root, flixster_mini, base_log,
+            ["credit_index", "cd_evaluator", "ic_probabilities/UN",
+             "ic_probabilities/WC", "sketches", "lt_weights"],
+            credit_scheme="uniform", probability_method="WC",
+            num_sketches=200,
+        )
+        service = QueryService(root)
+        reads = _count_reads(monkeypatch)
+        job = service.ingest({
+            "tuples": [list(t) for t in delta.tuples], "wait": True,
+        })
+        assert job["status"] == "done", job["error"]
+        assert sorted(job["report"]["carried"]) == [
+            "ic_probabilities/UN", "ic_probabilities/WC", "sketches",
+        ]
+        for name in ("credit_index", "cd_evaluator", "ic_probabilities/UN",
+                     "ic_probabilities/WC", "sketches"):
+            assert reads[name] == 1, (name, dict(reads))
+        assert reads["lt_weights"] == 0  # recounted from the statistics
+
+    @pytest.mark.parametrize("credit_scheme", ["timedecay", "uniform"])
+    def test_corrupt_base_artifact_fails_only_a_fold_that_reads_it(
+        self, tmp_path, flixster_mini, credit_scheme
+    ):
+        from repro.store.keys import artifact_key
+
+        root = str(tmp_path / "store")
+        base_log, delta = split_base_delta(flixster_mini.log)
+        _learned_store(
+            root, flixster_mini, base_log, ["credit_index", "cd_evaluator"],
+            credit_scheme=credit_scheme,
+        )
+        store = ArtifactStore(root)
+        key = artifact_key(
+            load_context_record(store)["context_key"], "credit_index"
+        )
+        payload = store._entry_dir(key) / store.entry(key).payload_name
+        payload.write_bytes(b"this is not a pickle")
+        job = QueryService(root).ingest({
+            "tuples": [list(t) for t in delta.tuples], "wait": True,
+        })
+        if credit_scheme == "timedecay":
+            # Re-learned by the fold, so never read.
+            assert job["status"] == "done", job["error"]
+        else:
+            # Folded, so read: the job fails on the damaged payload.
+            assert job["status"] == "failed"
+            assert "does not match its manifest" in job["error"]
+
+    def test_swap_serves_what_a_cold_load_serves(
+        self, tmp_path, flixster_mini, monkeypatch
+    ):
+        from repro.store.prefix import precompute_prefix
+        from repro.store.warm import load_serving_context
+
+        root = str(tmp_path / "store")
+        actions = list(flixster_mini.log.actions())
+        base_log = flixster_mini.log.restrict_to_actions(actions[:-6])
+        _learned_store(
+            root, flixster_mini, base_log,
+            ["credit_index", "cd_evaluator", "ic_probabilities/EM",
+             "lt_weights", "influence_params"],
+        )
+        store = ArtifactStore(root)
+        record = load_context_record(store)
+        k_max = 5
+        precompute_prefix(
+            store, record, load_serving_context(store, record), "cd", k_max
+        )
+        users = sorted(base_log.users())
+        seed_sets = [users[:1], users[3:5], users[7:10]]
+
+        def bodies(service, context=None):
+            pinned = {} if context is None else {"context": context}
+            answers = [
+                service.select({"selector": "cd", "k": k, **pinned})
+                for k in range(1, k_max + 1)
+            ]
+            for seeds in seed_sets:
+                answers.append(service.spread({"seeds": seeds, **pinned}))
+                for method in ("CD", "IC", "LT"):
+                    answers.append(service.predict(
+                        {"seeds": seeds, "method": method, **pinned}
+                    ))
+            return answers
+
+        def no_read_back(*args, **kwargs):
+            raise AssertionError("the swap read the derived bundle back")
+
+        service = QueryService(root)
+        bodies(service)  # the base slot is loaded before the patch
+        for part in range(3):
+            held = actions[len(actions) - 6 + 2 * part:][:2]
+            delta = ActionLogDelta.from_log(
+                flixster_mini.log.restrict_to_actions(held)
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    "repro.store.service.load_serving_context", no_read_back
+                )
+                job = service.ingest({
+                    "tuples": [list(t) for t in delta.tuples], "wait": True,
+                })
+            assert job["status"] == "done", job["error"]
+            assert job["lineage_depth"] == part + 1
+            served = bodies(service)
+            assert served[0]["context"] == job["derived"]
+            assert served == bodies(QueryService(root), job["derived"])
 
 
 # ----------------------------------------------------------------------
