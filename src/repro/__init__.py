@@ -130,8 +130,8 @@ from repro.diffusion.ctic import (
     lognormal_delays,
     simulate_ctic,
 )
-from repro.diffusion.ic import estimate_spread_ic, simulate_ic
-from repro.diffusion.lt import estimate_spread_lt, simulate_lt
+from repro.diffusion.ic import estimate_spread_ic
+from repro.diffusion.lt import estimate_spread_lt
 from repro.graphs.digraph import SocialGraph
 from repro.graphs.metrics import GraphSummary, summarize_graph
 from repro.maximization.celf import celf_maximize
@@ -197,9 +197,7 @@ __all__ = [
     "flickr_like",
     "toy_example",
     # diffusion
-    "simulate_ic",
     "estimate_spread_ic",
-    "simulate_lt",
     "estimate_spread_lt",
     "simulate_ctic",
     "estimate_spread_ctic",

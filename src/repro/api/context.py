@@ -601,7 +601,7 @@ class SelectionContext:
 
         ``method`` picks the IC probability assignment (ignored
         otherwise); ``seed`` overrides the context seed for the Monte
-        Carlo stream (the CD evaluator is deterministic and ignores it).
+        Carlo worlds (the CD evaluator is deterministic and ignores it).
         """
         require(
             model in ORACLE_MODELS,

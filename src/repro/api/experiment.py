@@ -14,8 +14,8 @@ consumer of the :class:`ExperimentResult`.
 
 Determinism: ``ExperimentConfig.seed`` fans out through
 :meth:`~repro.api.context.SelectionContext.derive_seed`, so stochastic
-selectors get stable per-(selector, trial) child seeds, Monte-Carlo
-batches and prediction methods get stable per-task streams, and the
+selectors get stable per-(selector, trial) child seeds, prediction
+methods get stable per-method Monte-Carlo worlds, and the
 same config always reproduces the same result on every executor.
 """
 

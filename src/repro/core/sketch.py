@@ -13,7 +13,7 @@ Tang et al., arXiv:1705.10442).
 Determinism is the load-bearing property here.  Sketch generation does
 not consume a sequential RNG stream: edge liveness and the sketch
 target are *pure functions* of ``(seed, sketch index, edge id)``
-through a splitmix/murmur-style 64-bit mixer, so
+through the counter-keyed coins of :mod:`repro.utils.rng`, so
 
 * the same seed replays the same sketches on any backend — the NumPy
   kernel (:mod:`repro.kernels.sketch_numpy`) expands frontiers in
@@ -37,8 +37,14 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.graphs.digraph import SocialGraph
-from repro.utils.ordering import node_sort_key
-from repro.utils.rng import derive_seed, integer_seed, make_rng
+from repro.utils.ordering import canonical_edges, node_sort_key
+from repro.utils.rng import (
+    _edge_uniform,
+    _mix64,
+    _sketch_base,
+    derive_seed,
+    keyed_seed,
+)
 from repro.utils.validation import require
 
 __all__ = [
@@ -52,33 +58,9 @@ __all__ = [
 User = Hashable
 Edge = tuple[User, User]
 
-# 64-bit mixing constants: the murmur3 finalizer plus golden-ratio /
-# murmur seed increments.  Shared verbatim with sketch_numpy.
-_MASK = (1 << 64) - 1
-_C1 = 0x9E3779B97F4A7C15
-_C2 = 0xC2B2AE3D27D4EB4F
+# The sketch-target salt; the other coin constants and helpers are the
+# shared counter-keyed coins of repro.utils.rng.
 _TARGET_SALT = 0xD6E8FEB86659FD93
-
-
-def _mix64(x: int) -> int:
-    """The murmur3 64-bit finalizer — a bijective avalanche mix."""
-    x &= _MASK
-    x ^= x >> 33
-    x = (x * 0xFF51AFD7ED558CCD) & _MASK
-    x ^= x >> 33
-    x = (x * 0xC4CEB9FE1A85EC53) & _MASK
-    x ^= x >> 33
-    return x
-
-
-def _sketch_base(seed: int, index: int) -> int:
-    """The per-sketch hash base: every coin of sketch ``index`` keys off it."""
-    return _mix64(_mix64(seed) ^ (((index + 1) * _C1) & _MASK))
-
-
-def _edge_uniform(base: int, edge_id: int) -> float:
-    """The edge's liveness coin: a uniform in [0, 1) with 53 random bits."""
-    return (_mix64(base ^ (((edge_id + 1) * _C2) & _MASK)) >> 11) * 2.0 ** -53
 
 
 def _sketch_target(base: int, num_nodes: int) -> int:
@@ -197,10 +179,6 @@ class SketchSet:
         return f"hops={hops} sketches={self.num_sketches} seed={self.seed}"
 
 
-def _canonical_nodes(graph: SocialGraph) -> list:
-    return sorted(graph.nodes(), key=node_sort_key)
-
-
 def generate_sketches(
     graph: SocialGraph,
     probabilities: Mapping[Edge, float],
@@ -222,23 +200,14 @@ def generate_sketches(
     require(
         hops is None or hops >= 1, f"hops must be >= 1 or None, got {hops}"
     )
-    seed = integer_seed(seed)
-    if seed is None:
-        seed = make_rng(None).getrandbits(64)
-    nodes = _canonical_nodes(graph)
+    seed = keyed_seed(seed)
+    nodes, entries = canonical_edges(graph, probabilities)
     n = len(nodes)
     if n == 0:
         return SketchSet(
             num_nodes=0, num_sketches=0, hops=hops, seed=seed,
             method=method, nodes=nodes, targets=[], indptr=[0], members=[],
         )
-    id_of = {node: index for index, node in enumerate(nodes)}
-    entries: list[tuple[int, int, float]] = []
-    for source, target in graph.edges():
-        probability = probabilities.get((source, target), 0.0)
-        if probability > 0.0:
-            entries.append((id_of[target], id_of[source], probability))
-    entries.sort()  # (dst, src) rank == canonical edge id
     in_adj: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
     for edge_id, (dst, src, probability) in enumerate(entries):
         in_adj[dst].append((src, edge_id, probability))

@@ -6,11 +6,13 @@ relies on.  Estimating their spread is #P-hard, so in practice one runs
 Monte Carlo simulation — exactly what makes the standard approach slow
 and what the credit-distribution model avoids.
 
-Both simulators operate on a :class:`~repro.graphs.digraph.SocialGraph`
+Both estimators operate on a :class:`~repro.graphs.digraph.SocialGraph`
 plus a ``dict[(source, target) -> value]`` of edge probabilities (IC) or
-edge weights (LT).  :mod:`repro.diffusion.worlds` implements the
-possible-world semantics of Eq. (1)-(4), used both pedagogically and as
-a distributional test oracle for the simulators.
+edge weights (LT), and score seed sets on counter-keyed possible worlds
+through :class:`~repro.runtime.estimator.SpreadEstimator`.
+:mod:`repro.diffusion.worlds` builds those worlds explicitly (the
+possible-world semantics of Eq. (1)-(4)) and is the exact reference the
+estimators are tested against.
 """
 
 from repro.diffusion.ctic import (
@@ -19,8 +21,8 @@ from repro.diffusion.ctic import (
     lognormal_delays,
     simulate_ctic,
 )
-from repro.diffusion.ic import estimate_spread_ic, simulate_ic
-from repro.diffusion.lt import estimate_spread_lt, simulate_lt, validate_lt_weights
+from repro.diffusion.ic import estimate_spread_ic
+from repro.diffusion.lt import estimate_spread_lt, validate_lt_weights
 from repro.diffusion.worlds import (
     estimate_spread_via_worlds,
     sample_world_ic,
@@ -29,9 +31,7 @@ from repro.diffusion.worlds import (
 )
 
 __all__ = [
-    "simulate_ic",
     "estimate_spread_ic",
-    "simulate_lt",
     "estimate_spread_lt",
     "validate_lt_weights",
     "sample_world_ic",

@@ -5,21 +5,21 @@ Each node ``u`` is influenced by each in-neighbour ``v`` with weight
 a threshold ``theta_u`` uniformly from [0, 1]; an inactive node activates
 as soon as the total weight of its active in-neighbours reaches its
 threshold.  The expected spread ``sigma_LT(S)`` averages over the random
-thresholds.
+thresholds.  Kempe et al. show the same distribution of active sets
+arises when every node keeps at most one incoming edge, ``(v, u)`` with
+probability ``b(v, u)``, and the cascade reaches what is reachable in
+that world; :func:`estimate_spread_lt` averages over such worlds.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Hashable, Iterable, Mapping
 
 from repro.graphs.digraph import SocialGraph
-from repro.kernels import resolve_backend
-from repro.utils.rng import integer_seed, make_rng
-from repro.utils.validation import require
+from repro.runtime.estimator import SpreadEstimator
 
-__all__ = ["simulate_lt", "estimate_spread_lt", "validate_lt_weights"]
+__all__ = ["estimate_spread_lt", "validate_lt_weights"]
 
 User = Hashable
 Edge = tuple[User, User]
@@ -50,39 +50,6 @@ def validate_lt_weights(
             )
 
 
-def simulate_lt(
-    graph: SocialGraph,
-    weights: Mapping[Edge, float],
-    seeds: Iterable[User],
-    rng: random.Random,
-) -> set[User]:
-    """Run one LT diffusion from ``seeds`` with fresh random thresholds.
-
-    Thresholds are drawn lazily — only for nodes that receive influence —
-    which keeps a single simulation O(touched edges) instead of O(V).
-    """
-    active = {seed for seed in seeds if seed in graph}
-    thresholds: dict[User, float] = {}
-    pressure: dict[User, float] = {}
-    frontier = deque(active)
-    while frontier:
-        node = frontier.popleft()
-        for target in graph.out_neighbors(node):
-            if target in active:
-                continue
-            weight = weights.get((node, target), 0.0)
-            if weight <= 0.0:
-                continue
-            if target not in thresholds:
-                thresholds[target] = rng.random()
-            new_pressure = pressure.get(target, 0.0) + weight
-            pressure[target] = new_pressure
-            if new_pressure >= thresholds[target]:
-                active.add(target)
-                frontier.append(target)
-    return active
-
-
 def estimate_spread_lt(
     graph: SocialGraph,
     weights: Mapping[Edge, float],
@@ -93,21 +60,12 @@ def estimate_spread_lt(
 ) -> float:
     """Monte Carlo estimate of ``sigma_LT(seeds)``.
 
-    ``backend`` selects the estimator exactly as in
-    :func:`repro.diffusion.ic.estimate_spread_ic`: ``"python"`` is the
-    reference loop below, ``"numpy"`` dispatches to the batched kernel
-    in :mod:`repro.kernels.mc_numpy`.
+    Simulation ``i`` is counter-keyed world ``i`` of ``seed``, in the
+    live-edge form: every node keeps at most one in-edge, chosen with
+    probability equal to its weight.  Seeds, backends and the missing-
+    edge rule are exactly as in
+    :func:`repro.diffusion.ic.estimate_spread_ic`.
     """
-    require(num_simulations >= 1, f"num_simulations must be >= 1, got {num_simulations}")
-    if resolve_backend(backend) == "numpy":
-        from repro.kernels.mc_numpy import CompiledDiffusion
-
-        return CompiledDiffusion(graph, weights).spread_lt(
-            seeds, num_simulations, integer_seed(seed)
-        )
-    rng = make_rng(seed)
-    seed_list = list(seeds)
-    total = 0
-    for _ in range(num_simulations):
-        total += len(simulate_lt(graph, weights, seed_list, rng))
-    return total / num_simulations
+    return SpreadEstimator(
+        graph, weights, "lt", num_simulations, seed, backend
+    ).spread(seeds)

@@ -10,11 +10,18 @@ seed set is the expected number of nodes reachable from it across worlds:
 For IC, a world keeps each edge ``(v, u)`` independently with probability
 ``p(v, u)`` (the "live-edge" construction).  For LT, Kempe et al.'s
 equivalence keeps, for each node, at most one incoming edge, chosen with
-probability equal to its weight.  Sampling worlds and counting
-reachability gives an estimator distributionally identical to direct
-simulation — a property the test suite exercises — and is the conceptual
-bridge to the credit-distribution model, which treats recorded
-propagation traces as "real available worlds".
+probability equal to its weight.  This is the conceptual bridge to the
+credit-distribution model, which treats recorded propagation traces as
+"real available worlds".
+
+World ``i`` of ``seed`` is built here explicitly, from the same
+counter-keyed coins (:mod:`repro.utils.rng`) the Monte-Carlo engines of
+:class:`~repro.runtime.estimator.SpreadEstimator` draw while they walk
+it, over the same canonical ids
+(:func:`~repro.utils.ordering.canonical_edges`).  So this module is
+their independent reference: :func:`estimate_spread_via_worlds` equals
+``estimate_spread_ic``/``estimate_spread_lt`` exactly, and reachability
+in each world matches the engines world by world.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ import random
 from typing import Hashable, Iterable, Mapping
 
 from repro.graphs.digraph import SocialGraph
-from repro.utils.rng import make_rng
+from repro.utils.ordering import canonical_edges
+from repro.utils.rng import _edge_uniform, _node_uniform, _sketch_base, keyed_seed
 from repro.utils.validation import require
-from repro.utils.ordering import node_sort_key
 
 __all__ = [
     "sample_world_ic",
@@ -38,45 +45,58 @@ User = Hashable
 Edge = tuple[User, User]
 
 
+def _ic_world(nodes: list, edges: list, seed: int, world: int) -> SocialGraph:
+    sampled = SocialGraph()
+    for node in nodes:
+        sampled.add_node(node)
+    base = _sketch_base(seed, world)
+    for edge_id, (dst, src, probability) in enumerate(edges):
+        if _edge_uniform(base, edge_id) < probability:
+            sampled.add_edge(nodes[src], nodes[dst])
+    return sampled
+
+
+def _lt_world(nodes: list, edges: list, seed: int, world: int) -> SocialGraph:
+    sampled = SocialGraph()
+    for node in nodes:
+        sampled.add_node(node)
+    base = _sketch_base(seed, world)
+    previous, cumulative, draw = None, 0.0, 0.0
+    for dst, src, weight in edges:
+        if dst != previous:
+            previous, cumulative = dst, 0.0
+            draw = _node_uniform(base, dst)
+        lo = cumulative
+        cumulative += weight
+        if lo <= draw < cumulative:
+            sampled.add_edge(nodes[src], nodes[dst])
+    return sampled
+
+
 def sample_world_ic(
     graph: SocialGraph,
     probabilities: Mapping[Edge, float],
-    rng: random.Random,
+    seed: int,
+    world: int,
 ) -> SocialGraph:
-    """Sample an IC possible world: keep each edge with its probability."""
-    world = SocialGraph()
-    for node in graph.nodes():
-        world.add_node(node)
-    for source, target in graph.edges():
-        probability = probabilities.get((source, target), 0.0)
-        if probability > 0.0 and rng.random() < probability:
-            world.add_edge(source, target)
-    return world
+    """IC world ``world`` of ``seed``: each edge kept when its coin < p."""
+    return _ic_world(*canonical_edges(graph, probabilities), seed, world)
 
 
 def sample_world_lt(
     graph: SocialGraph,
     weights: Mapping[Edge, float],
-    rng: random.Random,
+    seed: int,
+    world: int,
 ) -> SocialGraph:
-    """Sample an LT possible world via Kempe et al.'s live-edge equivalence.
+    """LT world ``world`` of ``seed`` via Kempe et al.'s live-edge equivalence.
 
-    Each node independently selects at most one incoming edge: edge
+    Each node keeps at most one incoming edge: its draw picks edge
     ``(v, u)`` with probability ``b(v, u)``, or none with probability
-    ``1 - sum_v b(v, u)``.
+    ``1 - sum_v b(v, u)``, reading the in-weights cumulatively in
+    canonical source order.
     """
-    world = SocialGraph()
-    for node in graph.nodes():
-        world.add_node(node)
-    for node in graph.nodes():
-        draw = rng.random()
-        cumulative = 0.0
-        for source in sorted(graph.in_neighbors(node), key=node_sort_key):
-            cumulative += weights.get((source, node), 0.0)
-            if draw < cumulative:
-                world.add_edge(source, node)
-                break
-    return world
+    return _lt_world(*canonical_edges(graph, weights), seed, world)
 
 
 def spread_in_world(world: SocialGraph, seeds: Iterable[User]) -> int:
@@ -95,15 +115,18 @@ def estimate_spread_via_worlds(
     """Estimate expected spread by sampling possible worlds (Eq. 1).
 
     ``model`` selects the world distribution: ``"ic"`` or ``"lt"``.
+    ``seed`` is coerced as in
+    :class:`~repro.runtime.estimator.SpreadEstimator`, so equal seeds
+    give exactly ``estimate_spread_ic``/``estimate_spread_lt``.
     """
     require(model in ("ic", "lt"), f"model must be 'ic' or 'lt', got {model!r}")
     require(num_worlds >= 1, f"num_worlds must be >= 1, got {num_worlds}")
-    rng = make_rng(seed)
-    sampler = sample_world_ic if model == "ic" else sample_world_lt
+    seed = keyed_seed(seed)
+    nodes, edges = canonical_edges(graph, edge_values)
+    build = _ic_world if model == "ic" else _lt_world
     seed_list = list(seeds)
     total = 0
-    for _ in range(num_worlds):
-        world = sampler(graph, edge_values, rng)
+    for index in range(num_worlds):
+        world = build(nodes, edges, seed, index)
         total += spread_in_world(world, seed_list)
     return total / num_worlds
-

@@ -1,39 +1,37 @@
-"""Batched NumPy Monte-Carlo spread estimation for IC and LT.
+"""Batched NumPy Monte-Carlo spread for IC and LT on counter-keyed worlds.
 
-The reference estimators (:func:`repro.diffusion.ic.estimate_spread_ic`,
-:func:`repro.diffusion.lt.estimate_spread_lt`) run one cascade at a
-time, drawing ``rng.random()`` per touched edge in Python.  This kernel
-runs *all* simulations of one estimate together, level-synchronously,
-over a precompiled CSR of positive-probability edges, and keeps every
-per-level operation proportional to the frontier — the active state is
-a dense ``(batch, n)`` matrix for O(1) membership tests, but it is
-never rescanned; the frontier travels as flat ``(simulation, node)``
-pair arrays:
+The vectorized twin of the python engine in
+:mod:`repro.runtime.estimator`.  Simulation ``i`` is possible world
+``i``: every coin is a pure function of ``(seed, i, key)`` through the
+counter-keyed coins of :mod:`repro.utils.rng` (mirrored here by
+:mod:`repro.kernels.sketch_numpy`), never a draw from a stream.  So the
+two engines agree bit for bit, any chunking of the worlds sums to the
+same count, and every seed set is scored on the same worlds.
 
-* **IC** — at each level, the frontier's out-edges are expanded with
-  one segmented CSR gather; edges into already-active targets are
-  dropped (the reference skips their draw too), the rest get one
-  vectorized Bernoulli trial each, and the hits are deduplicated with
-  one integer ``unique``.  Each edge is still tried at most once per
-  simulation (when its source activates), so the distribution of the
-  final active set is exactly the reference's; only the order the
-  uniforms are consumed in differs.
-* **LT** — thresholds are drawn up-front per (simulation, node);
-  frontier weights are scatter-added into a pressure matrix and the
-  touched nodes activate when pressure reaches threshold.  The fixed
-  point of the LT process does not depend on update order, so this
-  again matches the reference distribution (the reference draws
-  thresholds lazily, which is the same joint distribution).
+Both models reduce to one test per examined edge ``(u, v)``: draw the
+edge's coin and check it against the edge's interval ``[lo, hi)``.
 
-Level-synchronous batching means spread estimates are *statistically*
-equivalent to the Python backend but not sample-path identical — the
-parity suite checks cross-backend agreement within Monte-Carlo error,
-and the fixed per-seed-set RNG protocol (NumPy's ``default_rng`` seeded
-with the same derived integer the reference protocol produces) keeps
-every estimate reproducible run-to-run.
+* **IC** — the coin is keyed by the edge's canonical id, and the
+  interval is ``[0, p)``: the live-edge world keeps each edge with its
+  probability.
+* **LT** — the coin is keyed by the *target* node, and the interval is
+  the edge's slice of the target's cumulative in-weights, summed in
+  canonical source order.  Each node then keeps at most one live
+  in-edge, chosen with probability equal to its weight: Kempe et al.'s
+  live-edge form of the threshold model, exactly as
+  :func:`repro.diffusion.worlds.sample_world_lt` builds it.
 
-Simulations are processed in batches to bound the ``(batch, n)`` state
-matrices on large graphs.
+Edge ids are the canonical ``(dst, src)`` ranks of
+:func:`~repro.kernels.interning.positive_csr`'s in-CSR, the ids the
+sketch coins key off, so unbounded sketch ``i`` and simulation ``i``
+with the same seed sample the same IC world.  The kernel walks the
+out-CSR level-synchronously over all worlds of a batch at once: the
+active state is a flat ``(world, node)`` boolean array for O(1)
+membership, and the frontier travels as flat ``(world, node)`` pairs.
+Edges into already-active targets are dropped before their coin is
+drawn.  Worlds are processed in batches to bound that state on large
+graphs; a batch's world indices are global, so batching never changes
+a coin.
 """
 
 from __future__ import annotations
@@ -44,6 +42,12 @@ import numpy as np
 
 from repro.graphs.digraph import SocialGraph
 from repro.kernels.interning import _gather_csr, positive_csr
+from repro.kernels.sketch_numpy import (
+    _bases_np,
+    _edge_keys_np,
+    _node_keys_np,
+    _uniform_np,
+)
 from repro.utils.validation import require
 
 __all__ = ["CompiledDiffusion"]
@@ -51,162 +55,121 @@ __all__ = ["CompiledDiffusion"]
 User = Hashable
 Edge = tuple[User, User]
 
-# Cap on batch * nodes so the flat per-simulation state arrays
-# (active / pressure / thresholds) stay cache-resident — the frontier
-# loop gathers into them at random offsets, and keeping them around L2
-# size is worth far more than larger batches.
+# Cap on worlds * nodes so the flat per-world active state stays
+# cache-resident — the frontier loop gathers into it at random offsets,
+# and keeping it around L2 size is worth far more than larger batches.
 _STATE_BUDGET = 262_144
 
 
-class CompiledDiffusion:
-    """The positive-value out-CSR for batched IC/LT simulation.
+def _lt_intervals(
+    indptr: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each in-edge's ``[lo, hi)`` slice of its target's cumulative weight.
 
-    Built by :func:`~repro.kernels.interning.positive_csr`: only edges
-    with a positive value are compiled (zero-probability edges can
-    never fire); values for edges absent from ``edge_values`` default
-    to 0, matching the reference's ``.get(edge, 0.0)``.
+    ``hi`` is the running sum of the row's weights up to and including
+    the edge, ``lo`` the running sum before it.  The sums are sequential
+    per row, as the python engine adds them: the loop advances every
+    row by one position at a time.  (A global ``cumsum`` minus row
+    offsets would round differently.)
+    """
+    hi = weights.copy()
+    starts = indptr[:-1]
+    degrees = np.diff(indptr)
+    rows = np.flatnonzero(degrees > 1)
+    position = 1
+    while len(rows):
+        at = starts[rows] + position
+        hi[at] += hi[at - 1]
+        position += 1
+        rows = rows[degrees[rows] > position]
+    lo = np.zeros_like(hi)
+    lo[1:] = hi[:-1]
+    lo[starts[degrees > 0]] = 0.0
+    return lo, hi
+
+
+class CompiledDiffusion:
+    """The positive-value out-CSR with every edge's coin key and interval.
+
+    Built from :func:`~repro.kernels.interning.positive_csr`: only edges
+    with a positive value are compiled (zero-value edges can never
+    fire); values for edges absent from ``edge_values`` default to 0.
+    ``model`` is ``"ic"`` (values are probabilities) or ``"lt"``
+    (values are weights).
     """
 
     def __init__(
-        self, graph: SocialGraph, edge_values: Mapping[Edge, float]
+        self,
+        graph: SocialGraph,
+        edge_values: Mapping[Edge, float],
+        model: str,
     ) -> None:
-        self.idmap, self.indptr, self.indices, self.values = positive_csr(
-            graph, edge_values, reverse=False
+        require(model in ("ic", "lt"), f"model must be 'ic' or 'lt', got {model!r}")
+        self.idmap, in_indptr, sources, values = positive_csr(
+            graph, edge_values, reverse=True
         )
-        self.n = len(self.idmap)
-
-    # ------------------------------------------------------------------
-    # Shared frontier expansion
-    # ------------------------------------------------------------------
-    def _expand(
-        self, rows: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All out-edges of the frontier's (simulation, node) pairs.
-
-        Returns ``(simulation_row, target, value)`` flat arrays.
-        """
-        row_positions, targets, flat = _gather_csr(
-            self.indptr, self.indices, nodes
-        )
-        if len(flat) == 0:
-            return np.empty(0, dtype=np.int64), targets, np.empty(0)
-        return rows[row_positions.astype(np.int64)], targets, self.values[flat]
+        self.n = n = len(self.idmap)
+        targets = np.repeat(np.arange(n, dtype=np.int64), np.diff(in_indptr))
+        if model == "ic":
+            keys = _edge_keys_np(np.arange(len(values), dtype=np.int64))
+            lo, hi = np.zeros_like(values), values
+        else:
+            keys = _node_keys_np(targets)
+            lo, hi = _lt_intervals(in_indptr, values)
+        # Re-sort the canonical in-CSR entries by (src, dst) for the
+        # forward walk; each entry keeps its key and interval.
+        order = np.lexsort((targets, sources))
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=self.indptr[1:])
+        self.indices = targets[order]
+        self.keys = keys[order]
+        self.lo = lo[order]
+        self.hi = hi[order]
 
     def _seed_ids(self, seeds: Iterable[User]) -> np.ndarray:
         ids = self.idmap.ids
         unique = {ids[seed] for seed in seeds if seed in ids}
         return np.fromiter(unique, dtype=np.int64, count=len(unique))
 
-    def _batches(self, num_simulations: int) -> list[int]:
-        batch = max(1, min(num_simulations, _STATE_BUDGET // max(self.n, 1)))
-        sizes = [batch] * (num_simulations // batch)
-        if num_simulations % batch:
-            sizes.append(num_simulations % batch)
-        return sizes
+    def active_count(
+        self, seeds: Iterable[User], seed: int, worlds: range
+    ) -> int:
+        """Total active nodes of ``seeds`` summed over ``worlds``.
 
-    def _initial_frontier(
-        self, batch: int, seed_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat active state plus the seed frontier pairs for a batch.
-
-        The active state is one flat ``batch * n`` boolean array indexed
-        by ``simulation_row * n + node`` keys — O(1) membership without
-        any per-level full rescan.
+        ``seeds`` outside the graph are skipped and duplicates collapse;
+        ``seed`` is the integer coin seed.
         """
-        active = np.zeros(batch * self.n, dtype=bool)
-        rows = np.repeat(np.arange(batch, dtype=np.int64), len(seed_ids))
-        nodes = np.tile(seed_ids, batch)
-        active[rows * self.n + nodes] = True
-        return active, rows, nodes
-
-    # ------------------------------------------------------------------
-    # IC
-    # ------------------------------------------------------------------
-    def spread_ic(
-        self,
-        seeds: Iterable[User],
-        num_simulations: int,
-        seed: int | None = None,
-    ) -> float:
-        """Monte-Carlo estimate of ``sigma_IC(seeds)``."""
-        require(
-            num_simulations >= 1,
-            f"num_simulations must be >= 1, got {num_simulations}",
-        )
         seed_ids = self._seed_ids(seeds)
         if len(seed_ids) == 0:
-            return 0.0
-        rng = np.random.default_rng(seed)
-        total_active = 0
-        for batch in self._batches(num_simulations):
-            active, rows, nodes = self._initial_frontier(batch, seed_ids)
-            total_active += batch * len(seed_ids)
+            return 0
+        n = self.n
+        step = max(1, _STATE_BUDGET // max(n, 1))
+        total = 0
+        for first in range(worlds.start, worlds.stop, step):
+            batch = min(step, worlds.stop - first)
+            bases = _bases_np(seed, first, batch)
+            active = np.zeros(batch * n, dtype=bool)
+            rows = np.repeat(np.arange(batch, dtype=np.int64), len(seed_ids))
+            nodes = np.tile(seed_ids, batch)
+            active[rows * n + nodes] = True
+            total += batch * len(seed_ids)
             while len(rows):
-                rows, targets, probabilities = self._expand(rows, nodes)
-                if len(rows) == 0:
-                    break
-                keys = rows * self.n + targets
-                # The reference skips draws into already-active targets;
-                # dropping them first matches that economy of trials.
+                positions, targets, flat = _gather_csr(
+                    self.indptr, self.indices, nodes
+                )
+                rows = rows[positions]
+                keys = rows * n + targets
                 open_targets = ~active[keys]
-                keys = keys[open_targets]
-                hits = rng.random(len(keys)) < probabilities[open_targets]
-                keys = keys[hits]
-                if len(keys) == 0:
-                    break
-                # Several frontier nodes can hit one target in the same
-                # level; one integer unique collapses the duplicates.
-                keys = np.unique(keys)
+                rows, keys, flat = (
+                    rows[open_targets], keys[open_targets], flat[open_targets]
+                )
+                coins = _uniform_np(bases[rows], self.keys[flat])
+                live = (self.lo[flat] <= coins) & (coins < self.hi[flat])
+                # Several frontier nodes can hit one IC target in the
+                # same level; one integer unique collapses them.
+                keys = np.unique(keys[live])
                 active[keys] = True
-                total_active += len(keys)
-                rows = keys // self.n
-                nodes = keys % self.n
-        return total_active / num_simulations
-
-    # ------------------------------------------------------------------
-    # LT
-    # ------------------------------------------------------------------
-    def spread_lt(
-        self,
-        seeds: Iterable[User],
-        num_simulations: int,
-        seed: int | None = None,
-    ) -> float:
-        """Monte-Carlo estimate of ``sigma_LT(seeds)``."""
-        require(
-            num_simulations >= 1,
-            f"num_simulations must be >= 1, got {num_simulations}",
-        )
-        seed_ids = self._seed_ids(seeds)
-        if len(seed_ids) == 0:
-            return 0.0
-        rng = np.random.default_rng(seed)
-        total_active = 0
-        for batch in self._batches(num_simulations):
-            thresholds = rng.random(batch * self.n)
-            pressure = np.zeros(batch * self.n)
-            active, rows, nodes = self._initial_frontier(batch, seed_ids)
-            total_active += batch * len(seed_ids)
-            while len(rows):
-                rows, targets, weights = self._expand(rows, nodes)
-                if len(rows) == 0:
-                    break
-                # Accumulate this level's incoming weights per touched
-                # (simulation, node) pair — ufunc.at handles duplicate
-                # keys with its indexed fast path.
-                keys = rows * self.n + targets
-                np.add.at(pressure, keys, weights)
-                # Only touched pairs can newly activate; an untouched
-                # node never does (the reference's lazy thresholds),
-                # and accumulated pressure keeps them monotone.  The
-                # threshold check may see one pair several times; the
-                # unique over the (few) crossers dedups the frontier.
-                newly = (pressure[keys] >= thresholds[keys]) & ~active[keys]
-                keys = np.unique(keys[newly])
-                if len(keys) == 0:
-                    break
-                active[keys] = True
-                total_active += len(keys)
-                rows = keys // self.n
-                nodes = keys % self.n
-        return total_active / num_simulations
+                total += len(keys)
+                rows = keys // n
+                nodes = keys % n
+        return total

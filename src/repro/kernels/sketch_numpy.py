@@ -27,16 +27,10 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from repro.core.sketch import (
-    _C1,
-    _C2,
-    _TARGET_SALT,
-    SketchSet,
-    _mix64,
-)
+from repro.core.sketch import _TARGET_SALT, SketchSet
 from repro.graphs.digraph import SocialGraph
 from repro.kernels.interning import _gather_csr, positive_csr
-from repro.utils.rng import integer_seed, make_rng
+from repro.utils.rng import _C1, _C2, _C3, _mix64, keyed_seed
 from repro.utils.validation import require
 
 __all__ = ["CompiledSketcher", "coverage_maximize_numpy"]
@@ -59,6 +53,30 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     x = x * _M2
     x = x ^ (x >> _U33)
     return x
+
+
+# The numpy mirror of repro.utils.rng's counter-keyed coins, bit for bit.
+def _bases_np(seed: int, first: int, count: int) -> np.ndarray:
+    """``_sketch_base(seed, i)`` for every world ``i`` in ``[first, first + count)``."""
+    index = np.arange(first, first + count, dtype=np.uint64)
+    return _mix64_np(
+        np.uint64(_mix64(seed)) ^ ((index + np.uint64(1)) * np.uint64(_C1))
+    )
+
+
+def _edge_keys_np(edge_ids: np.ndarray) -> np.ndarray:
+    """``_edge_key`` of every canonical edge id."""
+    return (edge_ids.astype(np.uint64) + np.uint64(1)) * np.uint64(_C2)
+
+
+def _node_keys_np(node_ids: np.ndarray) -> np.ndarray:
+    """``_node_key`` of every node id."""
+    return (node_ids.astype(np.uint64) + np.uint64(1)) * np.uint64(_C3)
+
+
+def _uniform_np(bases: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``_uniform`` of aligned (world base, key word) pairs."""
+    return (_mix64_np(bases ^ keys) >> _U11).astype(np.float64) * _INV53
 
 
 class CompiledSketcher:
@@ -126,9 +144,7 @@ class CompiledSketcher:
             hops is None or hops >= 1, f"hops must be >= 1 or None, got {hops}"
         )
         require(batch_size >= 1, f"batch_size must be >= 1, got {batch_size}")
-        seed = integer_seed(seed)
-        if seed is None:
-            seed = make_rng(None).getrandbits(64)
+        seed = keyed_seed(seed)
         n = self.n
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -137,18 +153,13 @@ class CompiledSketcher:
                 method=method, nodes=self.nodes, targets=empty,
                 indptr=np.zeros(1, dtype=np.int64), members=empty,
             )
-        mixed = np.uint64(_mix64(seed))
-        one = np.uint64(1)
-        c1 = np.uint64(_C1)
-        c2 = np.uint64(_C2)
         salt = np.uint64(_TARGET_SALT)
         target_chunks: list[np.ndarray] = []
         member_chunks: list[np.ndarray] = []
         count_chunks: list[np.ndarray] = []
         for start in range(0, num_sketches, batch_size):
             stop = min(start + batch_size, num_sketches)
-            index = np.arange(start, stop, dtype=np.uint64)
-            bases = _mix64_np(mixed ^ ((index + one) * c1))
+            bases = _bases_np(seed, start, stop - start)
             targets = (_mix64_np(bases ^ salt) % np.uint64(n)).astype(np.int64)
             rows = np.arange(stop - start, dtype=np.int64)
             # Flat (row, node) membership keys, kept sorted: rows are
@@ -164,13 +175,7 @@ class CompiledSketcher:
                 if len(neighbors) == 0:
                     break
                 sketch_rows = frontier_rows[row_pos]
-                coins = (
-                    _mix64_np(
-                        bases[sketch_rows]
-                        ^ ((flat.astype(np.uint64) + one) * c2)
-                    )
-                    >> _U11
-                ).astype(np.float64) * _INV53
+                coins = _uniform_np(bases[sketch_rows], _edge_keys_np(flat))
                 live = coins < self.probabilities[flat]
                 if not live.any():
                     break

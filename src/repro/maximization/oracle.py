@@ -7,36 +7,20 @@ distribution model's closed form.  Greedy and CELF are written against
 this protocol, exactly mirroring the paper's framing in which the greedy
 skeleton is shared and only ``sigma_m`` changes.
 
-Monte-Carlo oracles re-seed their generator deterministically per seed
-set, so ``spread(S)`` is a pure function within a run: CELF's lazy
-comparisons stay consistent and experiments are reproducible.
-
-Two Monte-Carlo protocols coexist:
-
-* **legacy** (``executor=None``, the default): one sequential RNG
-  stream per seed set — byte-identical to every release since the
-  oracles were introduced;
-* **runtime** (an :class:`~repro.runtime.executor.Executor` given,
-  which is how :func:`repro.api.run_experiment` builds its contexts):
-  the chunked, order-pinned protocol of
-  :class:`~repro.runtime.estimator.SpreadEstimator`, whose simulation
-  batches parallelize across the executor's workers and whose results
-  are bit-identical on the serial, thread and process executors.
-
-The two protocols are statistically equivalent; they simply consume
-their random draws in different orders.
+The Monte-Carlo oracles are thin wrappers over
+:class:`~repro.runtime.estimator.SpreadEstimator`: every seed set is
+scored on the same counter-keyed possible worlds, so ``spread(S)`` is a
+pure function of the set (not of how it is listed), identical on every
+backend and executor, and monotone and submodular in ``S`` — the
+property CELF's lazy comparisons rely on.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Hashable, Iterable, Mapping, Protocol
 
-from repro.diffusion.ic import estimate_spread_ic
-from repro.diffusion.lt import estimate_spread_lt
 from repro.graphs.digraph import SocialGraph
-from repro.kernels import resolve_backend
-from repro.utils.validation import require
+from repro.runtime.estimator import SpreadEstimator
 
 __all__ = ["SpreadOracle", "ICSpreadOracle", "LTSpreadOracle", "CountingOracle"]
 
@@ -70,73 +54,31 @@ class _MonteCarloOracle:
         backend: str | None = None,
         executor=None,
     ) -> None:
-        require(
-            num_simulations >= 1,
-            f"num_simulations must be >= 1, got {num_simulations}",
+        self._estimator = SpreadEstimator(
+            graph,
+            edge_values,
+            model=self._model,
+            num_simulations=num_simulations,
+            seed=seed,
+            backend=backend,
+            executor=executor,
         )
-        self._graph = graph
-        self._edge_values = dict(edge_values)
-        self._num_simulations = num_simulations
-        self._seed = seed
-        self._backend = resolve_backend(backend)
-        self._executor = executor
-        # Compiled CSR edge arrays for the numpy backend, built lazily
-        # once and reused by every spread() call (the CELF inner loop).
-        self._compiled = None
-        # Runtime-protocol estimator (executor given), built lazily.
-        self._estimator = None
-
-    def _compiled_diffusion(self):
-        if self._compiled is None:
-            from repro.kernels.mc_numpy import CompiledDiffusion
-
-            self._compiled = CompiledDiffusion(self._graph, self._edge_values)
-        return self._compiled
-
-    def _runtime_estimator(self):
-        if self._estimator is None:
-            from repro.runtime.estimator import SpreadEstimator
-
-            self._estimator = SpreadEstimator(
-                self._graph,
-                self._edge_values,
-                model=self._model,
-                num_simulations=self._num_simulations,
-                seed=self._seed,
-                backend=self._backend,
-                executor=self._executor,
-            )
-        return self._estimator
 
     def prepare(self) -> "_MonteCarloOracle":
-        """Build the simulation engine eagerly (the prefetch hook).
+        """The pipeline's prefetch hook.
 
-        Under the runtime protocol the engine pins iteration orders, so
-        it must be compiled in the parent *before* the oracle is
-        pickled into process workers — the pipeline's learn stage calls
-        this for every oracle the configured selectors will touch.
+        The engine is already compiled, in the constructing process,
+        so process workers receive it ready to run.
         """
-        if self._executor is not None:
-            self._runtime_estimator()
-        elif self._backend == "numpy":
-            self._compiled_diffusion()
         return self
 
     def candidates(self) -> list[User]:
         """All graph nodes are candidate seeds."""
-        return list(self._graph.nodes())
+        return self._estimator.candidates()
 
-    def _per_set_seed(self, seeds: Iterable[User]) -> int:
-        """A deterministic RNG seed derived from the seed set and base seed.
-
-        Uses blake2b (not ``hash()``, which is salted per process) so the
-        same seed set always gets the same simulation stream.
-        """
-        canonical = repr(sorted(repr(node) for node in seeds))
-        digest = hashlib.blake2b(
-            f"{self._seed}|{canonical}".encode("utf-8"), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big")
+    def spread(self, seeds: Iterable[User]) -> float:
+        """Expected spread of ``seeds`` by Monte Carlo simulation."""
+        return self._estimator.spread(seeds)
 
 
 class ICSpreadOracle(_MonteCarloOracle):
@@ -157,24 +99,6 @@ class ICSpreadOracle(_MonteCarloOracle):
             graph, probabilities, num_simulations, seed, backend, executor
         )
 
-    def spread(self, seeds: Iterable[User]) -> float:
-        """Expected IC spread of ``seeds`` by Monte Carlo simulation."""
-        seed_list = list(seeds)
-        if self._executor is not None:
-            return self._runtime_estimator().spread(seed_list)
-        if self._backend == "numpy":
-            return self._compiled_diffusion().spread_ic(
-                seed_list, self._num_simulations, self._per_set_seed(seed_list)
-            )
-        return estimate_spread_ic(
-            self._graph,
-            self._edge_values,
-            seed_list,
-            num_simulations=self._num_simulations,
-            seed=self._per_set_seed(seed_list),
-            backend="python",
-        )
-
 
 class LTSpreadOracle(_MonteCarloOracle):
     """Monte Carlo oracle for ``sigma_LT``."""
@@ -192,24 +116,6 @@ class LTSpreadOracle(_MonteCarloOracle):
     ) -> None:
         super().__init__(
             graph, weights, num_simulations, seed, backend, executor
-        )
-
-    def spread(self, seeds: Iterable[User]) -> float:
-        """Expected LT spread of ``seeds`` by Monte Carlo simulation."""
-        seed_list = list(seeds)
-        if self._executor is not None:
-            return self._runtime_estimator().spread(seed_list)
-        if self._backend == "numpy":
-            return self._compiled_diffusion().spread_lt(
-                seed_list, self._num_simulations, self._per_set_seed(seed_list)
-            )
-        return estimate_spread_lt(
-            self._graph,
-            self._edge_values,
-            seed_list,
-            num_simulations=self._num_simulations,
-            seed=self._per_set_seed(seed_list),
-            backend="python",
         )
 
 

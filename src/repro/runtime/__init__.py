@@ -6,9 +6,10 @@ Three pieces:
   (``serial``/``thread``/``process``, ``max_workers``, env
   ``REPRO_EXECUTOR``) every embarrassingly parallel unit of the
   pipeline dispatches through;
-* :mod:`repro.runtime.estimator` — :class:`SpreadEstimator`, batched
-  Monte-Carlo IC/LT spread estimation with deterministic per-batch
-  seed fan-out (bit-identical on every executor);
+* :mod:`repro.runtime.estimator` — :class:`SpreadEstimator`, the one
+  Monte-Carlo IC/LT spread estimator: every seed set scored on the
+  same counter-keyed worlds, bit-identical on every backend and
+  executor;
 * :mod:`repro.runtime.pipeline` — the stage graph
   (``dataset → split → learn → select|predict → evaluate``) both of
   the paper's protocols compile into, plus the capability-flag
@@ -21,7 +22,7 @@ delegates here.  The pipeline module is imported lazily (via module
 stack, while the executor/estimator seams sit below it.
 """
 
-from repro.runtime.estimator import SIMULATION_BATCH, SpreadEstimator
+from repro.runtime.estimator import SpreadEstimator
 from repro.runtime.executor import (
     EXECUTOR_ENV_VAR,
     EXECUTORS,
@@ -38,7 +39,6 @@ __all__ = [
     "as_executor",
     "resolve_executor",
     "split_chunks",
-    "SIMULATION_BATCH",
     "SpreadEstimator",
     "Stage",
     "PipelineState",

@@ -1,166 +1,130 @@
-"""Executor-parallel Monte-Carlo spread estimation.
+"""Monte-Carlo IC/LT spread on counter-keyed possible worlds.
 
-:class:`SpreadEstimator` is the runtime's spread engine for the IC and
-LT models: one object per ``(graph, edge values, model)`` triple that
-answers ``spread(seeds)`` by Monte-Carlo simulation, decomposed into
-fixed-size *batches* that can be dispatched to any
-:class:`~repro.runtime.executor.Executor`.
+:class:`SpreadEstimator` is the library's one Monte-Carlo estimator of
+``sigma_IC``/``sigma_LT``: the oracles, ``estimate_spread_ic``/
+``estimate_spread_lt``, the prediction pipeline and ``repro serve`` all
+call it.  Simulation ``i`` is possible world ``i``: every coin is a
+pure function of ``(seed, i, key)`` (:mod:`repro.utils.rng`), keyed by
+a canonical edge id for the IC liveness coin and by the target node
+for the LT live-edge choice.  The key never contains the seed set, so
 
-The decomposition is part of the estimate's definition, not an executor
-detail: ``num_simulations`` is always split into the same batch sizes,
-every batch ``i`` draws from its own child generator seeded with
-``derive_seed(derive_seed(seed, "spread", canonical_seeds), i)``, and
-the batch means are reduced in batch order.  Serial, thread and process
-executors therefore return bit-identical floats — the parallelism only
-moves where the batches run.  (This is a different — chunked — stream
-from the single sequential stream of the legacy
-``estimate_spread_ic``/``estimate_spread_lt`` protocol, which the
-Monte-Carlo *oracles* keep for backward compatibility; statistically the
-two are equivalent.)
+* every seed set is scored on the same ``N`` worlds, and
+  ``spread(S) = sum_i |reach_i(S)| / N`` is an exact coverage function:
+  monotone and submodular, as CELF's lazy queue assumes;
+* ``[a]``, ``[a, a]`` and ``[a, "not-a-node"]`` get the same answer,
+  and so does any order of a seed set;
+* the python engine below and the NumPy kernel
+  (:class:`~repro.kernels.mc_numpy.CompiledDiffusion`) agree bit for
+  bit, because an engine returns an integer count of active nodes over
+  a range of worlds.  Only :meth:`SpreadEstimator.spread_many` divides
+  by ``N``, so any split of the worlds — serial, or chunked across a
+  thread or process executor — gives the same float.
 
-Cross-process determinism requires more than derived seeds: the python
-reference cascades consume their RNG stream in *neighbor-set iteration
-order*, and a pickled ``set`` may iterate differently after being
-rebuilt in a worker.  The estimator therefore compiles the graph once,
-in the parent, into an order-pinned adjacency snapshot
-(:class:`_PinnedCascades` — plain lists, which pickle order-identically)
-under the ``python`` backend, and into the CSR arrays of
-:class:`~repro.kernels.mc_numpy.CompiledDiffusion` under ``numpy``.
-Workers only ever replay the snapshot.
+:mod:`repro.diffusion.worlds` builds the same worlds explicitly and is
+the reference the engines are tested against, world by world.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.graphs.digraph import SocialGraph
 from repro.kernels import resolve_backend
 from repro.obs import trace as obs_trace
 from repro.runtime.executor import Executor, split_chunks
-from repro.utils.ordering import node_sort_key
-from repro.utils.rng import derive_seed
+from repro.utils.ordering import canonical_edges
+from repro.utils.rng import (
+    _coin_bound,
+    _edge_key,
+    _mix64,
+    _node_key,
+    _sketch_base,
+    keyed_seed,
+)
 from repro.utils.validation import require
 
-__all__ = ["SpreadEstimator", "SIMULATION_BATCH"]
+__all__ = ["SpreadEstimator"]
 
 User = Hashable
 Edge = tuple[User, User]
 
-# Simulations per batch.  A constant (never derived from the worker
-# count) so the decomposition — and therefore the estimate — is
-# identical on every executor.
-SIMULATION_BATCH = 25
-
 MODELS = ("ic", "lt")
 
 
-class _PinnedCascades:
-    """Python-backend IC/LT cascades over an order-pinned snapshot.
+class _Cascades:
+    """The python engine: one keyed-coin cascade per world.
 
-    Semantics mirror :func:`repro.diffusion.ic.simulate_ic` and
-    :func:`repro.diffusion.lt.simulate_lt` (one Bernoulli trial per
-    positive-probability edge when its source activates; lazy LT
-    thresholds), but every iteration order — adjacency rows, the
-    initial frontier — is fixed by plain lists snapshotted at
-    construction, so the RNG stream is consumed identically in the
-    parent and in any worker the object is pickled into.
+    Each out-edge of a node carries ``(target, key, lo, hi)``: it is
+    live in a world when the coin of ``key`` falls in ``[lo, hi)`` —
+    the edge's own coin against ``[0, p)`` for IC, the target's coin
+    against the edge's slice of the target's cumulative in-weights
+    (summed in canonical source order) for LT.  Key words are
+    precomputed, the interval is stored as raw-hash bounds
+    (:func:`~repro.utils.rng._coin_bound`), and an edge into an active
+    target draws no coin.
     """
 
     def __init__(
-        self, graph: SocialGraph, edge_values: Mapping[Edge, float]
+        self, graph: SocialGraph, edge_values: Mapping[Edge, float], model: str
     ) -> None:
-        self.members = list(graph.nodes())
-        member_set = set(self.members)
-        self.adjacency: dict[User, list[tuple[User, float]]] = {}
-        for node in self.members:
-            row = [
-                (target, edge_values.get((node, target), 0.0))
-                for target in graph.out_neighbors(node)
-            ]
-            row = [(target, value) for target, value in row if value > 0.0]
-            if row:
-                self.adjacency[node] = row
-        self._member_set = member_set
+        nodes, edges = canonical_edges(graph, edge_values)
+        self.ids = {node: index for index, node in enumerate(nodes)}
+        self.rows: list[list[tuple[int, int, int, int]]] = [
+            [] for _ in nodes
+        ]
+        previous, cumulative = None, 0.0
+        for edge_id, (dst, src, value) in enumerate(edges):
+            if model == "ic":
+                key, lo, hi = _edge_key(edge_id), 0.0, value
+            else:
+                if dst != previous:
+                    previous, cumulative = dst, 0.0
+                key, lo = _node_key(dst), cumulative
+                cumulative += value
+                hi = cumulative
+            self.rows[src].append(
+                (dst, key, _coin_bound(lo), _coin_bound(hi))
+            )
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_member_set")  # rebuilt from the pinned list
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._member_set = set(self.members)
-
-    def _initial(self, seeds: Iterable[User]) -> list[User]:
-        """The canonical initial frontier: in-graph seeds, deduplicated
-        and ordered by the library-wide :func:`node_sort_key` — so a
-        seed *set* maps to exactly one simulation stream regardless of
-        the order the caller listed it in (matching the canonical
-        per-set seed derivation)."""
-        unique = {seed for seed in seeds if seed in self._member_set}
-        return sorted(unique, key=node_sort_key)
-
-    def spread_ic(self, seeds, num_simulations: int, seed: int) -> float:
-        rng = random.Random(seed)
-        initial = self._initial(seeds)
+    def active_count(
+        self, seeds: Iterable[User], seed: int, worlds: range
+    ) -> int:
+        """Total active nodes of ``seeds`` summed over ``worlds``."""
+        ids = self.ids
+        initial = {ids[node] for node in seeds if node in ids}
+        if not initial:
+            return 0
+        rows = self.rows
         total = 0
-        for _ in range(num_simulations):
+        for world in worlds:
+            base = _sketch_base(seed, world)
             active = set(initial)
-            frontier = deque(initial)
+            frontier = list(initial)
             while frontier:
-                node = frontier.popleft()
-                for target, probability in self.adjacency.get(node, ()):
-                    if target in active:
-                        continue
-                    if rng.random() < probability:
+                for target, key, lo, hi in rows[frontier.pop()]:
+                    if target not in active and lo <= _mix64(base ^ key) < hi:
                         active.add(target)
                         frontier.append(target)
             total += len(active)
-        return total / num_simulations
-
-    def spread_lt(self, seeds, num_simulations: int, seed: int) -> float:
-        rng = random.Random(seed)
-        initial = self._initial(seeds)
-        total = 0
-        for _ in range(num_simulations):
-            active = set(initial)
-            thresholds: dict[User, float] = {}
-            pressure: dict[User, float] = {}
-            frontier = deque(initial)
-            while frontier:
-                node = frontier.popleft()
-                for target, weight in self.adjacency.get(node, ()):
-                    if target in active:
-                        continue
-                    if target not in thresholds:
-                        thresholds[target] = rng.random()
-                    new_pressure = pressure.get(target, 0.0) + weight
-                    pressure[target] = new_pressure
-                    if new_pressure >= thresholds[target]:
-                        active.add(target)
-                        frontier.append(target)
-            total += len(active)
-        return total / num_simulations
+        return total
 
 
-def _run_batch_chunk(payload: tuple) -> list[float]:
-    """Worker task: run a chunk of simulation batches, one mean each.
+def _count_worlds(payload: tuple) -> int:
+    """Worker task: one seed set's active count over one world range.
 
-    ``payload`` is ``(engine, model, seeds, [(num_simulations, seed),
-    ...])`` where ``engine`` is a :class:`_PinnedCascades` or a
-    :class:`~repro.kernels.mc_numpy.CompiledDiffusion` — both picklable
-    and order-pinned, so the same function serves the serial, thread
-    and process executors.
+    ``payload`` is ``(engine, seeds, seed, worlds)``; the engine is a
+    :class:`_Cascades` or a
+    :class:`~repro.kernels.mc_numpy.CompiledDiffusion`, both picklable,
+    so the same function serves the serial, thread and process
+    executors.
     """
-    engine, model, seeds, batches = payload
-    run = engine.spread_ic if model == "ic" else engine.spread_lt
-    return [run(seeds, num_simulations, seed) for num_simulations, seed in batches]
+    engine, seeds, seed, worlds = payload
+    return engine.active_count(seeds, seed, worlds)
 
 
 class SpreadEstimator:
-    """Batched Monte-Carlo ``sigma_IC``/``sigma_LT`` with an executor seam.
+    """Monte-Carlo ``sigma_IC``/``sigma_LT`` with an executor seam.
 
     Parameters
     ----------
@@ -169,15 +133,17 @@ class SpreadEstimator:
     model:
         ``"ic"`` or ``"lt"``.
     num_simulations:
-        Total simulations per estimate (split into
-        :data:`SIMULATION_BATCH`-sized batches).
+        The number of worlds ``N`` every estimate averages over.
     seed:
-        Base RNG seed; fans out per (seed set, batch) as described in
-        the module docstring.
+        The coin seed: an ``int``, a ``random.Random`` (64 bits are
+        drawn from it) or ``None`` (fresh entropy).
     backend:
         Compute backend per :func:`repro.kernels.resolve_backend`.
     executor:
-        Where batches run; ``None`` means serial.
+        Where world ranges run; ``None`` means serial.
+
+    The engine is compiled at construction, in the constructing
+    process, so workers that receive a pickled estimator never compile.
     """
 
     def __init__(
@@ -186,49 +152,30 @@ class SpreadEstimator:
         edge_values: Mapping[Edge, float],
         model: str = "ic",
         num_simulations: int = 100,
-        seed: int = 0,
+        seed: int | random.Random | None = 0,
         backend: str | None = None,
         executor: Executor | None = None,
-        batch_size: int = SIMULATION_BATCH,
     ) -> None:
         require(model in MODELS, f"model must be one of {MODELS}, got {model!r}")
         require(
             num_simulations >= 1,
             f"num_simulations must be >= 1, got {num_simulations}",
         )
-        require(batch_size >= 1, f"batch_size must be >= 1, got {batch_size}")
         self.graph = graph
-        self.edge_values = dict(edge_values)
         self.model = model
         self.num_simulations = num_simulations
-        self.seed = seed
+        self.seed = keyed_seed(seed)
         self.backend = resolve_backend(backend)
         self.executor = executor
-        self.batch_size = batch_size
-        # Built eagerly, in the constructing (parent) process: the
-        # engine pins every iteration order, so workers that receive a
-        # pickled estimator replay exactly the parent's snapshot.
-        self._engine = None
-        self.engine()
+        if self.backend == "numpy":
+            from repro.kernels.mc_numpy import CompiledDiffusion
 
-    # ------------------------------------------------------------------
-    def batch_sizes(self) -> list[int]:
-        """The fixed simulation-count decomposition of one estimate."""
-        full, rest = divmod(self.num_simulations, self.batch_size)
-        sizes = [self.batch_size] * full
-        if rest:
-            sizes.append(rest)
-        return sizes
+            self._engine = CompiledDiffusion(graph, edge_values, model)
+        else:
+            self._engine = _Cascades(graph, edge_values, model)
 
     def engine(self):
-        """The order-pinned cascade engine (compiled once, in the parent)."""
-        if self._engine is None:
-            if self.backend == "numpy":
-                from repro.kernels.mc_numpy import CompiledDiffusion
-
-                self._engine = CompiledDiffusion(self.graph, self.edge_values)
-            else:
-                self._engine = _PinnedCascades(self.graph, self.edge_values)
+        """The compiled cascade engine."""
         return self._engine
 
     def candidates(self) -> list[User]:
@@ -236,95 +183,42 @@ class SpreadEstimator:
         return list(self.graph.nodes())
 
     def spread(self, seeds: Iterable[User]) -> float:
-        """Monte-Carlo estimate of the expected spread of ``seeds``.
-
-        Deterministic per seed set (canonicalised, so order does not
-        matter) and identical on every executor.
-        """
-        seed_list = list(seeds)
-        canonical = repr(sorted(repr(node) for node in seed_list))
-        set_seed = derive_seed(self.seed, "spread", canonical)
-        batches = [
-            (size, derive_seed(set_seed, index))
-            for index, size in enumerate(self.batch_sizes())
-        ]
-        means = self._run(seed_list, batches)
-        total = sum(mean * size for mean, (size, _) in zip(means, batches))
-        return total / self.num_simulations
+        """Monte-Carlo estimate of the expected spread of ``seeds``."""
+        return self.spread_many([seeds])[0]
 
     def spread_many(self, seed_sets: Sequence[Iterable[User]]) -> list[float]:
         """Estimates for many seed sets in one dispatch pass.
 
-        Element ``i`` is bit-identical to ``spread(seed_sets[i])`` — the
-        per-set canonicalisation, seed fan-out, batch decomposition and
-        reduction order are exactly :meth:`spread`'s; what changes is
-        that *all* sets' batches go to the engine (and, under a parallel
-        executor, into a single ``executor.map``) as one task list.
-        This is the request-coalescing seam ``repro serve`` uses to
-        answer concurrent ``/spread``/``/predict`` queries in one pass
-        instead of one engine dispatch per HTTP request.
+        Element ``i`` equals ``spread(seed_sets[i])``.  Under a parallel
+        executor the worlds are split into contiguous ranges and every
+        (set, range) task goes into a single ``executor.map``.  This is
+        the request-coalescing seam ``repro serve`` uses to answer
+        concurrent ``/spread``/``/predict`` queries in one pass.
         """
         with obs_trace.span(
             "estimator.spread_many", model=self.model, sets=len(seed_sets)
         ):
-            plans: list[tuple[list[User], list[tuple[int, int]]]] = []
-            for seeds in seed_sets:
-                seed_list = list(seeds)
-                canonical = repr(sorted(repr(node) for node in seed_list))
-                set_seed = derive_seed(self.seed, "spread", canonical)
-                plans.append(
-                    (
-                        seed_list,
-                        [
-                            (size, derive_seed(set_seed, index))
-                            for index, size in enumerate(self.batch_sizes())
-                        ],
-                    )
-                )
-            engine = self.engine()
+            total = self.num_simulations
             executor = self.executor
-            if executor is None or not executor.is_parallel:
-                all_means = [
-                    _run_batch_chunk((engine, self.model, seed_list, batches))
-                    for seed_list, batches in plans
+            parallel = executor is not None and executor.is_parallel
+            if parallel:
+                ranges = [
+                    range(chunk[0], chunk[-1] + 1)
+                    for chunk in split_chunks(range(total), executor.workers())
                 ]
             else:
-                # Chunk each set's batches exactly as _run would, but
-                # submit the union in one map call — the per-batch means
-                # (and so the reduced floats) cannot differ, only the
-                # scheduling.
-                payloads = []
-                chunk_counts = []
-                for seed_list, batches in plans:
-                    chunks = split_chunks(list(batches), executor.workers())
-                    chunk_counts.append(len(chunks))
-                    payloads.extend(
-                        (engine, self.model, seed_list, chunk)
-                        for chunk in chunks
-                    )
-                results = iter(executor.map(_run_batch_chunk, payloads))
-                all_means = []
-                for count in chunk_counts:
-                    means: list[float] = []
-                    for _ in range(count):
-                        means.extend(next(results))
-                    all_means.append(means)
-            return [
-                sum(mean * size for mean, (size, _) in zip(means, batches))
-                / self.num_simulations
-                for (_, batches), means in zip(plans, all_means)
+                ranges = [range(total)]
+            payloads = [
+                (self._engine, list(seeds), self.seed, worlds)
+                for seeds in seed_sets
+                for worlds in ranges
             ]
-
-    def _run(
-        self, seeds: list[User], batches: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        engine = self.engine()
-        executor = self.executor
-        if executor is None or not executor.is_parallel or len(batches) <= 1:
-            return _run_batch_chunk((engine, self.model, seeds, list(batches)))
-        chunks = split_chunks(list(batches), executor.workers())
-        results = executor.map(
-            _run_batch_chunk,
-            [(engine, self.model, seeds, chunk) for chunk in chunks],
-        )
-        return [mean for chunk_means in results for mean in chunk_means]
+            if parallel:
+                counts = executor.map(_count_worlds, payloads)
+            else:
+                counts = [_count_worlds(payload) for payload in payloads]
+            width = len(ranges)
+            return [
+                sum(counts[index:index + width]) / total
+                for index in range(0, len(counts), width)
+            ]

@@ -1,7 +1,7 @@
 """The pluggable parallel-executor seam of the experiment runtime.
 
 Every embarrassingly parallel unit in the pipeline — (selector, trial)
-cells of the selection stage, Monte-Carlo simulation batches inside a
+cells of the selection stage, Monte-Carlo world ranges inside a
 :class:`~repro.runtime.estimator.SpreadEstimator`, per-method predictor
 evaluation, the greedy/CELF candidate sweeps — is dispatched through one
 :class:`Executor` object instead of a bare ``for`` loop.  Swapping the

@@ -21,7 +21,7 @@ experiment's :class:`~repro.runtime.executor.Executor` — (selector,
 trial) cells in ``select``, per-run k-grid scoring in ``evaluate``,
 (method, trace-chunk) tasks in ``predict`` — and the selectors
 themselves thread the executor into the greedy/CELF candidate sweeps
-and :class:`~repro.runtime.estimator.SpreadEstimator` batches.  Every
+and :class:`~repro.runtime.estimator.SpreadEstimator` world ranges.  Every
 unit draws its randomness from label-derived seeds and every reduction
 happens in submission order, so ``serial``/``thread``/``process`` runs
 are bit-identical (``tests/test_runtime_parallel.py``).

@@ -37,7 +37,9 @@ __all__ = [
 # The store's on-disk format version.  Part of every context key and
 # recorded in every manifest: bumping it makes every old entry an
 # invisible miss (re-learn and re-save) instead of a misread.
-FORMAT_VERSION = 1
+# Version 2: Monte-Carlo spread moved to counter-keyed worlds, so the
+# stored celf/celfpp/greedy prefixes over IC/LT oracles changed meaning.
+FORMAT_VERSION = 2
 
 _DIGEST_SIZE = 16  # 128-bit hex keys: 32 characters
 

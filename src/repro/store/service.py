@@ -39,9 +39,11 @@ request gets HTTP 409); ``wait=true`` blocks until the job finishes
 Determinism: a stochastic selector that was not given an explicit
 ``seed`` parameter gets ``derive_seed(context seed, selector, trial)``
 — exactly the experiment runner's per-(selector, trial) fan-out — and
-the Monte-Carlo predictors derive per-(method, seed-set) streams the
-same way the prediction pipeline does.  Identical requests therefore
-return identical payloads, which the smoke tests assert.
+the Monte-Carlo predictors score every seed set on the counter-keyed
+worlds of ``derive_seed(context seed, "predict", method)``, as the
+prediction pipeline does, so a seed set has one answer however it is
+listed.  Identical requests therefore return identical payloads, which
+the smoke tests assert.
 
 Two production seams sit behind the handlers, both invisible in the
 response bytes:

@@ -40,6 +40,7 @@ __all__ = [
     "required_artifacts",
     "context_key_for",
     "artifact_source_key",
+    "context_from_record",
     "warm_start",
     "load_context_record",
     "list_context_records",
@@ -443,6 +444,34 @@ def load_context_record(
     return matches[0]
 
 
+def context_from_record(
+    record: Mapping[str, Any], graph, train_log
+) -> SelectionContext:
+    """The context ``record`` describes, over ``graph`` and ``train_log``.
+
+    Every parameter of the record's learn spec is bound, so the context
+    computes the record's own key; no artifact is loaded.  The serving
+    load passes ``train_log=None``, a derive the base bundle's log.
+    """
+    learn = record["learn"]
+    return SelectionContext(
+        graph,
+        train_log=train_log,
+        probability_method=record.get("probability_method", "EM"),
+        num_simulations=int(record.get("num_simulations", 100)),
+        truncation=float(learn["truncation"]),
+        seed=int(learn["seed"]),
+        credit_scheme=str(learn["credit_scheme"]),
+        backend=str(learn["backend"]),
+        num_sketches=int(learn.get("num_sketches", 10_000)),
+        sketch_hops=(
+            None
+            if learn.get("sketch_hops") is None
+            else int(learn["sketch_hops"])
+        ),
+    )
+
+
 def serving_context(
     record: Mapping[str, Any], source: ArtifactStore | SelectionContext
 ) -> SelectionContext:
@@ -471,23 +500,7 @@ def serving_context(
             return source.get(key)
 
         graph = fetch(GRAPH_ARTIFACT)
-    learn = record["learn"]
-    context = SelectionContext(
-        graph,
-        train_log=None,
-        probability_method=record.get("probability_method", "EM"),
-        num_simulations=int(record.get("num_simulations", 100)),
-        truncation=float(learn["truncation"]),
-        seed=int(learn["seed"]),
-        credit_scheme=str(learn["credit_scheme"]),
-        backend=str(learn["backend"]),
-        num_sketches=int(learn.get("num_sketches", 10_000)),
-        sketch_hops=(
-            None
-            if learn.get("sketch_hops") is None
-            else int(learn["sketch_hops"])
-        ),
-    )
+    context = context_from_record(record, graph, None)
     for name in record.get("artifacts", []):
         if name in ARTIFACT_NAMES:
             context.set_artifact(name, fetch(name))

@@ -40,6 +40,7 @@ from repro.store.warm import (
     STREAM_STATS_ARTIFACT,
     TRAIN_LOG_ARTIFACT,
     artifact_source_key,
+    context_from_record,
     list_context_records,
     load_context_record,
 )
@@ -102,17 +103,7 @@ def load_base_state(
             "before streaming support); re-run `repro learn --store` to "
             "refresh it, then ingest the delta"
         ) from None
-    learn = record["learn"]
-    context = SelectionContext(
-        graph,
-        train_log=log,
-        probability_method=record.get("probability_method", "EM"),
-        num_simulations=int(record.get("num_simulations", 100)),
-        truncation=float(learn["truncation"]),
-        seed=int(learn["seed"]),
-        credit_scheme=str(learn["credit_scheme"]),
-        backend=str(learn["backend"]),
-    )
+    context = context_from_record(record, graph, log)
     for name in record.get("artifacts", []):
         if name in ARTIFACT_NAMES:
             key = artifact_key(artifact_source_key(record, name), name)

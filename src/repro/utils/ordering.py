@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-__all__ = ["node_sort_key", "ranked_nodes"]
+__all__ = ["node_sort_key", "ranked_nodes", "canonical_edges"]
 
 
 def node_sort_key(value: object) -> tuple[str, str]:
@@ -47,3 +47,26 @@ def ranked_nodes(
         )
     ]
     return ranked if k is None else ranked[:k]
+
+
+def canonical_edges(
+    graph, edge_values: Mapping[tuple, float]
+) -> tuple[list, list[tuple[int, int, float]]]:
+    """The canonical id space of the counter-keyed coins.
+
+    Returns ``(nodes, edges)``.  ``nodes`` lists the graph's nodes in
+    :func:`node_sort_key` order; a node's id is its position.  ``edges``
+    holds every edge with a positive value (missing edges count as 0)
+    as a ``(dst id, src id, value)`` triple, sorted, so an edge's rank
+    is its canonical edge id: its position in the ``(dst, src)``-sorted
+    in-CSR of :func:`repro.kernels.interning.positive_csr`.
+    """
+    nodes = sorted(graph.nodes(), key=node_sort_key)
+    id_of = {node: index for index, node in enumerate(nodes)}
+    edges = []
+    for source, target in graph.edges():
+        value = edge_values.get((source, target), 0.0)
+        if value > 0.0:
+            edges.append((id_of[target], id_of[source], value))
+    edges.sort()
+    return nodes, edges

@@ -7,9 +7,12 @@ calls.
 
 import pytest
 
+import repro.kernels as kernels
+from repro.api import SelectionContext
 from repro.maximization.celf import celf_maximize
+from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.greedy import greedy_maximize
-from repro.maximization.oracle import CountingOracle
+from repro.maximization.oracle import CountingOracle, ICSpreadOracle, LTSpreadOracle
 
 
 class SetCoverOracle:
@@ -129,3 +132,98 @@ class TestCELF:
         counting = CountingOracle(cover_oracle)
         result = celf_maximize(counting, k=3)
         assert counting.calls == result.oracle_calls
+
+
+class _MemoOracle:
+    """Evaluates each distinct seed *set* once.
+
+    Sound only because a Monte-Carlo oracle's answer depends on the set
+    alone: every set is scored on the same counter-keyed worlds.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._spreads: dict[frozenset, float] = {}
+
+    def candidates(self):
+        return self._inner.candidates()
+
+    def spread(self, seeds) -> float:
+        key = frozenset(seeds)
+        if key not in self._spreads:
+            self._spreads[key] = self._inner.spread(seeds)
+        return self._spreads[key]
+
+
+WORLDS = 200
+K = 5
+
+
+@pytest.fixture(scope="module", params=["ic", "lt"])
+def monte_carlo_runs(request, flixster_mini):
+    """CELF, CELF++ and greedy over one Monte-Carlo oracle (200 worlds).
+
+    Oracle seed 4 gives steps whose best marginal counts are unique.
+    """
+    graph = flixster_mini.graph
+    context = SelectionContext(graph, flixster_mini.log)
+    backend = "numpy" if kernels.numpy_available() else "python"
+    if request.param == "ic":
+        inner = ICSpreadOracle(
+            graph, context.ic_probabilities("EM"), num_simulations=WORLDS,
+            seed=4, backend=backend,
+        )
+    else:
+        inner = LTSpreadOracle(
+            graph, context.lt_weights(), num_simulations=WORLDS,
+            seed=4, backend=backend,
+        )
+    oracle = _MemoOracle(inner)
+    runs = {
+        name: maximize(oracle, K).seeds
+        for name, maximize in (
+            ("celf", celf_maximize),
+            ("celfpp", celfpp_maximize),
+            ("greedy", greedy_maximize),
+        )
+    }
+    return oracle, runs
+
+
+def _count(oracle, seeds) -> int:
+    """The integer active count over the worlds behind ``spread``."""
+    return round(oracle.spread(seeds) * WORLDS)
+
+
+def _sweep_gains(oracle, chosen) -> dict:
+    base = _count(oracle, chosen)
+    return {
+        node: _count(oracle, chosen + [node]) - base
+        for node in oracle.candidates()
+        if node not in chosen
+    }
+
+
+class TestMonteCarloGreedyAgreement:
+    """On counter-keyed worlds sigma-hat is a coverage function, so the
+    lazy maximizers are exact greedy."""
+
+    @pytest.mark.parametrize("name", ["celf", "celfpp"])
+    def test_every_lazy_pick_attains_the_step_maximum(
+        self, monte_carlo_runs, name
+    ):
+        oracle, runs = monte_carlo_runs
+        chosen: list = []
+        for pick in runs[name]:
+            gains = _sweep_gains(oracle, chosen)
+            assert gains[pick] == max(gains.values())
+            chosen.append(pick)
+
+    def test_celf_celfpp_and_greedy_pick_the_same_seeds(self, monte_carlo_runs):
+        oracle, runs = monte_carlo_runs
+        chosen: list = []
+        for pick in runs["greedy"]:
+            gains = sorted(_sweep_gains(oracle, chosen).values(), reverse=True)
+            assert gains[0] > gains[1], "the instance must have no ties"
+            chosen.append(pick)
+        assert runs["celf"] == runs["celfpp"] == runs["greedy"]

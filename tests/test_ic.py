@@ -1,43 +1,59 @@
 """Tests for repro.diffusion.ic (Independent Cascade)."""
 
-import random
-
 import pytest
 
-from repro.diffusion.ic import estimate_spread_ic, simulate_ic
+from repro.diffusion.ic import estimate_spread_ic
+from repro.diffusion.worlds import sample_world_ic
 from repro.graphs.digraph import SocialGraph
+from repro.runtime import SpreadEstimator
 
 from tests.helpers import exact_ic_spread
 
 
+def cascade(graph, probabilities, seeds, seed=0, world=0):
+    """One IC cascade: what ``seeds`` reach in world ``world`` of ``seed``.
+
+    The set comes from the explicit world; the python engine must count
+    the same reach while it walks that world's coins.
+    """
+    active = sample_world_ic(graph, probabilities, seed, world).reachable_from(
+        seeds
+    )
+    engine = SpreadEstimator(graph, probabilities, "ic", backend="python").engine()
+    assert engine.active_count(seeds, seed, range(world, world + 1)) == len(active)
+    return active
+
+
 class TestSimulateIC:
+    """One IC cascade is reachability in one counter-keyed world."""
+
     def test_seeds_always_active(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        active = simulate_ic(graph, {}, [1], random.Random(0))
+        active = cascade(graph, {}, [1])
         assert 1 in active
 
     def test_unknown_seeds_ignored(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        active = simulate_ic(graph, {}, [99], random.Random(0))
+        active = cascade(graph, {}, [99])
         assert active == set()
 
     def test_probability_one_activates_whole_chain(self, chain_graph):
         probabilities = {edge: 1.0 for edge in chain_graph.edges()}
-        active = simulate_ic(chain_graph, probabilities, [0], random.Random(0))
+        active = cascade(chain_graph, probabilities, [0])
         assert active == {0, 1, 2, 3}
 
     def test_probability_zero_activates_only_seeds(self, chain_graph):
         probabilities = {edge: 0.0 for edge in chain_graph.edges()}
-        active = simulate_ic(chain_graph, probabilities, [0], random.Random(0))
+        active = cascade(chain_graph, probabilities, [0])
         assert active == {0}
 
     def test_missing_edges_never_propagate(self, chain_graph):
-        active = simulate_ic(chain_graph, {}, [0], random.Random(0))
+        active = cascade(chain_graph, {}, [0])
         assert active == {0}
 
     def test_activation_respects_edge_direction(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        active = simulate_ic(graph, {(1, 2): 1.0}, [2], random.Random(0))
+        active = cascade(graph, {(1, 2): 1.0}, [2])
         assert active == {2}
 
     def test_single_shot_semantics(self):
@@ -45,11 +61,10 @@ class TestSimulateIC:
         # re-fire.  With p = 0.5 on one edge, activation of node 2 must
         # match the coin exactly over many trials.
         graph = SocialGraph.from_edges([(1, 2)])
-        rng = random.Random(42)
         hits = sum(
             1
-            for _ in range(2000)
-            if 2 in simulate_ic(graph, {(1, 2): 0.5}, [1], rng)
+            for world in range(2000)
+            if 2 in cascade(graph, {(1, 2): 0.5}, [1], seed=42, world=world)
         )
         assert 0.45 < hits / 2000 < 0.55
 

@@ -12,14 +12,11 @@ The pure-Python implementations are the documented reference; the
 * **sigma_cd evaluator** — byte-identical stored payloads: the same
   compiled traces and activity counters, built from the same user
   objects (which the pickle memo sees);
-* **Monte-Carlo spread** — *statistically* matched under the fixed
-  RNG protocol (both backends deterministically seeded per call;
-  level-synchronous batching reorders the uniform stream, so values
-  agree within Monte-Carlo error rather than bitwise);
-* **run_experiment** — identical final seed sets for the CD, EM+IC
-  and LT pipelines under both backends (pinned to configurations
-  whose marginal-gain gaps exceed Monte-Carlo noise; the CD pipeline
-  is deterministic and must match everywhere).
+* **Monte-Carlo spread** — bit for bit: simulation ``i`` is
+  counter-keyed world ``i`` on both backends, on int, tuple and
+  distinct-but-equal str ids;
+* **run_experiment** — identical final seeds and gains for the CD,
+  EM+IC and LT pipelines under both backends.
 
 Everything here is skipped when NumPy is unavailable; the fallback
 tests at the bottom cover that machine profile instead (they simulate
@@ -53,15 +50,12 @@ from repro.kernels.scan_numpy import (
     scan_action_log_numpy,
 )
 from repro.probabilities.em import learn_ic_probabilities_em
+from repro.runtime import SpreadEstimator
 from repro.store.serialize import dump_payload
 from repro.stream import ActionLogDelta, fold_delta
 
 VALUE_TOLERANCE = 1e-9
-# Spread estimates are averages of >= 4000 simulations; 2.5% relative
-# covers the largest cross-backend deviation observed (~0.6%) with a
-# wide deterministic margin.
-MC_RELATIVE_TOLERANCE = 0.025
-MC_SIMULATIONS = 4000
+MC_SIMULATIONS = 300
 
 
 @pytest.fixture(scope="module", params=["flixster", "flixster101", "flickr"])
@@ -279,7 +273,31 @@ class TestCDEvaluatorParity:
         assert fold.report.verified
 
 
+def _relabel(graph, values, label):
+    """``graph`` and its edge values over ``label(node)`` ids."""
+    relabelled = SocialGraph()
+    for node in graph.nodes():
+        relabelled.add_node(label(node))
+    for source, target in graph.edges():
+        relabelled.add_edge(label(source), label(target))
+    return relabelled, {
+        (label(source), label(target)): value
+        for (source, target), value in values.items()
+    }
+
+
+# Int ids as generated, tuple ids, and str ids with one fresh object per
+# occurrence (graph, edge values and seeds never share an object).
+ID_SPACES = {
+    "int": lambda node: node,
+    "tuple": lambda node: (node % 7, str(node)),
+    "str": _fresh,
+}
+
+
 class TestMonteCarloParity:
+    """Both backends walk the same counter-keyed worlds: equal bit for bit."""
+
     @pytest.fixture(scope="class")
     def artifacts(self):
         data = flixster_like("mini")
@@ -289,29 +307,45 @@ class TestMonteCarloParity:
         )[:5]
         return data.graph, context, seeds
 
-    def test_ic_statistically_matched(self, artifacts):
-        graph, context, seeds = artifacts
-        probabilities = context.ic_probabilities("EM")
-        python = estimate_spread_ic(
-            graph, probabilities, seeds, MC_SIMULATIONS, seed=11,
-            backend="python",
+    @staticmethod
+    def _values(context, model):
+        return (
+            context.ic_probabilities("EM") if model == "ic"
+            else context.lt_weights()
         )
-        vectorized = estimate_spread_ic(
-            graph, probabilities, seeds, MC_SIMULATIONS, seed=11,
-            backend="numpy",
-        )
-        assert vectorized == pytest.approx(python, rel=MC_RELATIVE_TOLERANCE)
 
-    def test_lt_statistically_matched(self, artifacts):
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_bit_identical(self, artifacts, model):
         graph, context, seeds = artifacts
-        weights = context.lt_weights()
-        python = estimate_spread_lt(
-            graph, weights, seeds, MC_SIMULATIONS, seed=11, backend="python"
+        values = self._values(context, model)
+        estimate = estimate_spread_ic if model == "ic" else estimate_spread_lt
+        for seed_set in (seeds, seeds[:1], seeds[2:], [seeds[0], "nobody"]):
+            python = estimate(
+                graph, values, seed_set, MC_SIMULATIONS, seed=11,
+                backend="python",
+            )
+            assert python == estimate(
+                graph, values, seed_set, MC_SIMULATIONS, seed=11,
+                backend="numpy",
+            )
+
+    @pytest.mark.parametrize("ids", sorted(ID_SPACES))
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_id_spaces(self, artifacts, model, ids):
+        graph, context, seeds = artifacts
+        label = ID_SPACES[ids]
+        graph, values = _relabel(graph, self._values(context, model), label)
+        estimators = [
+            SpreadEstimator(
+                graph, values, model, MC_SIMULATIONS, seed=4, backend=backend
+            )
+            for backend in ("python", "numpy")
+        ]
+        seed_sets = [[label(node) for node in seeds[:size]] for size in (1, 3, 5)]
+        python, vectorized = (
+            estimator.spread_many(seed_sets) for estimator in estimators
         )
-        vectorized = estimate_spread_lt(
-            graph, weights, seeds, MC_SIMULATIONS, seed=11, backend="numpy"
-        )
-        assert vectorized == pytest.approx(python, rel=MC_RELATIVE_TOLERANCE)
+        assert python == vectorized
 
     def test_numpy_protocol_is_deterministic(self, artifacts):
         graph, context, seeds = artifacts
@@ -325,22 +359,24 @@ class TestMonteCarloParity:
         assert first == second
 
 
-def _seed_sets(config: ExperimentConfig) -> dict[str, list]:
+def _selections(config: ExperimentConfig) -> dict[str, tuple]:
     result = run_experiment(config)
-    return {run.label: run.selection.seeds for run in result.runs}
+    return {
+        run.label: (run.selection.seeds, run.selection.gains)
+        for run in result.runs
+    }
 
 
 class TestRunExperimentParity:
-    """Identical final seed sets through the full pipeline, per backend.
+    """Identical final seeds and gains through the full pipeline, per backend.
 
-    Monte-Carlo pipelines are pinned to (dataset seed, num_simulations)
-    configurations whose greedy margins exceed simulation noise — the
-    default flixster_mini has genuinely tied IC candidates that flip
-    even between two *python* runs at different simulation counts.
+    Both backends score seed sets on the same counter-keyed worlds, so
+    the Monte-Carlo pipelines see equal floats and match exactly on
+    the default datasets, ties included.
     """
 
     def _compare(self, selectors, **overrides):
-        seed_sets = {}
+        selections = {}
         for backend in ("python", "numpy"):
             config = ExperimentConfig(
                 selectors=selectors,
@@ -348,8 +384,8 @@ class TestRunExperimentParity:
                 evaluate_spread=False,
                 **overrides,
             )
-            seed_sets[backend] = _seed_sets(config)
-        assert seed_sets["python"] == seed_sets["numpy"]
+            selections[backend] = _selections(config)
+        assert selections["python"] == selections["numpy"]
 
     def test_cd_pipeline(self):
         # Deterministic — must match on every dataset.
@@ -368,25 +404,19 @@ class TestRunExperimentParity:
 
     def test_em_ic_pipeline(self):
         selector = [{"name": "celf", "params": {"model": "ic"}, "label": "IC"}]
-        self._compare(
-            selector, dataset="flixster", scale="mini", dataset_seed=7,
-            ks=[4], num_simulations=1600,
-        )
-        self._compare(
-            selector, dataset="flickr", scale="mini", dataset_seed=29,
-            ks=[4], num_simulations=400,
-        )
+        for dataset in ("flixster", "flickr"):
+            self._compare(
+                selector, dataset=dataset, scale="mini", ks=[4],
+                num_simulations=100,
+            )
 
     def test_lt_pipeline(self):
         selector = [{"name": "celf", "params": {"model": "lt"}, "label": "LT"}]
-        self._compare(
-            selector, dataset="flixster", scale="mini", dataset_seed=29,
-            ks=[4], num_simulations=800,
-        )
-        self._compare(
-            selector, dataset="flickr", scale="mini", ks=[4],
-            num_simulations=400,
-        )
+        for dataset in ("flixster", "flickr"):
+            self._compare(
+                selector, dataset=dataset, scale="mini", ks=[4],
+                num_simulations=100,
+            )
 
 
 class TestBackendResolution:

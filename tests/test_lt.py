@@ -1,13 +1,25 @@
 """Tests for repro.diffusion.lt (Linear Threshold)."""
 
-import random
-
 import pytest
 
-from repro.diffusion.lt import estimate_spread_lt, simulate_lt, validate_lt_weights
+from repro.diffusion.lt import estimate_spread_lt, validate_lt_weights
+from repro.diffusion.worlds import sample_world_lt
 from repro.graphs.digraph import SocialGraph
+from repro.runtime import SpreadEstimator
 
 from tests.helpers import exact_lt_spread
+
+
+def cascade(graph, weights, seeds, seed=0, world=0):
+    """One LT cascade: what ``seeds`` reach in live-edge world ``world``.
+
+    The set comes from the explicit world; the python engine must count
+    the same reach while it walks that world's coins.
+    """
+    active = sample_world_lt(graph, weights, seed, world).reachable_from(seeds)
+    engine = SpreadEstimator(graph, weights, "lt", backend="python").engine()
+    assert engine.active_count(seeds, seed, range(world, world + 1)) == len(active)
+    return active
 
 
 class TestValidateWeights:
@@ -29,14 +41,16 @@ class TestValidateWeights:
 
 
 class TestSimulateLT:
+    """One LT cascade is reachability in one live-edge world."""
+
     def test_seeds_always_active(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        active = simulate_lt(graph, {}, [1], random.Random(0))
+        active = cascade(graph, {}, [1])
         assert active == {1}
 
     def test_weight_one_always_propagates(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        active = simulate_lt(graph, {(1, 2): 1.0}, [1], random.Random(0))
+        active = cascade(graph, {(1, 2): 1.0}, [1])
         assert active == {1, 2}
 
     def test_weight_zero_never_propagates(self):
@@ -44,28 +58,29 @@ class TestSimulateLT:
         hits = sum(
             1
             for trial in range(200)
-            if 2 in simulate_lt(graph, {(1, 2): 0.0}, [1], random.Random(trial))
+            if 2 in cascade(graph, {(1, 2): 0.0}, [1], world=trial)
         )
         assert hits == 0
 
     def test_activation_frequency_matches_weight(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        rng = random.Random(1)
         hits = sum(
-            1 for _ in range(4000) if 2 in simulate_lt(graph, {(1, 2): 0.3}, [1], rng)
+            1
+            for world in range(4000)
+            if 2 in cascade(graph, {(1, 2): 0.3}, [1], seed=1, world=world)
         )
         assert 0.25 < hits / 4000 < 0.35
 
     def test_joint_pressure_activates(self, diamond_graph):
-        # Both parents active with weights summing to 1: node 3 always
-        # activates (threshold <= 1 almost surely).
+        # Both parents active with weights summing to 1: node 3 keeps
+        # one of them as its live in-edge, so it always activates.
         weights = {(0, 1): 1.0, (0, 2): 1.0, (1, 3): 0.5, (2, 3): 0.5}
-        active = simulate_lt(diamond_graph, weights, [0], random.Random(2))
+        active = cascade(diamond_graph, weights, [0], seed=2)
         assert active == {0, 1, 2, 3}
 
     def test_unknown_seed_ignored(self):
         graph = SocialGraph.from_edges([(1, 2)])
-        assert simulate_lt(graph, {}, [99], random.Random(0)) == set()
+        assert cascade(graph, {}, [99]) == set()
 
 
 class TestEstimateSpreadLT:

@@ -21,6 +21,7 @@ import json
 import logging
 import statistics
 import threading
+import time
 
 import pytest
 
@@ -419,6 +420,14 @@ class TestMetricsEndpoint:
         return response.status, headers, data
 
     def test_metrics_exposition_tracks_requests(self, server, caplog):
+        def access_lines() -> list[str]:
+            return [
+                record.getMessage()
+                for record in caplog.records
+                if record.name == "repro.serve"
+                and '"POST /select"' in record.getMessage()
+            ]
+
         with caplog.at_level(logging.INFO, logger="repro.serve"):
             for k in (1, 2, 2):
                 status, _, _ = self._request(
@@ -428,6 +437,11 @@ class TestMetricsEndpoint:
                 assert status == 200
             status, _, _ = self._request(server, "GET", "/healthz")
             assert status == 200
+            # A handler writes its access line after the response bytes,
+            # so a line may trail the client: wait for it, boundedly.
+            deadline = time.monotonic() + 5.0
+            while len(access_lines()) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
 
         status, headers, data = self._request(server, "GET", "/metrics")
         assert status == 200
@@ -454,13 +468,9 @@ class TestMetricsEndpoint:
         assert "repro_degraded_total" in page  # TYPE line even when empty
 
         # --access-log: one structured line per routed request.
-        access_lines = [
-            record.getMessage()
-            for record in caplog.records
-            if record.name == "repro.serve" and '"POST /select"' in record.getMessage()
-        ]
-        assert len(access_lines) == 3
-        assert all("id=" in line and " 200 " in line for line in access_lines)
+        lines = access_lines()
+        assert len(lines) == 3
+        assert all("id=" in line and " 200 " in line for line in lines)
 
     def test_metrics_route_is_not_json(self, server):
         status, headers, data = self._request(server, "GET", "/metrics")

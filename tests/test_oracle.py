@@ -2,8 +2,15 @@
 
 import pytest
 
+import repro.kernels as kernels
+from repro.api import SelectionContext
 from repro.graphs.digraph import SocialGraph
 from repro.maximization.oracle import CountingOracle, ICSpreadOracle, LTSpreadOracle
+from repro.runtime import SpreadEstimator
+
+BACKENDS = ["python"] + (
+    ["numpy"] if "numpy" in kernels.available_backends() else []
+)
 
 
 @pytest.fixture()
@@ -67,3 +74,43 @@ class TestCountingOracle:
     def test_delegates_candidates(self, graph):
         inner = ICSpreadOracle(graph, {}, num_simulations=1, seed=1)
         assert CountingOracle(inner).candidates() == inner.candidates()
+
+
+@pytest.fixture(scope="module")
+def learned(flixster_mini):
+    """flixster_mini's EM probabilities and LT weights, and its two
+    highest out-degree users."""
+    graph = flixster_mini.graph
+    context = SelectionContext(graph, flixster_mini.log)
+    top = sorted(graph.nodes(), key=lambda node: -graph.out_degree(node))
+    values = {"ic": context.ic_probabilities("EM"), "lt": context.lt_weights()}
+    return graph, values, top[0], top[1]
+
+
+class TestOneSeedSetOneAnswer:
+    """A seed *set* gets one Monte-Carlo answer, however it is listed.
+
+    Regression: each listing used to seed its own stream, so ``[a]``,
+    ``[a, a]`` and ``[a, "nobody"]`` got three different estimates.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "model, oracle_class", [("ic", ICSpreadOracle), ("lt", LTSpreadOracle)]
+    )
+    def test_listing_does_not_matter(self, learned, model, oracle_class, backend):
+        graph, values, a, b = learned
+        estimators = [
+            oracle_class(
+                graph, values[model], num_simulations=100, seed=3,
+                backend=backend,
+            ),
+            SpreadEstimator(
+                graph, values[model], model, 100, seed=3, backend=backend
+            ),
+        ]
+        for estimator in estimators:
+            alone = estimator.spread([a])
+            assert estimator.spread([a, a]) == alone
+            assert estimator.spread([a, "nobody"]) == alone
+            assert estimator.spread([b, a]) == estimator.spread([a, b])

@@ -4,6 +4,8 @@ These encode the paper's theorems as executable properties over random
 instances:
 
 * Theorem 2 — ``sigma_cd`` is monotone and submodular;
+* Monte-Carlo ``sigma_IC``/``sigma_LT`` on counter-keyed worlds is a
+  coverage function, so monotone and submodular as well;
 * credit conservation — direct credits per activation sum to <= 1;
 * propagation graphs are DAGs;
 * Lemmas 1-3 — the incremental credit identities;
@@ -14,8 +16,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro.kernels as kernels
+from repro.api import SelectionContext
 
 from repro.core.credit import UniformCredit
 from repro.core.index import SeedCredits
@@ -25,6 +31,7 @@ from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
+from repro.runtime import SpreadEstimator
 from repro.utils.pqueue import LazyQueue
 
 from tests.helpers import brute_force_set_credit
@@ -97,6 +104,54 @@ class TestSigmaCDProperties:
         evaluator = CDSpreadEvaluator(graph, log)
         everyone = evaluator.candidates()
         assert evaluator.spread(everyone) <= len(everyone) + 1e-9
+
+
+WORLDS = 100
+
+
+@pytest.fixture(scope="module")
+def keyed_estimators(flixster_mini):
+    """Monte-Carlo estimators over flixster_mini: WC-probability IC and
+    learned-weight LT, 100 worlds each."""
+    graph = flixster_mini.graph
+    context = SelectionContext(graph, flixster_mini.log)
+    backend = "numpy" if kernels.numpy_available() else "python"
+    nodes = sorted(graph.nodes())
+    return {
+        model: SpreadEstimator(
+            graph, values, model, WORLDS, seed=13, backend=backend
+        )
+        for model, values in (
+            ("ic", context.ic_probabilities("WC")),
+            ("lt", context.lt_weights()),
+        )
+    }, nodes
+
+
+class TestKeyedWorldProperties:
+    """Every seed set is scored on the same worlds, so the estimate is
+    ``sum_i |reach_i(S)| / N``: a coverage function."""
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_monotone_and_submodular(self, keyed_estimators, model, data):
+        estimators, nodes = keyed_estimators
+        estimator = estimators[model]
+        drawn = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=9, unique=True)
+        )
+        extra, larger = drawn[0], drawn[1:]
+        smaller = larger[: data.draw(st.integers(0, len(larger)))]
+
+        def count(seeds) -> int:
+            return round(estimator.spread(seeds) * WORLDS)
+
+        assert count(smaller) <= count(larger)
+        assert (
+            count(larger + [extra]) - count(larger)
+            <= count(smaller + [extra]) - count(smaller)
+        )
 
 
 class TestCreditProperties:

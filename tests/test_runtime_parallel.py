@@ -3,8 +3,9 @@
 The runtime's contract is that the executor seam changes *where* the
 pipeline's independent units run, never *what* they compute: per-task
 seeds are derived from labels (not execution order), every reduction
-consumes results in submission order, and the cascade engines pin their
-iteration orders so they replay identically inside process workers.
+consumes results in submission order, and every Monte-Carlo coin is
+keyed by its world, so a world's outcome does not depend on where it
+runs.
 These tests enforce that contract end to end — seed sets, gains,
 spreads, evaluation curves and prediction RMSE tables must be equal as
 exact floats across all three executors — plus the config surface
@@ -18,6 +19,7 @@ import pickle
 
 import pytest
 
+import repro.kernels as kernels
 from repro.api import ExperimentConfig, run_experiment
 from repro.runtime import (
     EXECUTOR_ENV_VAR,
@@ -28,6 +30,9 @@ from repro.runtime import (
     split_chunks,
 )
 
+BACKENDS = ["python"] + (
+    ["numpy"] if "numpy" in kernels.available_backends() else []
+)
 EXECUTOR_GRID = [
     {"executor": "serial"},
     {"executor": "thread", "max_workers": 4},
@@ -133,25 +138,35 @@ class TestSpreadEstimator:
         estimates = [
             SpreadEstimator(
                 graph, values, model=model, num_simulations=100, seed=5,
+                backend=backend,
                 executor=Executor(
                     grid["executor"], max_workers=grid.get("max_workers")
                 ),
-            ).spread(seeds)
+            ).spread_many([seeds, seeds[:1]])
             for grid in EXECUTOR_GRID
+            for backend in BACKENDS
         ]
-        assert estimates[0] == estimates[1] == estimates[2]
+        assert all(estimate == estimates[0] for estimate in estimates)
 
     def test_seed_set_order_canonicalised(self, network):
         graph, values, seeds = network
         estimator = SpreadEstimator(graph, values, num_simulations=50, seed=5)
         assert estimator.spread(seeds) == estimator.spread(seeds[::-1])
 
-    def test_batch_decomposition_is_fixed(self, network):
-        graph, values, _ = network
-        estimator = SpreadEstimator(
-            graph, values, num_simulations=110, seed=5, batch_size=25
-        )
-        assert estimator.batch_sizes() == [25, 25, 25, 25, 10]
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_any_world_chunking_sums_to_one_count(self, network, model):
+        graph, values, seeds = network
+        for backend in BACKENDS:
+            engine = SpreadEstimator(
+                graph, values, model=model, backend=backend
+            ).engine()
+            whole = engine.active_count(seeds, 5, range(110))
+            for cuts in ([37], [1, 2, 50], list(range(10, 110, 10))):
+                bounds = [0, *cuts, 110]
+                assert whole == sum(
+                    engine.active_count(seeds, 5, range(start, stop))
+                    for start, stop in zip(bounds, bounds[1:])
+                )
 
     def test_pinned_engine_survives_pickling(self, network):
         graph, values, seeds = network

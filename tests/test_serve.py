@@ -127,6 +127,25 @@ class TestQueryService:
             assert first == second, method
             assert first["predicted_spread"] >= 0.0
 
+    def test_predict_answers_the_seed_set_not_its_listing(
+        self, service, flixster_mini
+    ):
+        # Regression: IC/LT /predict seeded one stream per listing, so
+        # [a], [a, a] and [a, "nobody"] answered differently.
+        graph = flixster_mini.graph
+        a, b = sorted(graph.nodes(), key=lambda node: -graph.out_degree(node))[:2]
+
+        def predict(seeds, method):
+            return service.predict(
+                {"seeds": seeds, "method": method}
+            )["predicted_spread"]
+
+        for method in ("IC", "LT"):
+            alone = predict([a], method)
+            assert predict([a, a], method) == alone
+            assert predict([a, "nobody"], method) == alone
+            assert predict([b, a], method) == predict([a, b], method)
+
     def test_string_seed_ids_coerce_like_tsv(self, service):
         typed = service.spread({"seeds": [1, 2]})
         stringly = service.spread({"seeds": ["1", "2"]})

@@ -448,6 +448,38 @@ class TestDerive:
         }
         assert result.base_key in surviving
 
+    def test_derive_keeps_the_bundle_sketch_parameters(
+        self, tmp_path, flixster_mini
+    ):
+        # Regression: the base context was rebuilt without the record's
+        # num_sketches/sketch_hops, so the derive regenerated a default
+        # 10,000-sketch unbounded batch under a key no cold learn over
+        # the union computes.
+        from repro.store.warm import load_serving_context, warm_start
+
+        base_log, delta = split_base_delta(flixster_mini.log)
+        params = dict(
+            seed=3, credit_scheme="uniform", num_sketches=300, sketch_hops=2,
+        )
+        root = str(tmp_path / "store")
+        warm_start(
+            ArtifactStore(root),
+            SelectionContext(flixster_mini.graph, base_log, **params),
+            ["credit_index", "sketches"],
+        )
+        result = derive_bundle(ArtifactStore(root), delta)
+        cold = warm_start(
+            ArtifactStore(str(tmp_path / "cold")),
+            SelectionContext(
+                flixster_mini.graph, result.context.train_log, **params
+            ),
+            ["credit_index", "sketches"],
+        )
+        assert result.derived_key == cold["context_key"]
+        served = load_serving_context(ArtifactStore(root), result.record)
+        sketches = served.get_artifact("sketches")
+        assert (sketches.num_sketches, sketches.hops) == (300, 2)
+
     def test_pending_only_delta_keeps_key(self, tmp_path, flixster_mini):
         root = str(tmp_path / "store")
         base_log, _ = split_base_delta(flixster_mini.log)

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import (
+    _coin_bound,
+    _mix64,
+    _uniform,
+    keyed_seed,
+    make_rng,
+    spawn_rngs,
+)
 
 
 class TestMakeRng:
@@ -49,3 +56,29 @@ class TestSpawnRngs:
         parent = random.Random(3)
         children = spawn_rngs(parent, 2)
         assert len(children) == 2
+
+
+class TestKeyedCoins:
+    def test_seed_coercion(self):
+        assert keyed_seed(5) == 5
+        assert keyed_seed(random.Random(3)) == random.Random(3).getrandbits(64)
+        assert isinstance(keyed_seed(None), int)
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [0.3, 0.5, 1.0, 1.0 + 1e-9, 5e-324, 2.0 ** -53, 3 * 2.0 ** -53, 0.0],
+    )
+    def test_hash_bound_agrees_with_the_coin(self, threshold):
+        """``coin < p`` and ``hash < _coin_bound(p)`` decide alike,
+        at the bound itself and on random hashes."""
+        bound = _coin_bound(threshold)
+        rng = random.Random(11)
+        for _ in range(2000):
+            base, key = rng.getrandbits(64), rng.getrandbits(64)
+            assert (_uniform(base, key) < threshold) == (
+                _mix64(base ^ key) < bound
+            )
+        for raw in (bound - 1, bound, bound + 1):
+            if 0 <= raw < 2 ** 64:
+                coin = (raw >> 11) * 2.0 ** -53  # _uniform of this hash
+                assert (coin < threshold) == (raw < bound)
