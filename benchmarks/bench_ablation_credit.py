@@ -15,27 +15,25 @@ from repro.core.params import learn_influenceability
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.split import train_test_split
 from repro.evaluation.metrics import capture_curve, rmse
-from repro.evaluation.prediction import spread_prediction_experiment
+from repro.evaluation.prediction import PredictionExperiment, held_out_traces
 from repro.evaluation.reporting import format_table
 
 
 def _run(dataset):
-    train, _ = train_test_split(dataset.log)
+    train, test = train_test_split(dataset.log)
     params = learn_influenceability(dataset.graph, train)
-    predictors = {
-        "CD-uniform": CDSpreadEvaluator(
-            dataset.graph, train, credit=UniformCredit()
-        ).spread,
-        "CD-eq9": CDSpreadEvaluator(
-            dataset.graph, train, credit=TimeDecayCredit(params)
-        ).spread,
+    schemes = {
+        "CD-uniform": UniformCredit(),
+        "CD-eq9": TimeDecayCredit(params),
     }
-    return spread_prediction_experiment(
-        dataset.graph,
-        dataset.log,
-        predictors=predictors,
-        max_test_traces=MAX_TEST_TRACES,
-    )
+    traces = held_out_traces(dataset.graph, test, MAX_TEST_TRACES)
+    predictions = {}
+    for name, scheme in schemes.items():
+        evaluator = CDSpreadEvaluator(dataset.graph, train, credit=scheme)
+        predictions[name] = [
+            evaluator.spread(list(seeds)) for seeds, _ in traces
+        ]
+    return PredictionExperiment.from_predictions(traces, predictions)
 
 
 def test_ablation_credit_scheme(benchmark, report, flixster_small):

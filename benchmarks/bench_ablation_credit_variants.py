@@ -23,7 +23,7 @@ from repro.core.variants import (
     PowerDecayCredit,
 )
 from repro.evaluation.metrics import capture_curve, rmse
-from repro.evaluation.prediction import spread_prediction_experiment
+from repro.evaluation.prediction import PredictionExperiment, held_out_traces
 from repro.evaluation.reporting import format_table
 from repro.probabilities.lt_weights import count_propagations
 
@@ -35,7 +35,7 @@ def test_ablation_credit_schemes(
     benchmark, report, flixster_small, flixster_split
 ):
     graph = flixster_small.graph
-    train, _ = flixster_split
+    train, test = flixster_split
     params = learn_influenceability(graph, train)
     pair_counts = count_propagations(graph, train)
 
@@ -50,13 +50,15 @@ def test_ablation_credit_schemes(
         name: CDSpreadEvaluator(graph, train, credit=scheme).spread
         for name, scheme in schemes.items()
     }
+    traces = held_out_traces(graph, test, MAX_TEST_TRACES)
 
     experiment = benchmark.pedantic(
-        lambda: spread_prediction_experiment(
-            graph,
-            flixster_small.log,
-            predictors,
-            max_test_traces=MAX_TEST_TRACES,
+        lambda: PredictionExperiment.from_predictions(
+            traces,
+            {
+                name: [predict(list(seeds)) for seeds, _ in traces]
+                for name, predict in predictors.items()
+            },
         ),
         rounds=1,
         iterations=1,

@@ -22,11 +22,11 @@ NUM_SIMULATIONS = 40
 
 
 def test_ablation_noise_robustness(
-    benchmark, report, flixster_small, flixster_split, flixster_selector
+    benchmark, report, flixster_small, flixster_split, flixster_context
 ):
     graph = flixster_small.graph
     train, _ = flixster_split
-    em_probabilities = flixster_selector.ic_probabilities("EM")
+    em_probabilities = flixster_context.ic_probabilities("EM")
 
     ic_points = ic_noise_sweep(
         graph,

@@ -30,10 +30,10 @@ NUM_SIMULATIONS = 300
 
 
 def test_extension_ctic_deadline(
-    benchmark, report, flixster_small, flixster_selector
+    benchmark, report, flixster_small, flixster_context
 ):
     graph = flixster_small.graph
-    probabilities = flixster_selector.ic_probabilities("EM")
+    probabilities = flixster_context.ic_probabilities("EM")
     seeds = degree_discount_ic_seeds(graph, K, probability=0.01)
 
     unbounded = estimate_spread_ic(

@@ -16,6 +16,7 @@ proxy was sound on this substrate.
 
 from repro.evaluation.groundtruth import ground_truth_evaluation
 from repro.evaluation.reporting import format_table
+from repro.evaluation.selection import method_selector
 
 K = 10
 NUM_SIMULATIONS = 150
@@ -23,10 +24,11 @@ METHODS = ["CD", "EM", "LT", "HighDegree", "PageRank"]
 
 
 def test_extension_ground_truth(
-    benchmark, report, flixster_small, flixster_selector
+    benchmark, report, flixster_small, flixster_context
 ):
     seed_sets = {
-        method: flixster_selector.seeds(method, K) for method in METHODS
+        method: method_selector(method).select(flixster_context, K).seeds
+        for method in METHODS
     }
     scores = benchmark.pedantic(
         lambda: ground_truth_evaluation(

@@ -13,38 +13,27 @@ shows whether CD's win over the probability-learning pipelines is
 statistically real on this test set.
 """
 
-from repro.data.split import train_test_split
+from repro.api import ExperimentConfig, run_experiment
 from repro.evaluation.comparison import compare_models
-from repro.evaluation.prediction import (
-    build_cd_predictor,
-    build_ic_predictors,
-    build_lt_predictor,
-)
 
 MAX_TEST_TRACES = 50
 NUM_SIMULATIONS = 60
 TOLERANCE = 10.0
+CONFIG = ExperimentConfig(
+    task="prediction",
+    dataset="flixster",
+    scale="small",
+    methods=["IC", "LT", "CD"],
+    num_simulations=NUM_SIMULATIONS,
+    max_test_traces=MAX_TEST_TRACES,
+)
 
 
 def test_extension_model_comparison(benchmark, report, flixster_small):
-    graph = flixster_small.graph
-    train, _ = train_test_split(flixster_small.log)
-    predictors = {
-        "IC": build_ic_predictors(
-            graph, train, methods=("EM",), num_simulations=NUM_SIMULATIONS
-        )["EM"],
-        "LT": build_lt_predictor(
-            graph, train, num_simulations=NUM_SIMULATIONS
-        ),
-        "CD": build_cd_predictor(graph, train),
-    }
     result = benchmark.pedantic(
         lambda: compare_models(
-            graph,
-            flixster_small.log,
-            predictors,
+            run_experiment(CONFIG, dataset=flixster_small).prediction,
             tolerance=TOLERANCE,
-            max_test_traces=MAX_TEST_TRACES,
             num_resamples=400,
         ),
         rounds=1,

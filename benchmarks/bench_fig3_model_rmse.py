@@ -15,7 +15,7 @@ from repro.api import ExperimentConfig, run_experiment
 from repro.evaluation.metrics import binned_rmse
 from repro.evaluation.reporting import format_series, format_table
 
-NUM_SIMULATIONS = 200  # the legacy predictors' default
+NUM_SIMULATIONS = 200
 
 
 def _run(dataset, name):

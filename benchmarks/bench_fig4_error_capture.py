@@ -16,7 +16,7 @@ from repro.api import ExperimentConfig, run_experiment
 from repro.evaluation.reporting import format_series
 
 THRESHOLDS = [0, 2, 5, 10, 20, 30, 50, 80]
-NUM_SIMULATIONS = 200  # the legacy predictors' default
+NUM_SIMULATIONS = 200
 
 
 def _run(dataset, name):

@@ -8,18 +8,22 @@ the PMIA heuristic and LT uses LDAG where MC greedy would be too slow.
 from benchmarks.conftest import K_SELECT
 from repro.evaluation.metrics import seed_set_intersections
 from repro.evaluation.reporting import format_matrix
+from repro.evaluation.selection import method_selector
 
 METHODS = ["IC", "LT", "CD"]
 
 
-def _matrix(selector, k):
-    seed_sets = {method: selector.seeds(method, k) for method in METHODS}
+def _matrix(context, k):
+    seed_sets = {
+        method: method_selector(method).select(context, k).seeds
+        for method in METHODS
+    }
     return seed_set_intersections(seed_sets)
 
 
-def test_fig5_flixster(benchmark, report, flixster_selector):
+def test_fig5_flixster(benchmark, report, flixster_context):
     matrix = benchmark.pedantic(
-        lambda: _matrix(flixster_selector, K_SELECT), rounds=1, iterations=1
+        lambda: _matrix(flixster_context, K_SELECT), rounds=1, iterations=1
     )
     report(
         format_matrix(
@@ -35,9 +39,9 @@ def test_fig5_flixster(benchmark, report, flixster_selector):
     assert matrix[("IC", "CD")] / K_SELECT <= 0.3
 
 
-def test_fig5_flickr(benchmark, report, flickr_selector):
+def test_fig5_flickr(benchmark, report, flickr_context):
     matrix = benchmark.pedantic(
-        lambda: _matrix(flickr_selector, K_SELECT), rounds=1, iterations=1
+        lambda: _matrix(flickr_context, K_SELECT), rounds=1, iterations=1
     )
     report(
         format_matrix(

@@ -88,10 +88,10 @@ def test_fig6_flixster(benchmark, report, flixster_small, flixster_context,
     assert cd_activity > 2 * ic_activity
 
 
-def test_fig6_flickr(benchmark, report, flickr_small, flickr_selector,
+def test_fig6_flickr(benchmark, report, flickr_small, flickr_context,
                      flickr_split):
     seed_sets, series = benchmark.pedantic(
-        lambda: _run(flickr_small, flickr_selector.context, "flickr"),
+        lambda: _run(flickr_small, flickr_context, "flickr"),
         rounds=1,
         iterations=1,
     )

@@ -13,18 +13,22 @@ As in the paper's footnote 3, seed selection uses the PMIA heuristic
 from benchmarks.conftest import K_SELECT
 from repro.evaluation.metrics import seed_set_intersections
 from repro.evaluation.reporting import format_matrix
+from repro.evaluation.selection import method_selector
 
 METHODS = ["UN", "WC", "TV", "EM", "PT"]
 
 
-def _overlap_matrix(selector, k):
-    seed_sets = {method: selector.seeds(method, k) for method in METHODS}
+def _overlap_matrix(context, k):
+    seed_sets = {
+        method: method_selector(method).select(context, k).seeds
+        for method in METHODS
+    }
     return seed_sets, seed_set_intersections(seed_sets)
 
 
-def test_table2_flixster(benchmark, report, flixster_selector):
+def test_table2_flixster(benchmark, report, flixster_context):
     seed_sets, matrix = benchmark.pedantic(
-        lambda: _overlap_matrix(flixster_selector, K_SELECT),
+        lambda: _overlap_matrix(flixster_context, K_SELECT),
         rounds=1,
         iterations=1,
     )
@@ -47,9 +51,9 @@ def test_table2_flixster(benchmark, report, flixster_selector):
         assert matrix[("EM", method)] / K_SELECT < em_pt
 
 
-def test_table2_flickr(benchmark, report, flickr_selector):
+def test_table2_flickr(benchmark, report, flickr_context):
     seed_sets, matrix = benchmark.pedantic(
-        lambda: _overlap_matrix(flickr_selector, K_SELECT),
+        lambda: _overlap_matrix(flickr_context, K_SELECT),
         rounds=1,
         iterations=1,
     )

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SelectionContext
 from repro.data.datasets import flickr_like, flixster_like
 from repro.data.split import train_test_split
-from repro.evaluation.selection import SeedSelector
 
 # Monte Carlo simulations per spread estimate (the paper uses 10,000 on
 # a C++ implementation; pure Python requires a smaller constant).
@@ -72,20 +72,18 @@ def flickr_split(flickr_small):
 
 
 @pytest.fixture(scope="session")
-def flixster_selector(flixster_small, flixster_split):
+def flixster_context(flixster_small, flixster_split):
+    """Learned artifacts over the flixster training fold, shared by the
+    benches; seeds come from ``method_selector(m).select(context, k)``."""
     train, _ = flixster_split
-    return SeedSelector(
+    return SelectionContext(
         flixster_small.graph, train, num_simulations=NUM_SIMULATIONS
     )
 
 
 @pytest.fixture(scope="session")
-def flixster_context(flixster_selector):
-    """The selector's SelectionContext — shared learned artifacts."""
-    return flixster_selector.context
-
-
-@pytest.fixture(scope="session")
-def flickr_selector(flickr_small, flickr_split):
+def flickr_context(flickr_small, flickr_split):
     train, _ = flickr_split
-    return SeedSelector(flickr_small.graph, train, num_simulations=NUM_SIMULATIONS)
+    return SelectionContext(
+        flickr_small.graph, train, num_simulations=NUM_SIMULATIONS
+    )

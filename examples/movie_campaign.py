@@ -19,9 +19,15 @@ Run with:  python examples/movie_campaign.py
 """
 
 from repro import flixster_like, train_test_split
-from repro.evaluation.selection import SeedSelector, spread_achieved_experiment
+from repro.api import ExperimentConfig, run_experiment
 
 K = 15
+SELECTORS = [
+    {"name": "cd", "label": "CD"},
+    {"name": "pmia", "params": {"method": "EM"}, "label": "IC"},
+    {"name": "high_degree", "label": "HighDegree"},
+    {"name": "pagerank", "label": "PageRank"},
+]
 
 
 def main() -> None:
@@ -30,18 +36,19 @@ def main() -> None:
     print(f"campaign dataset: {dataset.name} ({dataset.graph.num_nodes} users)")
     print(f"choosing {K} seed users per method...\n")
 
-    selector = SeedSelector(dataset.graph, train, num_simulations=50)
-    methods = ["CD", "IC", "HighDegree", "PageRank"]
-    seed_sets = {method: selector.seeds(method, K) for method in methods}
-
-    series = spread_achieved_experiment(
-        dataset.graph, train, methods=methods, ks=[K], seed_sets=seed_sets
+    result = run_experiment(
+        ExperimentConfig(
+            dataset="flixster", scale="small", selectors=SELECTORS, ks=[K]
+        ),
+        dataset=dataset,
     )
+    spreads = result.final_spreads()
 
     print(f"{'method':<12} {'sigma_cd':>9} {'avg seed activity':>18}")
-    for method in methods:
-        spread = series[method][0][1]
-        activities = [train.activity(seed) for seed in seed_sets[method]]
+    for method in result.labels():
+        spread = spreads[method]
+        seeds = result.selections(method)[0].seeds
+        activities = [train.activity(seed) for seed in seeds]
         average_activity = sum(activities) / len(activities)
         print(f"{method:<12} {spread:9.1f} {average_activity:18.1f}")
 

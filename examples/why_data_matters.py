@@ -13,10 +13,10 @@ questions:
 Run with:  python examples/why_data_matters.py
 """
 
-from repro import flixster_like, train_test_split
+from repro import flixster_like
 from repro.api import ExperimentConfig, run_experiment
+from repro.evaluation.metrics import seed_set_intersections
 from repro.evaluation.reporting import format_matrix, format_table
-from repro.evaluation.selection import seed_overlap_experiment
 
 METHODS = ["UN", "WC", "TV", "EM", "PT"]
 K = 10
@@ -24,12 +24,24 @@ K = 10
 
 def main() -> None:
     dataset = flixster_like("small")
-    train, _ = train_test_split(dataset.log)
     print(f"dataset: {dataset.name}\n")
 
     print(f"Experiment 1 — seed-set intersection (k = {K}):")
-    _, matrix = seed_overlap_experiment(
-        dataset.graph, train, methods=METHODS, k=K, num_simulations=30
+    selection = run_experiment(
+        ExperimentConfig(
+            dataset="flixster",
+            scale="small",
+            selectors=[
+                {"name": "pmia", "params": {"method": method}, "label": method}
+                for method in METHODS
+            ],
+            ks=[K],
+            evaluate_spread=False,
+        ),
+        dataset=dataset,
+    )
+    matrix = seed_set_intersections(
+        {method: selection.selections(method)[0].seeds for method in METHODS}
     )
     print(format_matrix(METHODS, matrix))
     print(

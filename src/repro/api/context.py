@@ -7,11 +7,9 @@ artifacts is the expensive part of any experiment, and several selectors
 share them — so :class:`SelectionContext` owns them, builds each lazily
 on first use, and caches it for every later selector run.
 
-This is the machinery that used to live privately inside
-:class:`repro.evaluation.selection.SeedSelector`; it now backs the
-selector registry, the experiment runner, the CLI and ``SeedSelector``
-itself (which delegates here), so all four construct artifacts
-identically — the property the registry's parity guarantees rest on.
+It backs the selector registry, the experiment runner and the CLI, so
+all three construct artifacts identically — the property the
+registry's parity guarantees rest on.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.maximization.oracle import (
 from repro.runtime.executor import Executor, as_executor
 from repro.utils.rng import derive_seed as _derive_seed
 from repro.utils.rng import integer_seed
-from repro.utils.validation import require
+from repro.utils.validation import require, require_non_negative
 
 __all__ = ["SelectionContext", "IC_PROBABILITY_METHODS", "ARTIFACT_NAMES"]
 
@@ -137,6 +135,7 @@ class SelectionContext:
             num_simulations >= 1,
             f"num_simulations must be >= 1, got {num_simulations}",
         )
+        require_non_negative(truncation, "truncation")
         require(
             credit_scheme in CREDIT_SCHEMES,
             f"credit_scheme must be one of {CREDIT_SCHEMES}, "

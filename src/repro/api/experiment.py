@@ -31,7 +31,12 @@ from repro.api.registry import Selector, SelectorSpec, get_selector
 from repro.api.results import SeedSelection
 from repro.data.datasets import Dataset
 from repro.runtime.executor import EXECUTORS
-from repro.utils.validation import ConfigError, require, require_config
+from repro.utils.validation import (
+    ConfigError,
+    require,
+    require_config,
+    require_non_negative,
+)
 
 __all__ = [
     "ConfigError",
@@ -229,6 +234,11 @@ class ExperimentConfig:
             f"probability_method must be one of {IC_PROBABILITY_METHODS}, "
             f"got {self.probability_method!r}",
         )
+        require(
+            self.num_simulations >= 1,
+            f"num_simulations must be >= 1, got {self.num_simulations}",
+        )
+        require_non_negative(self.truncation, "truncation")
         require(
             self.split_every >= 2,
             f"split_every must be >= 2, got {self.split_every}",

@@ -28,6 +28,8 @@ from __future__ import annotations
 import sys
 from typing import Hashable, Iterator
 
+from repro.utils.validation import require_non_negative
+
 __all__ = ["CreditIndex", "SeedCredits"]
 
 User = Hashable
@@ -47,8 +49,7 @@ class CreditIndex:
     """
 
     def __init__(self, truncation: float = 0.0) -> None:
-        if truncation < 0.0:
-            raise ValueError(f"truncation must be non-negative, got {truncation}")
+        require_non_negative(truncation, "truncation")
         self.truncation = truncation
         self.out: dict[User, dict[Action, dict[User, float]]] = {}
         self.inc: dict[User, dict[Action, dict[User, float]]] = {}

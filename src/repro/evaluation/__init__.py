@@ -1,14 +1,21 @@
-"""Experiment harness: one driver per table/figure of the paper.
+"""Scoring, statistics and reporting over :func:`repro.api.run_experiment`.
+
+The paper's two evaluation protocols — held-out spread prediction
+(Figures 2-4) and seed selection scored under the CD proxy (Table 2,
+Figures 5-9) — run only through :func:`repro.api.run_experiment`.  This
+package measures and reports what they produce:
 
 * :mod:`~repro.evaluation.metrics` — binned RMSE (Figures 2-3), the
   absolute-error capture curve (Figure 4), seed-set intersection
   matrices (Table 2, Figure 5);
-* :mod:`~repro.evaluation.prediction` — spread-prediction experiments
-  (Figures 2, 3, 4);
-* :mod:`~repro.evaluation.selection` — seed-selection experiments
-  (Table 2, Figures 5, 6);
-* :mod:`~repro.evaluation.performance` — runtime, scalability,
-  training-size and truncation experiments (Figures 7-9, Table 4);
+* :mod:`~repro.evaluation.prediction` — the held-out traces and the
+  prediction records, shared with custom predictors;
+* :mod:`~repro.evaluation.selection` — the paper's method names as
+  registry selectors;
+* :mod:`~repro.evaluation.comparison` — bootstrap model comparison and
+  the selector head-to-head;
+* :mod:`~repro.evaluation.performance` — scalability, training-size and
+  truncation sweeps (Figures 8-9, Table 4);
 * :mod:`~repro.evaluation.reporting` — ASCII rendering shared by the
   benchmark suite.
 """
@@ -25,15 +32,8 @@ from repro.evaluation.metrics import (
     rmse,
     seed_set_intersections,
 )
-from repro.evaluation.prediction import (
-    PredictionExperiment,
-    build_cd_predictor,
-    build_ic_predictors,
-    build_lt_predictor,
-    spread_prediction_experiment,
-)
+from repro.evaluation.prediction import PredictionExperiment, held_out_traces
 from repro.evaluation.performance import (
-    runtime_comparison,
     scalability_experiment,
     truncation_experiment,
 )
@@ -62,12 +62,7 @@ from repro.evaluation.significance import (
     paired_bootstrap_test,
     sign_test,
 )
-from repro.evaluation.selection import (
-    method_selector,
-    seed_overlap_experiment,
-    select_seeds_by_method,
-    spread_achieved_experiment,
-)
+from repro.evaluation.selection import method_selector
 
 __all__ = [
     "rmse",
@@ -75,14 +70,7 @@ __all__ = [
     "capture_curve",
     "seed_set_intersections",
     "PredictionExperiment",
-    "spread_prediction_experiment",
-    "build_ic_predictors",
-    "build_lt_predictor",
-    "build_cd_predictor",
-    "select_seeds_by_method",
-    "seed_overlap_experiment",
-    "spread_achieved_experiment",
-    "runtime_comparison",
+    "held_out_traces",
     "scalability_experiment",
     "truncation_experiment",
     "format_table",

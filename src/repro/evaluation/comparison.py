@@ -2,46 +2,37 @@
 
 "These observations further highlight the need for devising techniques
 and benchmarks for comparing different influence models and the
-associated influence maximization methods."  Two drivers answer that
-call:
+associated influence maximization methods."  Two reports answer that
+call, each a statistics layer over one :func:`repro.api.run_experiment`
+result:
 
-* :func:`compare_selectors` — the *maximization* head-to-head.  It
-  consumes :func:`repro.api.run_experiment`, so any registered selector
-  can enter the comparison by name; the report ranks every entry by the
-  CD-proxy spread of its seeds (the Figure-6 yardstick) alongside
-  runtime and oracle-call counts.  This is the registry-native path and
-  the one new code should use.
-* :func:`compare_models` — the *prediction* benchmark: given named
-  spread predictors, it runs the held-out protocol once and produces,
-  per model, RMSE with a bootstrap confidence interval, the capture
-  rate at a chosen tolerance, and a pairwise significance matrix.
-  Because it takes raw predictor callables it bypasses the selector
-  registry entirely; it is kept working for existing callers but
-  emits a :class:`DeprecationWarning` pointing at the ``repro.api``
-  surface.
+* :func:`compare_selectors` — the *maximization* head-to-head.  Any
+  registered selector can enter the comparison by name; the report
+  ranks every entry by the CD-proxy spread of its seeds (the Figure-6
+  yardstick) alongside runtime and oracle-call counts.
+* :func:`compare_models` — the *prediction* benchmark over a
+  :class:`~repro.evaluation.prediction.PredictionExperiment`: per
+  model, RMSE with a bootstrap confidence interval and the capture rate
+  at a chosen tolerance, plus a pairwise significance matrix.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping
 
 from repro.api.experiment import (
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
 )
-from repro.data.actionlog import ActionLog
-from repro.evaluation.metrics import capture_curve, rmse
-from repro.evaluation.prediction import _spread_prediction_protocol
+from repro.evaluation.metrics import capture_curve
+from repro.evaluation.prediction import PredictionExperiment
 from repro.evaluation.reporting import format_series, format_table
 from repro.evaluation.significance import (
     PairedComparison,
     bootstrap_ci,
     paired_bootstrap_test,
 )
-from repro.graphs.digraph import SocialGraph
 from repro.utils.validation import require
 
 __all__ = [
@@ -51,9 +42,6 @@ __all__ = [
     "SelectorComparison",
     "compare_selectors",
 ]
-
-User = Hashable
-Predictor = Callable[[list[User]], float]
 
 
 @dataclass(frozen=True)
@@ -150,44 +138,34 @@ class ComparisonResult:
 
 
 def compare_models(
-    graph: SocialGraph,
-    log: ActionLog,
-    predictors: Mapping[str, Predictor],
+    experiment: PredictionExperiment,
     tolerance: float = 10.0,
-    max_test_traces: int | None = None,
     confidence: float = 0.95,
     num_resamples: int = 1000,
     seed: int = 0,
 ) -> ComparisonResult:
-    """Run the full statistical model comparison.
+    """The statistical comparison of one prediction run's models.
 
-    Parameters mirror
-    :func:`repro.evaluation.prediction.spread_prediction_experiment`;
-    ``tolerance`` sets the capture-rate threshold and ``confidence`` /
-    ``num_resamples`` the bootstrap layer.
+    ``experiment`` is ``result.prediction`` of a ``task="prediction"``
+    :func:`~repro.api.run_experiment`, or a
+    :meth:`~repro.evaluation.prediction.PredictionExperiment.from_predictions`
+    over :func:`~repro.evaluation.prediction.held_out_traces` for
+    predictors the config cannot name.  ``tolerance`` sets the
+    capture-rate threshold and ``confidence`` / ``num_resamples`` /
+    ``seed`` the bootstrap layer.
     """
-    warnings.warn(
-        "compare_models takes raw predictor callables and bypasses the "
-        "repro.api selector registry; for maximization comparisons use "
-        "repro.evaluation.comparison.compare_selectors (backed by "
-        "repro.api.run_experiment) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    require(len(predictors) >= 2, "compare_models needs at least two models")
+    names = experiment.methods
+    require(len(names) >= 2, "compare_models needs at least two models")
     require(tolerance > 0.0, f"tolerance must be positive, got {tolerance}")
-    experiment = _spread_prediction_protocol(
-        graph, log, predictors, max_test_traces=max_test_traces
-    )
     result = ComparisonResult(
         num_test_traces=experiment.num_test_traces, tolerance=tolerance
     )
-    for name in predictors:
+    for name in names:
         pairs = experiment.pairs(name)
         point, lower, upper = bootstrap_ci(
             pairs,
             confidence=confidence,
-            num_resamples=max(100, num_resamples),
+            num_resamples=num_resamples,
             seed=seed,
         )
         result.reports.append(
@@ -199,7 +177,6 @@ def compare_models(
                 capture_rate=capture_curve(pairs, [tolerance])[0][1],
             )
         )
-    names = list(predictors)
     actuals = [actual for actual, _ in experiment.pairs(names[0])]
     predictions = {
         name: [predicted for _, predicted in experiment.pairs(name)]
@@ -214,7 +191,7 @@ def compare_models(
                 predictions[first],
                 predictions[second],
                 confidence=confidence,
-                num_resamples=max(100, num_resamples),
+                num_resamples=num_resamples,
                 seed=seed,
             )
     return result

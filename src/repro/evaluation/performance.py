@@ -1,9 +1,10 @@
-"""Runtime, scalability, training-size and truncation experiments.
+"""Scalability, training-size and truncation sweeps of the CD pipeline.
 
-Covers the paper's Figure 7 (runtime vs seed-set size for IC/LT/CD),
-Figure 8 (runtime and memory vs number of action-log tuples), Figure 9
-(solution quality vs number of tuples) and Table 4 (the truncation
-threshold sweep).
+Covers the paper's Figure 8 (runtime and memory vs number of action-log
+tuples), Figure 9 (solution quality vs number of tuples) and Table 4
+(the truncation threshold sweep).  Figure 7 (runtime vs seed-set size
+for IC/LT/CD) is ``run_experiment(...).runtime_curves()`` of
+:func:`repro.api.run_experiment`.
 
 Memory is reported as the credit index's entry-based estimate
 (:meth:`repro.core.index.CreditIndex.estimate_memory_bytes`) — the
@@ -14,7 +15,7 @@ quantity the paper's Figure 8 (right) tracks, without OS-level RSS noise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from repro.core.credit import TimeDecayCredit
 from repro.core.maximize import cd_maximize
@@ -23,16 +24,10 @@ from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
-from repro.maximization.celf import celf_maximize
-from repro.maximization.oracle import ICSpreadOracle, LTSpreadOracle
-from repro.probabilities.em import learn_ic_probabilities_em
-from repro.probabilities.lt_weights import learn_lt_weights
 from repro.utils.timing import Timer
 from repro.utils.validation import require
 
 __all__ = [
-    "RuntimeCurves",
-    "runtime_comparison",
     "ScalabilityRow",
     "scalability_experiment",
     "TruncationRow",
@@ -40,69 +35,6 @@ __all__ = [
 ]
 
 User = Hashable
-
-
-@dataclass
-class RuntimeCurves:
-    """Figure-7 data: cumulative seconds to reach each seed count."""
-
-    curves: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
-
-
-def runtime_comparison(
-    graph: SocialGraph,
-    train_log: ActionLog,
-    k: int = 50,
-    num_simulations: int = 100,
-    truncation: float = 0.001,
-    seed: int = 7,
-    methods: Sequence[str] = ("IC", "LT", "CD"),
-) -> RuntimeCurves:
-    """Time seed selection under IC (MC+CELF), LT (MC+CELF) and CD.
-
-    IC and LT use the standard approach — probabilities/weights learned
-    from data, then CELF greedy over Monte Carlo spread estimation.  CD
-    times include the Algorithm-2 scan (its dominant cost, per the
-    paper's Section 6 "Running Time" discussion).
-    """
-    result = RuntimeCurves()
-    if "IC" in methods:
-        with Timer() as learn_timer:
-            probabilities = learn_ic_probabilities_em(graph, train_log).probabilities
-        oracle = ICSpreadOracle(
-            graph, probabilities, num_simulations=num_simulations, seed=seed
-        )
-        time_log: list[tuple[int, float]] = []
-        celf_maximize(oracle, k, time_log=time_log)
-        result.curves["IC"] = [
-            (count, learn_timer.elapsed + elapsed) for count, elapsed in time_log
-        ]
-    if "LT" in methods:
-        with Timer() as learn_timer:
-            weights = learn_lt_weights(graph, train_log)
-        oracle = LTSpreadOracle(
-            graph, weights, num_simulations=num_simulations, seed=seed
-        )
-        time_log = []
-        celf_maximize(oracle, k, time_log=time_log)
-        result.curves["LT"] = [
-            (count, learn_timer.elapsed + elapsed) for count, elapsed in time_log
-        ]
-    if "CD" in methods:
-        with Timer() as scan_timer:
-            params = learn_influenceability(graph, train_log)
-            index = scan_action_log(
-                graph,
-                train_log,
-                credit=TimeDecayCredit(params),
-                truncation=truncation,
-            )
-        time_log = []
-        cd_maximize(index, k, mutate=True, time_log=time_log)
-        result.curves["CD"] = [
-            (count, scan_timer.elapsed + elapsed) for count, elapsed in time_log
-        ]
-    return result
 
 
 @dataclass

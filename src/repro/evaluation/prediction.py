@@ -1,4 +1,4 @@
-"""Spread-prediction experiments (Figures 2, 3 and 4).
+"""The held-out spread-prediction protocol (Figures 2, 3 and 4).
 
 Protocol (paper Section 3, Experiment 2, reused in Section 6):
 
@@ -9,50 +9,34 @@ Protocol (paper Section 3, Experiment 2, reused in Section 6):
 4. ask each model to predict the spread of that seed set and score the
    predictions (binned RMSE, error capture curve).
 
-The predictors:
+``ExperimentConfig(task="prediction")`` with
+:func:`repro.api.run_experiment` runs the protocol for the paper's
+models.  This module owns the data it shares with any other predictor:
+:func:`held_out_traces` is the one rule for which test traces are
+evaluated, with which seeds and actual spread, and
+:meth:`PredictionExperiment.from_predictions` is the one constructor of
+the scored records.  A predictor the config cannot name (a credit-scheme
+ablation, say) is scored on the same protocol through both::
 
-* **UN / TV / WC / EM / PT** — IC model with the respective edge
-  probabilities, spread estimated by Monte Carlo (Figure 2);
-* **IC** — IC with EM-learned probabilities (Figure 3);
-* **LT** — LT with weights learned per Section 6;
-* **CD** — ``sigma_cd`` over the training log with Eq. 9 credits.
+    train, test = train_test_split(dataset.log)
+    traces = held_out_traces(dataset.graph, test, max_test_traces=50)
+    evaluator = CDSpreadEvaluator(dataset.graph, train, credit=scheme)
+    experiment = PredictionExperiment.from_predictions(
+        traces, {"CD": [evaluator.spread(list(seeds)) for seeds, _ in traces]}
+    )
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Mapping, Sequence
 
-from repro.core.credit import TimeDecayCredit
-from repro.core.params import learn_influenceability
-from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
-from repro.data.split import train_test_split
-from repro.diffusion.ic import estimate_spread_ic
-from repro.diffusion.lt import estimate_spread_lt
 from repro.graphs.digraph import SocialGraph
-from repro.probabilities.em import learn_ic_probabilities_em
-from repro.probabilities.lt_weights import learn_lt_weights
-from repro.probabilities.perturb import perturb_probabilities
-from repro.probabilities.static import (
-    trivalency_probabilities,
-    uniform_probabilities,
-    weighted_cascade_probabilities,
-)
+from repro.utils.validation import require
 
-__all__ = [
-    "PredictionExperiment",
-    "spread_prediction_experiment",
-    "select_test_traces",
-    "build_ic_predictors",
-    "build_lt_predictor",
-    "build_cd_predictor",
-]
-
-User = Hashable
-Predictor = Callable[[list[User]], float]
+__all__ = ["PredictionExperiment", "held_out_traces"]
 
 
 @dataclass
@@ -67,175 +51,65 @@ class PredictionExperiment:
     records: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     num_test_traces: int = 0
 
+    @classmethod
+    def from_predictions(
+        cls,
+        traces: Sequence[tuple[tuple, float]],
+        predictions: Mapping[str, Sequence[float]],
+    ) -> "PredictionExperiment":
+        """Pair each method's predictions with the traces' actual spreads.
+
+        ``traces`` is :func:`held_out_traces` output; ``predictions``
+        maps each method, in report order, to one prediction per trace.
+        """
+        actuals = [actual for _, actual in traces]
+        for method, predicted in predictions.items():
+            require(
+                len(predicted) == len(actuals),
+                f"method {method!r} has {len(predicted)} predictions for "
+                f"{len(actuals)} traces",
+            )
+        return cls(
+            methods=list(predictions),
+            records={
+                method: list(zip(actuals, predicted))
+                for method, predicted in predictions.items()
+            },
+            num_test_traces=len(actuals),
+        )
+
     def pairs(self, method: str) -> list[tuple[float, float]]:
         """The ``(actual, predicted)`` pairs of one method."""
         return self.records[method]
 
 
-def build_ic_predictors(
+def held_out_traces(
     graph: SocialGraph,
-    train_log: ActionLog,
-    methods: Iterable[str] = ("UN", "TV", "WC", "EM", "PT"),
-    num_simulations: int = 200,
-    seed: int = 7,
-) -> dict[str, Predictor]:
-    """IC-model predictors for the requested probability-assignment methods.
+    test_log: ActionLog,
+    max_test_traces: int | None = None,
+) -> list[tuple[tuple, float]]:
+    """The evaluated test traces as ``(initiators, actual spread)`` pairs.
 
-    ``EM``/``PT`` learn from ``train_log``; the others ignore it — which
-    is the point of the Section 3 comparison.
+    Traces come largest first.  The initiators — users who acted before
+    any of their neighbours — are the seed set, and the trace's size is
+    the actual spread.  The cap samples the size ranking *stratified*
+    (every n-th trace of the ranking), so the evaluated subset keeps the
+    test set's propagation-size distribution; the paper evaluates all
+    test traces.
     """
-    wanted = list(methods)
-    probability_maps: dict[str, Mapping[tuple[User, User], float]] = {}
-    for method in wanted:
-        if method == "UN":
-            probability_maps[method] = uniform_probabilities(graph)
-        elif method == "TV":
-            probability_maps[method] = trivalency_probabilities(graph, seed=seed)
-        elif method == "WC":
-            probability_maps[method] = weighted_cascade_probabilities(graph)
-        elif method in ("EM", "PT"):
-            if "EM" not in probability_maps:
-                em_result = learn_ic_probabilities_em(graph, train_log)
-                probability_maps["EM"] = em_result.probabilities
-            if method == "PT":
-                probability_maps["PT"] = perturb_probabilities(
-                    probability_maps["EM"], noise=0.2, seed=seed
-                )
-        else:
-            raise ValueError(f"unknown IC probability method {method!r}")
-
-    def make(probabilities: Mapping[tuple[User, User], float]) -> Predictor:
-        def predict(seeds: list[User]) -> float:
-            return estimate_spread_ic(
-                graph,
-                probabilities,
-                seeds,
-                num_simulations=num_simulations,
-                seed=seed,
-            )
-
-        return predict
-
-    return {method: make(probability_maps[method]) for method in wanted}
-
-
-def build_lt_predictor(
-    graph: SocialGraph,
-    train_log: ActionLog,
-    num_simulations: int = 200,
-    seed: int = 7,
-) -> Predictor:
-    """LT-model predictor with weights learned from the training log."""
-    weights = learn_lt_weights(graph, train_log)
-
-    def predict(seeds: list[User]) -> float:
-        return estimate_spread_lt(
-            graph, weights, seeds, num_simulations=num_simulations, seed=seed
-        )
-
-    return predict
-
-
-def build_cd_predictor(graph: SocialGraph, train_log: ActionLog) -> Predictor:
-    """CD-model predictor: ``sigma_cd`` with Eq. 9 credits on training data."""
-    params = learn_influenceability(graph, train_log)
-    evaluator = CDSpreadEvaluator(
-        graph, train_log, credit=TimeDecayCredit(params)
-    )
-    return evaluator.spread
-
-
-def select_test_traces(
-    test_log: ActionLog, max_test_traces: int | None = None
-) -> list[Hashable]:
-    """The evaluated test actions, largest-first, optionally capped.
-
-    The cap samples the size ranking *stratified* (every n-th trace of
-    the ranking), so the evaluated subset keeps the test set's
-    propagation-size distribution — the paper evaluates all test
-    traces.  Shared by this module's legacy driver and the
-    :mod:`repro.runtime` prediction pipeline, so both evaluate exactly
-    the same traces.
-    """
-    test_actions = sorted(
+    actions = sorted(
         test_log.actions(),
         key=lambda action: -test_log.trace_size(action),
     )
-    if max_test_traces is not None and max_test_traces < len(test_actions):
-        stride = len(test_actions) / max_test_traces
-        test_actions = [
-            test_actions[int(index * stride)] for index in range(max_test_traces)
+    if max_test_traces is not None and max_test_traces < len(actions):
+        stride = len(actions) / max_test_traces
+        actions = [
+            actions[int(index * stride)] for index in range(max_test_traces)
         ]
-    return test_actions
-
-
-def _spread_prediction_protocol(
-    graph: SocialGraph,
-    log: ActionLog,
-    predictors: Mapping[str, Predictor] | None = None,
-    max_test_traces: int | None = None,
-) -> PredictionExperiment:
-    """The protocol body (no deprecation warning — internal callers)."""
-    train_log, test_log = train_test_split(log)
-    if predictors is None:
-        ic = build_ic_predictors(graph, train_log, methods=("EM",))
-        predictors = {
-            "IC": ic["EM"],
-            "LT": build_lt_predictor(graph, train_log),
-            "CD": build_cd_predictor(graph, train_log),
-        }
-    experiment = PredictionExperiment(methods=list(predictors))
-    for method in predictors:
-        experiment.records[method] = []
-    test_actions = select_test_traces(test_log, max_test_traces)
-    for action in test_actions:
+    traces = []
+    for action in actions:
         propagation = PropagationGraph.build(graph, test_log, action)
-        seeds = propagation.initiators()
-        actual = float(propagation.num_nodes)
-        for method, predictor in predictors.items():
-            predicted = predictor(list(seeds))
-            experiment.records[method].append((actual, predicted))
-    experiment.num_test_traces = len(test_actions)
-    return experiment
-
-
-def spread_prediction_experiment(
-    graph: SocialGraph,
-    log: ActionLog,
-    predictors: Mapping[str, Predictor] | None = None,
-    max_test_traces: int | None = None,
-) -> PredictionExperiment:
-    """Run the prediction protocol end to end.
-
-    .. deprecated:: 1.5
-        This bespoke driver predates the unified experiment runtime.
-        Prefer ``ExperimentConfig(task="prediction", ...)`` with
-        :func:`repro.api.run_experiment` (or ``repro run --config``),
-        which runs the same protocol through the stage pipeline with
-        executor parallelism and config-file reproducibility.  Direct
-        calls keep working but emit a :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    graph, log:
-        The dataset.
-    predictors:
-        Mapping method name -> predictor.  Each predictor is built from
-        the *training* half; when omitted, the Figure-3 trio (IC, LT,
-        CD) is used.
-    max_test_traces:
-        Optional cap on evaluated test traces, to bound Monte Carlo time
-        in quick runs; see :func:`select_test_traces` for the sampling
-        rule.
-    """
-    warnings.warn(
-        "spread_prediction_experiment is deprecated; run the prediction "
-        "protocol through repro.api.run_experiment with "
-        "ExperimentConfig(task='prediction', ...) — the config-driven "
-        "path covers Figures 2-4 and adds executor parallelism",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _spread_prediction_protocol(
-        graph, log, predictors=predictors, max_test_traces=max_test_traces
-    )
+        traces.append(
+            (tuple(propagation.initiators()), float(propagation.num_nodes))
+        )
+    return traces

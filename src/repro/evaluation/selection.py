@@ -1,8 +1,7 @@
-"""Seed-selection experiments (Table 2, Figures 5 and 6).
+"""The paper's seed-selection method names (Table 2, Figures 5 and 6).
 
-:class:`SeedSelector` runs influence maximization under every method the
-paper compares, sharing learned artifacts (EM probabilities, LT weights,
-the credit index) across methods:
+:func:`method_selector` maps each method the paper compares onto a
+bound entry of the selector registry (:func:`repro.api.get_selector`):
 
 * ``UN`` / ``TV`` / ``WC`` / ``EM`` / ``PT`` — greedy under IC with the
   respective edge probabilities (Table 2);
@@ -11,15 +10,13 @@ the credit index) across methods:
 * ``CD`` — the credit-distribution maximizer;
 * ``HighDegree`` / ``PageRank`` — the structural baselines of Figure 6.
 
-Since the ``repro.api`` redesign this class is a thin compatibility
-facade: artifacts live in a shared
-:class:`~repro.api.context.SelectionContext` and every method dispatches
-through the selector registry (:func:`repro.api.get_selector`), so the
-seeds here are byte-identical to registry calls.  ``method_selector``
-exposes the mapping from the paper's method names to registry entries;
-new code should use :func:`repro.api.run_experiment` directly.
+Seeds come from ``method_selector(method).select(context, k).seeds``
+over one shared :class:`~repro.api.context.SelectionContext`, so every
+method reuses the learned artifacts (EM probabilities, LT weights, the
+credit index); :func:`repro.api.run_experiment` runs the same
+selectors from a config and scores them under the CD proxy.
 
-For the IC and LT models the selector defaults to the PMIA and LDAG
+For the IC and LT models the mapping defaults to the PMIA and LDAG
 heuristics, exactly as the paper does where MC greedy "is too slow to
 complete in a reasonable time" (footnote 3); pass
 ``ic_algorithm="celf"`` / ``lt_algorithm="celf"`` for the Monte Carlo
@@ -28,26 +25,11 @@ greedy used on the small dataset.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
-
-from repro.api.context import IC_PROBABILITY_METHODS, SelectionContext
+from repro.api.context import IC_PROBABILITY_METHODS
 from repro.api.registry import Selector, get_selector
-from repro.core.credit import TimeDecayCredit
-from repro.core.spread import CDSpreadEvaluator
-from repro.data.actionlog import ActionLog
-from repro.graphs.digraph import SocialGraph
 from repro.utils.validation import require
 
-__all__ = [
-    "SeedSelector",
-    "method_selector",
-    "select_seeds_by_method",
-    "seed_overlap_experiment",
-    "spread_achieved_experiment",
-    "IC_PROBABILITY_METHODS",
-]
-
-User = Hashable
+__all__ = ["method_selector"]
 
 
 def method_selector(
@@ -87,136 +69,3 @@ def method_selector(
     if method == "PageRank":
         return get_selector("pagerank")
     raise ValueError(f"unknown seed-selection method {method!r}")
-
-
-class SeedSelector:
-    """Caches learned artifacts and selects seeds per method."""
-
-    def __init__(
-        self,
-        graph: SocialGraph,
-        train_log: ActionLog,
-        ic_algorithm: str = "pmia",
-        lt_algorithm: str = "ldag",
-        num_simulations: int = 100,
-        truncation: float = 0.001,
-        seed: int = 7,
-    ) -> None:
-        require(
-            ic_algorithm in ("pmia", "celf"),
-            f"ic_algorithm must be 'pmia' or 'celf', got {ic_algorithm!r}",
-        )
-        require(
-            lt_algorithm in ("ldag", "celf"),
-            f"lt_algorithm must be 'ldag' or 'celf', got {lt_algorithm!r}",
-        )
-        self._ic_algorithm = ic_algorithm
-        self._lt_algorithm = lt_algorithm
-        self.context = SelectionContext(
-            graph,
-            train_log,
-            num_simulations=num_simulations,
-            truncation=truncation,
-            seed=seed,
-        )
-
-    # ------------------------------------------------------------------
-    # Learned artifacts (lazy, shared across methods)
-    # ------------------------------------------------------------------
-    def ic_probabilities(self, method: str) -> dict[tuple[User, User], float]:
-        """Edge probabilities for an IC probability method (cached)."""
-        return self.context.ic_probabilities(method)
-
-    def lt_weights(self) -> dict[tuple[User, User], float]:
-        """Learned LT weights (cached)."""
-        return self.context.lt_weights()
-
-    def params(self):
-        """Learned Eq. 9 parameters (cached)."""
-        return self.context.influence_params()
-
-    def credit_index(self):
-        """The scanned credit index with Eq. 9 credits (cached)."""
-        return self.context.credit_index()
-
-    # ------------------------------------------------------------------
-    # Selection
-    # ------------------------------------------------------------------
-    def select(self, method: str, k: int):
-        """Full :class:`~repro.api.results.SeedSelection` for ``method``."""
-        selector = method_selector(
-            method,
-            ic_algorithm=self._ic_algorithm,
-            lt_algorithm=self._lt_algorithm,
-        )
-        return selector.select(self.context, k)
-
-    def seeds(self, method: str, k: int) -> list[User]:
-        """Select ``k`` seeds with ``method`` (see module docstring)."""
-        return self.select(method, k).seeds
-
-
-def select_seeds_by_method(
-    graph: SocialGraph,
-    train_log: ActionLog,
-    method: str,
-    k: int,
-    **selector_options,
-) -> list[User]:
-    """One-shot seed selection (builds a throwaway :class:`SeedSelector`)."""
-    return SeedSelector(graph, train_log, **selector_options).seeds(method, k)
-
-
-def seed_overlap_experiment(
-    graph: SocialGraph,
-    train_log: ActionLog,
-    methods: Sequence[str],
-    k: int = 50,
-    **selector_options,
-) -> tuple[dict[str, list[User]], dict[tuple[str, str], int]]:
-    """Select ``k`` seeds per method and compute pairwise intersections.
-
-    Reproduces Table 2 (methods = UN/WC/TV/EM/PT) and Figure 5
-    (methods = IC/LT/CD).
-    """
-    from repro.evaluation.metrics import seed_set_intersections
-
-    selector = SeedSelector(graph, train_log, **selector_options)
-    seed_sets = {method: selector.seeds(method, k) for method in methods}
-    return seed_sets, seed_set_intersections(seed_sets)
-
-
-def spread_achieved_experiment(
-    graph: SocialGraph,
-    train_log: ActionLog,
-    methods: Sequence[str],
-    ks: Iterable[int],
-    seed_sets: Mapping[str, list[User]] | None = None,
-    **selector_options,
-) -> dict[str, list[tuple[float, float]]]:
-    """Figure 6: spread achieved by each method's seeds, measured under CD.
-
-    The paper's argument: the CD model is the most accurate predictor
-    available (Figures 3-4), so its estimate serves as the best proxy
-    for the *actual* spread of arbitrary seed sets.  All methods' seed
-    prefixes are therefore evaluated with ``sigma_cd`` (Eq. 9 credits on
-    the training log).
-
-    Returns per-method series of ``(k, spread)`` points.
-    """
-    k_values = sorted(set(ks))
-    require(bool(k_values), "ks must be non-empty")
-    max_k = k_values[-1]
-    selector = SeedSelector(graph, train_log, **selector_options)
-    if seed_sets is None:
-        seed_sets = {method: selector.seeds(method, max_k) for method in methods}
-    evaluator = CDSpreadEvaluator(
-        graph, train_log, credit=TimeDecayCredit(selector.params())
-    )
-    series: dict[str, list[tuple[float, float]]] = {}
-    for method in methods:
-        seeds = seed_sets[method]
-        series[method] = [
-            (float(k), evaluator.spread(seeds[:k])) for k in k_values
-        ]
-    return series

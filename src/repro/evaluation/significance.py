@@ -124,6 +124,10 @@ def paired_bootstrap_test(
         0.0 < confidence < 1.0,
         f"confidence must be in (0, 1), got {confidence}",
     )
+    require(
+        num_resamples >= 100,
+        f"num_resamples must be >= 100, got {num_resamples}",
+    )
     rng = make_rng(seed)
     triples = list(zip(actuals, predictions_a, predictions_b))
     pairs_a = [(actual, a) for actual, a, _ in triples]

@@ -55,7 +55,7 @@ from repro.api.experiment import (
 )
 from repro.api.registry import get_selector
 from repro.data.split import train_test_split
-from repro.evaluation.prediction import PredictionExperiment, select_test_traces
+from repro.evaluation.prediction import PredictionExperiment, held_out_traces
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import default_registry
 from repro.runtime.estimator import SpreadEstimator
@@ -454,18 +454,9 @@ def _stage_learn_prediction(state: PipelineState) -> None:
 
 
 def _stage_predict(state: PipelineState) -> None:
-    from repro.data.propagation import PropagationGraph
-
-    config = state.config
-    graph = state.dataset.graph
-    test_log = state.test_log
-    actions = select_test_traces(test_log, config.max_test_traces)
-    traces: list[tuple[tuple, float]] = []
-    for action in actions:
-        propagation = PropagationGraph.build(graph, test_log, action)
-        traces.append(
-            (tuple(propagation.initiators()), float(propagation.num_nodes))
-        )
+    traces = held_out_traces(
+        state.dataset.graph, state.test_log, state.config.max_test_traces
+    )
     state.traces = traces
     seed_sets = [seeds for seeds, _ in traces]
     executor = state.executor
@@ -490,15 +481,9 @@ def _stage_predict(state: PipelineState) -> None:
 
 
 def _stage_evaluate_prediction(state: PipelineState) -> None:
-    actuals = [actual for _, actual in state.traces]
-    experiment = PredictionExperiment(
-        methods=[spec.method for spec in state.predictors],
-        num_test_traces=len(state.traces),
+    state.result.prediction = PredictionExperiment.from_predictions(
+        state.traces, state.predictions
     )
-    for spec in state.predictors:
-        predicted = state.predictions[spec.method]
-        experiment.records[spec.method] = list(zip(actuals, predicted))
-    state.result.prediction = experiment
 
 
 # ----------------------------------------------------------------------

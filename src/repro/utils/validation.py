@@ -50,8 +50,8 @@ def require_positive(value: float, name: str) -> None:
 
 
 def require_non_negative(value: float, name: str) -> None:
-    """Raise unless ``value >= 0``."""
-    if value < 0:
+    """Raise unless ``value >= 0`` (so NaN is rejected too)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 

@@ -41,6 +41,9 @@ class TestConfigValidation:
             ({"trials": 0}, "trials"),
             ({"probability_method": "XYZ"}, "probability_method"),
             ({"split_every": 1}, "split_every"),
+            ({"num_simulations": 0}, "num_simulations"),
+            ({"truncation": -0.5}, "truncation"),
+            ({"truncation": float("nan")}, "truncation"),
         ],
     )
     def test_invalid_configs_rejected(self, overrides, match):

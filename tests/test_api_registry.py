@@ -245,6 +245,8 @@ class TestSelectionContext:
             SelectionContext(toy.graph, toy.log, probability_method="XX")
         with pytest.raises(ValueError):
             SelectionContext(toy.graph, toy.log, num_simulations=0)
+        with pytest.raises(ValueError, match="truncation"):
+            SelectionContext(toy.graph, toy.log, truncation=float("nan"))
         with pytest.raises(ValueError):
             SelectionContext(toy.graph, toy.log, credit_scheme="quadratic")
 

@@ -193,6 +193,22 @@ class TestRun:
         assert code == 2
         assert "bad experiment config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"num_simulations": 0},
+            {"truncation": -0.5},
+            {"truncation": float("nan")},  # written as JSON NaN
+        ],
+    )
+    def test_bad_numbers_rejected_before_any_work(self, tmp_path, capsys, bad):
+        config_path = self._write_config(
+            tmp_path, {"dataset": "toy", "selectors": ["cd"], "ks": [1], **bad}
+        )
+        code = main(["run", "--config", config_path])
+        assert code == 2
+        assert "bad experiment config" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
         assert code == 2

@@ -3,28 +3,40 @@
 import pytest
 
 from repro.evaluation.comparison import compare_models
+from repro.evaluation.prediction import PredictionExperiment, held_out_traces
 
 
 @pytest.fixture(scope="module")
-def comparison(flixster_mini):
-    """One comparison of a good model (CD) vs a bad one (constant)."""
+def experiment(flixster_mini):
+    """A good model (CD) and two bad ones over the held-out traces."""
+    from repro.core.credit import TimeDecayCredit
+    from repro.core.params import learn_influenceability
+    from repro.core.spread import CDSpreadEvaluator
     from repro.data.split import train_test_split
-    from repro.evaluation.prediction import build_cd_predictor
 
-    train, _ = train_test_split(flixster_mini.log)
+    graph = flixster_mini.graph
+    train, test = train_test_split(flixster_mini.log)
+    traces = held_out_traces(graph, test, max_test_traces=30)
+    params = learn_influenceability(graph, train)
     predictors = {
-        "CD": build_cd_predictor(flixster_mini.graph, train),
+        "CD": CDSpreadEvaluator(
+            graph, train, credit=TimeDecayCredit(params)
+        ).spread,
         "constant-0": lambda seeds: 0.0,
         "seed-count": lambda seeds: float(len(seeds)),
     }
-    return compare_models(
-        flixster_mini.graph,
-        flixster_mini.log,
-        predictors,
-        tolerance=10.0,
-        max_test_traces=30,
-        num_resamples=300,
+    return PredictionExperiment.from_predictions(
+        traces,
+        {
+            name: [predict(list(seeds)) for seeds, _ in traces]
+            for name, predict in predictors.items()
+        },
     )
+
+
+@pytest.fixture(scope="module")
+def comparison(experiment):
+    return compare_models(experiment, tolerance=10.0, num_resamples=300)
 
 
 class TestCompareModels:
@@ -67,21 +79,36 @@ class TestCompareModels:
         text = comparison.render()
         assert "<" in text or ">" in text
 
+    def test_compares_a_prediction_run(self):
+        from repro.api import ExperimentConfig, run_experiment
+
+        result = run_experiment(
+            ExperimentConfig(
+                task="prediction",
+                dataset="flixster",
+                scale="mini",
+                methods=["UN", "CD"],
+                num_simulations=10,
+                max_test_traces=10,
+            )
+        )
+        comparison = compare_models(result.prediction, num_resamples=100)
+        assert [report.name for report in comparison.reports] == ["UN", "CD"]
+        assert comparison.num_test_traces == 10
+
 
 class TestValidation:
-    def test_needs_two_models(self, flixster_mini):
+    def test_needs_two_models(self):
+        only = PredictionExperiment.from_predictions(
+            [((1,), 1.0)], {"only": [0.0]}
+        )
         with pytest.raises(ValueError, match="at least two"):
-            compare_models(
-                flixster_mini.graph,
-                flixster_mini.log,
-                {"only": lambda seeds: 0.0},
-            )
+            compare_models(only)
 
-    def test_tolerance_positive(self, flixster_mini):
+    def test_tolerance_positive(self, experiment):
         with pytest.raises(ValueError, match="tolerance"):
-            compare_models(
-                flixster_mini.graph,
-                flixster_mini.log,
-                {"a": lambda s: 0.0, "b": lambda s: 1.0},
-                tolerance=0.0,
-            )
+            compare_models(experiment, tolerance=0.0)
+
+    def test_too_few_resamples_rejected(self, experiment):
+        with pytest.raises(ValueError, match="num_resamples"):
+            compare_models(experiment, num_resamples=50)

@@ -53,6 +53,13 @@ class TestCorruptFiles:
             load_graph(tmp_path / "does-not-exist.tsv")
 
 
+def _scan_numpy(graph, truncation):
+    pytest.importorskip("numpy")
+    from repro.kernels.scan_numpy import scan_action_log_numpy
+
+    return scan_action_log_numpy(graph, ActionLog(), truncation=truncation)
+
+
 class TestModelParameterValidation:
     def test_graph_rejects_self_loop(self):
         graph = SocialGraph()
@@ -84,6 +91,45 @@ class TestModelParameterValidation:
 
         with pytest.raises(ValueError):
             CreditIndex(truncation=-1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "scan_python",
+            "scan_numpy",
+            "streaming_index",
+            "credit_index",
+            "cd_cover_target",
+            "simpath_eta",
+            "simpath_oracle_eta",
+        ],
+    )
+    def test_nan_threshold_rejected(self, call):
+        # ``value < 0`` is False for NaN; a NaN truncation would drop
+        # every credit on one backend and keep them on the other.
+        from repro.core.coverage import cd_cover
+        from repro.core.index import CreditIndex
+        from repro.core.scan import scan_action_log
+        from repro.core.streaming import StreamingCreditIndex
+        from repro.maximization.simpath import SimPathOracle, simpath_spread
+
+        nan = float("nan")
+        graph = SocialGraph.from_edges([(1, 2)])
+        calls = {
+            "scan_python": lambda: scan_action_log(
+                graph, ActionLog(), truncation=nan
+            ),
+            "scan_numpy": lambda: _scan_numpy(graph, nan),
+            "streaming_index": lambda: StreamingCreditIndex(
+                graph, truncation=nan
+            ),
+            "credit_index": lambda: CreditIndex(truncation=nan),
+            "cd_cover_target": lambda: cd_cover(CreditIndex(), nan),
+            "simpath_eta": lambda: simpath_spread(graph, {}, [1], eta=nan),
+            "simpath_oracle_eta": lambda: SimPathOracle(graph, {}, eta=nan),
+        }
+        with pytest.raises(ValueError, match="non-negative"):
+            calls[call]()
 
     def test_time_decay_credit_rejects_bad_tau(self):
         from repro.core.credit import TimeDecayCredit

@@ -1,10 +1,10 @@
-"""Tests for repro.evaluation.performance (Figures 7-9, Table 4 drivers)."""
+"""Tests for repro.evaluation.performance (Figures 8-9, Table 4) and the
+Figure-7 runtime curves of the selection task."""
 
 import pytest
 
-from repro.data.split import train_test_split
+from repro.api import ExperimentConfig, run_experiment
 from repro.evaluation.performance import (
-    runtime_comparison,
     scalability_experiment,
     truncation_experiment,
 )
@@ -17,17 +17,25 @@ def dataset():
     return flixster_like("mini")
 
 
-@pytest.fixture(scope="module")
-def train(dataset):
-    return train_test_split(dataset.log)[0]
-
-
 class TestRuntimeComparison:
+    """Figure 7 through the selection task: cumulative seconds to reach
+    each seed count under MC-CELF IC, MC-CELF LT and CD."""
+
     @pytest.fixture(scope="class")
-    def curves(self, dataset, train):
-        return runtime_comparison(
-            dataset.graph, train, k=5, num_simulations=10
-        ).curves
+    def curves(self):
+        config = ExperimentConfig(
+            dataset="flixster",
+            scale="mini",
+            selectors=[
+                {"name": "celf", "params": {"model": "ic"}, "label": "IC"},
+                {"name": "celf", "params": {"model": "lt"}, "label": "LT"},
+                {"name": "cd", "label": "CD"},
+            ],
+            ks=[5],
+            num_simulations=10,
+            evaluate_spread=False,
+        )
+        return run_experiment(config).runtime_curves()
 
     def test_all_methods_present(self, curves):
         assert set(curves) == {"IC", "LT", "CD"}
@@ -41,11 +49,15 @@ class TestRuntimeComparison:
             times = [elapsed for _, elapsed in points]
             assert times == sorted(times), method
 
-    def test_method_subset(self, dataset, train):
-        curves = runtime_comparison(
-            dataset.graph, train, k=2, num_simulations=5, methods=("CD",)
-        ).curves
-        assert set(curves) == {"CD"}
+    def test_method_subset(self):
+        config = ExperimentConfig(
+            dataset="flixster",
+            scale="mini",
+            selectors=[{"name": "cd", "label": "CD"}],
+            ks=[2],
+            evaluate_spread=False,
+        )
+        assert set(run_experiment(config).runtime_curves()) == {"CD"}
 
 
 class TestScalability:

@@ -108,6 +108,15 @@ class TestPairedBootstrap:
         second = paired_bootstrap_test(actuals, a, b, seed=5)
         assert first == second
 
+    @pytest.mark.parametrize("num_resamples", [-1, 0, 1, 99])
+    def test_too_few_resamples_rejected(self, actuals, num_resamples):
+        # As in bootstrap_ci: one resample would give a "significant"
+        # verdict, and none at all would index an empty list.
+        a = _noisy_predictions(actuals, 3, 13)
+        b = _noisy_predictions(actuals, 5, 14)
+        with pytest.raises(ValueError, match="num_resamples"):
+            paired_bootstrap_test(actuals, a, b, num_resamples=num_resamples)
+
 
 class TestSignTest:
     def test_dominant_model_wins(self):
@@ -163,25 +172,19 @@ class TestOnRealPipeline:
         (the paper's separation needs the full-scale crawls); this
         seed's realization shows it with a CI excluding zero.
         """
-        from repro.data.datasets import flixster_like
-        from repro.data.split import train_test_split
-        from repro.evaluation.prediction import (
-            _spread_prediction_protocol,
-            build_cd_predictor,
-            build_ic_predictors,
-        )
+        from repro.api import ExperimentConfig, run_experiment
 
-        dataset = flixster_like("mini", seed=1)
-        train, _ = train_test_split(dataset.log)
-        predictors = {
-            "CD": build_cd_predictor(dataset.graph, train),
-            "UN": build_ic_predictors(
-                dataset.graph, train, methods=("UN",), num_simulations=40
-            )["UN"],
-        }
-        experiment = _spread_prediction_protocol(
-            dataset.graph, dataset.log, predictors, max_test_traces=40
-        )
+        experiment = run_experiment(
+            ExperimentConfig(
+                task="prediction",
+                dataset="flixster",
+                scale="mini",
+                dataset_seed=1,
+                methods=["CD", "UN"],
+                num_simulations=40,
+                max_test_traces=40,
+            )
+        ).prediction
         actuals = [a for a, _ in experiment.pairs("CD")]
         cd_predictions = [p for _, p in experiment.pairs("CD")]
         un_predictions = [p for _, p in experiment.pairs("UN")]
@@ -189,3 +192,4 @@ class TestOnRealPipeline:
             actuals, cd_predictions, un_predictions, num_resamples=500, seed=0
         )
         assert comparison.statistic_a < comparison.statistic_b
+        assert comparison.significant
