@@ -15,6 +15,7 @@ back to ``int`` so round trips preserve the synthetic datasets exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Hashable
 
@@ -109,7 +110,11 @@ def save_edge_values(
 def load_edge_values(
     path: str | os.PathLike[str],
 ) -> dict[tuple[Hashable, Hashable], float]:
-    """Read an edge-value file written by :func:`save_edge_values`."""
+    """Read an edge-value file written by :func:`save_edge_values`.
+
+    A line without three fields, or with a NaN or infinite value,
+    raises ``ValueError`` naming ``path:line``.
+    """
     values: dict[tuple[Hashable, Hashable], float] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -122,7 +127,13 @@ def load_edge_values(
                     f"{path}:{line_number}: expected 3 fields, got {len(fields)}"
                 )
             edge = (parse_id(fields[0]), parse_id(fields[1]))
-            values[edge] = float(fields[2])
+            value = float(fields[2])
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}:{line_number}: edge value must be finite, "
+                    f"got {fields[2]!r}"
+                )
+            values[edge] = value
     return values
 
 

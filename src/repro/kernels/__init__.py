@@ -10,8 +10,9 @@ provides NumPy implementations of each, dispatched as a selectable
 *backend* of the :mod:`repro.api` layer:
 
 * :mod:`repro.kernels.interning` — :class:`IdMap` (users/actions to
-  contiguous ``int32`` ids), the :class:`CompiledGraph` /
-  :class:`CompiledLog` CSR representations, built once and cached on
+  contiguous ``int32`` ids), the :class:`CompiledGraph` CSR and the
+  :class:`CompiledLog` whole-log trace and link arrays (its only
+  layout), built once and cached on
   :class:`~repro.api.context.SelectionContext`, and
   :func:`positive_csr`, the one CSR over positive-valued edges that
   the Monte-Carlo and sketch kernels compile;
@@ -21,8 +22,8 @@ provides NumPy implementations of each, dispatched as a selectable
 * :mod:`repro.kernels.em_numpy` — the EM fixed point over flat
   episode/parent-edge arrays (bit-for-bit the estimator of
   :func:`repro.probabilities.em.learn_ic_probabilities_em`);
-* :mod:`repro.kernels.scan_numpy` — Algorithm 2 with per-action
-  frontier arrays, bulk-loaded into the
+* :mod:`repro.kernels.scan_numpy` — Algorithm 2, level by level over
+  the compiled log's link arrays, bulk-loaded into the
   :class:`~repro.core.index.CreditIndex`;
 * :mod:`repro.kernels.cd_numpy` — the sigma_cd evaluator built from the
   compiled log (byte-for-byte

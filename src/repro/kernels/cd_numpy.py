@@ -140,9 +140,7 @@ def cd_evaluator_numpy(
     )
     bounds = link_indptr.tolist()
     users = [
-        user
-        for compiled_action in compiled.actions
-        for user, _ in log.trace(compiled_action.action)
+        user for action in compiled.actions for user, _ in log.trace(action)
     ]
     entries = list(
         zip(users, [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])

@@ -4,10 +4,11 @@ Same estimator as :func:`repro.probabilities.em.learn_ic_probabilities_em`
 — bit-for-bit, not just "close": every floating-point operation of the
 reference implementation is reproduced in the same order.
 
-* Episodes become one flat array of global edge ids (action order,
-  chronological within an action, parents in :meth:`parents` order —
-  the exact order the Python loops visit them), segmented by an
-  ``episode_indptr``.
+* The episodes are the compiled log's ``link_edge_ids``: one flat
+  array of global edge ids (action order, chronological within an
+  action, parents in :meth:`parents` order — the exact order the
+  Python loops visit them), segmented by each trace position's link
+  count.
 * The per-episode failure product is ``np.multiply.reduceat`` over
   ``1 - p``, which folds each segment left-to-right exactly like the
   reference's running product.
@@ -45,24 +46,18 @@ def _episode_arrays(
 
     Returns ``(flat_edge_ids, episode_starts, episode_lengths)`` where
     ``flat_edge_ids`` concatenates every episode's parent-edge ids in
-    reference order.
+    reference order.  An episode is a trace position with parents, and
+    links are grouped by child position, so the non-zero link counts
+    come out in episode order.
     """
-    chunks: list[np.ndarray] = []
-    lengths: list[np.ndarray] = []
-    for ca in compiled.actions:
-        degrees = np.diff(ca.parent_indptr)
-        chunks.append(ca.edge_ids)
-        lengths.append(degrees[degrees > 0])
-    flat = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    link_counts = np.bincount(
+        compiled.link_child, minlength=len(compiled.node_ids_flat)
     )
-    episode_lengths = (
-        np.concatenate(lengths) if lengths else np.empty(0, dtype=np.int64)
-    )
+    episode_lengths = link_counts[link_counts > 0]
     episode_starts = np.zeros(len(episode_lengths), dtype=np.int64)
     if len(episode_lengths):
         np.cumsum(episode_lengths[:-1], out=episode_starts[1:])
-    return flat, episode_starts, episode_lengths
+    return compiled.link_edge_ids, episode_starts, episode_lengths
 
 
 def _failure_counts(compiled: CompiledLog) -> np.ndarray:
@@ -70,8 +65,9 @@ def _failure_counts(compiled: CompiledLog) -> np.ndarray:
     graph = compiled.graph
     counts = np.zeros(graph.num_edges, dtype=np.int64)
     performed = np.zeros(graph.n, dtype=bool)
-    for ca in compiled.actions:
-        ids64 = ca.node_ids.astype(np.int64)
+    offsets = compiled.offsets.tolist()
+    for lo, hi in zip(offsets, offsets[1:]):
+        ids64 = compiled.node_ids_flat[lo:hi].astype(np.int64)
         performed[ids64] = True
         _, target_ids, edge_ids = _gather_csr(
             graph.out_indptr, graph.out_indices, ids64

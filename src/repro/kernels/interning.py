@@ -18,15 +18,17 @@ rebuilt here exactly once per ``(graph, log)`` pair as flat arrays:
   positive value (an IC probability or an LT weight) — the layout the
   Monte-Carlo and sketch kernels run on, interned over the graph's own
   nodes only;
-* :class:`CompiledLog` holds one :class:`CompiledAction` per action:
-  the chronological trace as id/time arrays plus the propagation DAG's
-  parent adjacency in CSR form, parents ordered exactly like
-  :meth:`PropagationGraph.parents` (activation time, then node sort
-  key).
+* :class:`CompiledLog` is the whole log as flat arrays: every
+  chronological trace as id/time arrays over one global position space
+  (an action's offset plus its trace index), and every propagation-DAG
+  link as child/parent positions plus its global edge id, parents
+  ordered exactly like :meth:`PropagationGraph.parents` (activation
+  time, then node sort key).
 
 Compilation itself is vectorized (one ``lexsort``/``repeat`` pipeline
-per action rather than per-user Python loops), so the scan benchmark's
-"build + scan" comparison charges both backends for DAG construction.
+per chunk of actions rather than per-user Python loops), so the scan
+benchmark's "build + scan" comparison charges both backends for DAG
+construction.
 
 Instances are built lazily by
 :class:`~repro.api.context.SelectionContext` and cached for every
@@ -34,20 +36,17 @@ kernel that needs them.
 
 Serialization.  Compiled forms travel — the process executor pickles
 them into workers, and :mod:`repro.store` persists them as warm-start
-payloads — so all three classes implement compact pickle state:
-:class:`IdMap` drops its reverse dict (rebuilt from the value list),
-:class:`CompiledGraph` drops its derived arrays (``in_indices_wide``,
-``edge_keys``), and :class:`CompiledLog` drops the per-action
-:class:`CompiledAction` views entirely.  Those views are *slices* of
-the whole-log flat arrays, which pickle as independent copies — without
-this the serialized form would store every trace twice.  On load the
-per-action views are reconstructed from the flat arrays alone
-(:meth:`CompiledLog._rebuild_actions`), bit-identically to what
-compilation produced.
+payloads.  :class:`IdMap` and :class:`CompiledGraph` keep compact
+pickle state: the id map drops its reverse dict (rebuilt from the value
+list), and the graph drops its derived arrays (``in_indices_wide``,
+``edge_keys``, ``num_edges``), rebuilt bit-identically on load.
+:class:`CompiledLog` pickles its attributes as they are: its flat
+arrays are the whole state, so decoding rebuilds nothing.
 """
 
 from __future__ import annotations
 
+from math import isfinite
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -61,7 +60,6 @@ __all__ = [
     "IdMap",
     "positive_csr",
     "CompiledGraph",
-    "CompiledAction",
     "CompiledLog",
 ]
 
@@ -130,19 +128,18 @@ class IdMap:
 
 
 def positive_csr(
-    graph: SocialGraph,
-    edge_values: Mapping[Edge, float],
-    reverse: bool,
+    graph: SocialGraph, edge_values: Mapping[Edge, float]
 ) -> tuple[IdMap, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR over the edges with a positive value, canonically ordered.
+    """In-CSR over the edges with a positive value, sorted by ``(dst, src)``.
 
-    Returns ``(idmap, indptr, indices, values)``: ``int64`` index
-    arrays and ``float64`` values aligned with ``indices``.  Edges
-    absent from ``edge_values`` count as 0 and, like every other
-    non-positive edge, are left out — they can never fire.
-    ``reverse=False`` builds the out-CSR sorted by ``(src, dst)``;
-    ``reverse=True`` the in-CSR sorted by ``(dst, src)``, whose flat
-    positions are the canonical edge ids the sketch coins key off.
+    Returns ``(idmap, indptr, indices, values)``: row ``v`` of the
+    ``int64`` index arrays lists the sources of ``v``'s positive
+    in-edges, and the ``float64`` values are aligned with ``indices``.
+    An edge's flat position is its canonical edge id, the key the
+    Monte-Carlo and sketch coins use.  Edges absent from
+    ``edge_values`` count as 0 and, like every other non-positive edge,
+    are left out — they can never fire.  A NaN or infinite value raises
+    ``ValueError`` naming the edge.
 
     The id map covers ``graph.nodes()`` and nothing else: sketch
     targets are ``hash % n`` over exactly these nodes, so a map that
@@ -157,6 +154,10 @@ def positive_csr(
     weights: list[float] = []
     for source, target in graph.edges():
         value = edge_values.get((source, target), 0.0)
+        if not isfinite(value):
+            raise ValueError(
+                f"edge {(source, target)!r} has a non-finite value {value!r}"
+            )
         if value > 0.0:
             sources.append(ids[source])
             targets.append(ids[target])
@@ -164,11 +165,10 @@ def positive_csr(
     src = np.asarray(sources, dtype=np.int64)
     dst = np.asarray(targets, dtype=np.int64)
     values = np.asarray(weights, dtype=np.float64)
-    rows, cols = (dst, src) if reverse else (src, dst)
-    order = np.lexsort((cols, rows))
+    order = np.lexsort((src, dst))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return idmap, indptr, cols[order], values[order]
+    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+    return idmap, indptr, src[order], values[order]
 
 
 def _gather_csr(
@@ -298,66 +298,29 @@ class CompiledGraph:
         return self.edge_src[edge_ids], self.out_indices[edge_ids]
 
 
-class CompiledAction:
-    """One action's propagation DAG as flat arrays.
-
-    ``node_ids``/``times`` are the chronological trace;
-    ``parent_indptr`` is a CSR over *trace positions*: the parents of
-    the user at trace position ``i`` occupy the slice
-    ``parent_indptr[i]:parent_indptr[i + 1]`` of the flat arrays, in
-    exactly the order :meth:`PropagationGraph.parents` yields them.
-    ``parent_pos`` are the parents' own trace positions, ``parent_ids``
-    their interned ids and ``edge_ids`` the global social-edge ids of
-    the ``(parent, child)`` links.
-    """
-
-    __slots__ = (
-        "action",
-        "node_ids",
-        "times",
-        "parent_indptr",
-        "parent_pos",
-        "parent_ids",
-        "edge_ids",
-    )
-
-    def __init__(
-        self,
-        action: Hashable,
-        node_ids: np.ndarray,
-        times: np.ndarray,
-        parent_indptr: np.ndarray,
-        parent_pos: np.ndarray,
-        parent_ids: np.ndarray,
-        edge_ids: np.ndarray,
-    ) -> None:
-        self.action = action
-        self.node_ids = node_ids
-        self.times = times
-        self.parent_indptr = parent_indptr
-        self.parent_pos = parent_pos
-        self.parent_ids = parent_ids
-        self.edge_ids = edge_ids
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_ids)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.parent_pos)
-
-
 class CompiledLog:
     """Every action of a log compiled against one :class:`CompiledGraph`.
+
+    The whole log is held as flat arrays over one *global position*
+    space (an action's offset plus the trace index):
+
+    * ``actions`` — the compiled action names, in compilation order;
+    * ``offsets`` — action ``i`` owns positions
+      ``offsets[i]:offsets[i + 1]``;
+    * ``node_ids_flat`` / ``times_flat`` — every chronological trace,
+      concatenated;
+    * ``link_child`` / ``link_parent`` / ``link_edge_ids`` — one entry
+      per propagation-DAG link: the child's and the parent's global
+      positions and the global social-edge id of ``(parent, child)``.
+      Links are grouped by child position, each child's parents in
+      exactly the order :meth:`PropagationGraph.parents` yields them.
 
     Actions are compiled in *chunks*: the traces of ~dozens of actions
     are concatenated and pushed through one batched pipeline — one
     intern call, one candidate expansion over the in-CSR, one
     strictly-earlier filter and one lexsort per chunk — against a
     ``(chunk slot, node)``-keyed scratch buffer.  Per-action Python
-    overhead all but disappears; only a handful of slicing operations
-    remain per action.
+    overhead all but disappears.
     """
 
     # Scratch slots (chunk size x graph nodes) kept within a fixed
@@ -371,20 +334,12 @@ class CompiledLog:
         log: ActionLog,
         actions: Sequence[Hashable] | None = None,
     ) -> None:
+        # Attribute order is the pickle's byte order (stored payloads):
+        # graph, actions, then the flat arrays as assigned below.
         self.graph = graph
-        self.actions: list[CompiledAction] = []
-        # Whole-log flat views, concatenated after chunk compilation:
-        # per-action base offsets into the global trace-position space,
-        # the traces themselves, and every parent link with its child /
-        # parent as *global* positions (base + trace index).  The scan
-        # kernel runs on these directly — no per-action reassembly.
-        self.offsets: np.ndarray
-        self.node_ids_flat: np.ndarray
-        self.times_flat: np.ndarray
-        self.link_child: np.ndarray
-        self.link_parent: np.ndarray
-        self.link_edge_ids: np.ndarray
-        wanted = list(log.actions()) if actions is None else list(actions)
+        self.actions: list[Hashable] = (
+            list(log.actions()) if actions is None else list(actions)
+        )
         chunk_actions = max(
             1, min(self._MAX_CHUNK_ACTIONS, self._CHUNK_SLOT_BUDGET // max(graph.n, 1))
         )
@@ -399,13 +354,13 @@ class CompiledLog:
         edge_chunks: list[np.ndarray] = []
         sizes: list[int] = []
         base = 0
-        for start in range(0, len(wanted), chunk_actions):
+        for start in range(0, len(self.actions), chunk_actions):
             base = self._compile_chunk(
-                wanted[start:start + chunk_actions], log, time_buf, pos_buf,
-                base, sizes, node_chunks, time_chunks,
+                self.actions[start:start + chunk_actions], log,
+                time_buf, pos_buf, base, sizes, node_chunks, time_chunks,
                 child_chunks, parent_chunks, edge_chunks,
             )
-        self.offsets = np.zeros(len(wanted) + 1, dtype=np.int64)
+        self.offsets = np.zeros(len(self.actions) + 1, dtype=np.int64)
         np.cumsum(np.asarray(sizes, dtype=np.int64), out=self.offsets[1:])
         self.node_ids_flat = _concat(node_chunks, np.int32)
         self.times_flat = _concat(time_chunks, np.float64)
@@ -446,8 +401,6 @@ class CompiledLog:
         node_chunks.append(node_ids)
         time_chunks.append(times)
         if total == 0:
-            for action in chunk:
-                self.actions.append(self._empty_action(action))
             return base
 
         # Scatter the chunk's activations into the (slot, node) keys.
@@ -499,100 +452,18 @@ class CompiledLog:
         # the primary key, so one lexsort groups the whole chunk.
         order = np.lexsort((parent_ids, parent_times, child_rows))
         child_rows = child_rows[order]
-        parent_ids = parent_ids[order]
         parent_pos = pos_buf[parent_keys[order]]
         edge_ids = graph.in_edge_ids[in_flat[order]]
-        link_counts = np.bincount(child_rows, minlength=total)
-        link_indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(link_counts, out=link_indptr[1:])
 
         time_buf[keys] = np.inf  # reset the scratch buffer
-        # Whole-log link views: chunk-local trace rows plus this chunk's
-        # base give global positions directly; a parent's global
-        # position is its own local trace index on top of its action's
-        # offset (the child's action — links never cross actions).
+        # Chunk-local trace rows plus this chunk's base give global
+        # positions directly; a parent's global position is its own
+        # local trace index on top of its action's offset (the child's
+        # action — links never cross actions).
         child_chunks.append(base + child_rows)
         action_offset = np.repeat(offsets[:-1], counts)
         parent_chunks.append(
             base + action_offset[child_rows] + parent_pos.astype(np.int64)
         )
         edge_chunks.append(edge_ids)
-        for position, action in enumerate(chunk):
-            lo, hi = int(offsets[position]), int(offsets[position + 1])
-            link_lo, link_hi = int(link_indptr[lo]), int(link_indptr[hi])
-            parent_indptr = link_indptr[lo:hi + 1] - link_indptr[lo]
-            self.actions.append(
-                CompiledAction(
-                    action=action,
-                    node_ids=node_ids[lo:hi],
-                    times=times[lo:hi],
-                    parent_indptr=parent_indptr,
-                    parent_pos=parent_pos[link_lo:link_hi],
-                    parent_ids=parent_ids[link_lo:link_hi],
-                    edge_ids=edge_ids[link_lo:link_hi],
-                )
-            )
         return base + total
-
-    # ------------------------------------------------------------------
-    # Compact pickling: per-action views are slices of the flat arrays
-    # (they would pickle as full copies), so only the flat form travels
-    # and the views are rebuilt on load.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["actions"] = [compiled.action for compiled in self.actions]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        names = state.pop("actions")
-        self.__dict__.update(state)
-        self.actions = self._rebuild_actions(names)
-
-    def _rebuild_actions(self, names: list[Hashable]) -> list[CompiledAction]:
-        """Reconstruct every :class:`CompiledAction` from the flat arrays.
-
-        Action ``i`` owns global trace positions ``offsets[i]:offsets[i+1]``
-        and (because ``link_child`` is sorted by global child position)
-        the contiguous link range ``searchsorted`` finds for those
-        bounds.  A parent's local trace position is its global position
-        minus the action's base, and its interned id is one gather into
-        the flat trace — so the rebuilt arrays equal the compiled ones
-        bit for bit.
-        """
-        bounds = np.searchsorted(self.link_child, self.offsets)
-        actions: list[CompiledAction] = []
-        for index, name in enumerate(names):
-            lo, hi = int(self.offsets[index]), int(self.offsets[index + 1])
-            link_lo, link_hi = int(bounds[index]), int(bounds[index + 1])
-            size = hi - lo
-            local_child = self.link_child[link_lo:link_hi] - lo
-            parent_indptr = np.zeros(size + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(local_child, minlength=size),
-                out=parent_indptr[1:],
-            )
-            parent_global = self.link_parent[link_lo:link_hi]
-            actions.append(
-                CompiledAction(
-                    action=name,
-                    node_ids=self.node_ids_flat[lo:hi],
-                    times=self.times_flat[lo:hi],
-                    parent_indptr=parent_indptr,
-                    parent_pos=(parent_global - lo).astype(np.int32),
-                    parent_ids=self.node_ids_flat[parent_global],
-                    edge_ids=self.link_edge_ids[link_lo:link_hi],
-                )
-            )
-        return actions
-
-    def _empty_action(self, action: Hashable) -> CompiledAction:
-        return CompiledAction(
-            action=action,
-            node_ids=np.empty(0, dtype=np.int32),
-            times=np.empty(0),
-            parent_indptr=np.zeros(1, dtype=np.int64),
-            parent_pos=np.empty(0, dtype=np.int32),
-            parent_ids=np.empty(0, dtype=np.int32),
-            edge_ids=np.empty(0, dtype=np.int64),
-        )

@@ -106,7 +106,7 @@ class CompiledDiffusion:
     ) -> None:
         require(model in ("ic", "lt"), f"model must be 'ic' or 'lt', got {model!r}")
         self.idmap, in_indptr, sources, values = positive_csr(
-            graph, edge_values, reverse=True
+            graph, edge_values
         )
         self.n = n = len(self.idmap)
         targets = np.repeat(np.arange(n, dtype=np.int64), np.diff(in_indptr))

@@ -53,12 +53,7 @@ from repro.core.credit import DirectCredit, TimeDecayCredit, UniformCredit
 from repro.core.index import CreditIndex
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import (
-    CompiledAction,
-    CompiledGraph,
-    CompiledLog,
-    _gather_csr,
-)
+from repro.kernels.interning import CompiledGraph, CompiledLog, _gather_csr
 from repro.utils.validation import require_non_negative
 
 __all__ = ["scan_action_log_numpy", "CompiledCredit", "UnsupportedCreditScheme"]
@@ -350,84 +345,42 @@ def scan_action_log_numpy(
 ) -> CreditIndex:
     """Vectorized Algorithm 2 — same contract as ``scan_action_log``.
 
-    ``compiled`` reuses a cached :class:`CompiledLog` (it must cover
-    every requested action) and ``compiled_credit`` a cached
-    :class:`CompiledCredit` (it must have been built for ``credit``
-    against the same compiled graph); otherwise both are compiled on
-    the fly.  Raises :class:`UnsupportedCreditScheme` for credit
+    ``compiled`` reuses a cached :class:`CompiledLog` and scans every
+    action it holds; ``actions`` and ``compiled`` cannot be passed
+    together (a subset of actions is compiled on the fly).
+    ``compiled_credit`` reuses a cached :class:`CompiledCredit` (it
+    must have been built for ``credit`` against the same compiled
+    graph).  Raises :class:`UnsupportedCreditScheme` for credit
     schemes the kernel cannot vectorize.
     """
+    if actions is not None and compiled is not None:
+        raise ValueError(
+            "pass actions or compiled, not both: a CompiledLog already "
+            "fixes the actions it scans"
+        )
     require_non_negative(truncation, "truncation")
     if index is None:
         index = CreditIndex(truncation=truncation)
     else:
         truncation = index.truncation
-    wanted = None if actions is None else list(actions)
     if compiled is None:
         compiled = CompiledLog(
-            CompiledGraph(graph, log.users()), log, actions=wanted
+            CompiledGraph(graph, log.users()), log, actions=actions
         )
     gamma_compiler = (
         CompiledCredit(credit, compiled.graph)
         if compiled_credit is None else compiled_credit
     )
 
-    # ------------------------------------------------------------------
-    # The whole-log flat arrays: global position = action offset +
-    # trace index; columns stay action-local.  A full scan reads them
-    # straight off the CompiledLog; an action subset (incremental
-    # rescans) assembles the same shape from the per-action views.
-    # ------------------------------------------------------------------
-    if wanted is None:
-        selected = compiled.actions
-        offsets = compiled.offsets
-        node_ids_flat = compiled.node_ids_flat
-        times_flat = compiled.times_flat
-        link_child = compiled.link_child
-        link_parent = compiled.link_parent
-        link_edge_ids = compiled.link_edge_ids
-    else:
-        by_action = {ca.action: ca for ca in compiled.actions}
-        selected = [by_action[action] for action in wanted]
-        offsets = np.zeros(len(selected) + 1, dtype=np.int64)
-        np.cumsum(
-            np.asarray([ca.num_nodes for ca in selected], dtype=np.int64),
-            out=offsets[1:],
-        )
-        children: list[np.ndarray] = []
-        parents: list[np.ndarray] = []
-        edges: list[np.ndarray] = []
-        for position, ca in enumerate(selected):
-            if ca.num_edges == 0:
-                continue
-            children.append(
-                offsets[position] + np.repeat(
-                    np.arange(ca.num_nodes, dtype=np.int64),
-                    np.diff(ca.parent_indptr),
-                )
-            )
-            parents.append(
-                offsets[position] + ca.parent_pos.astype(np.int64)
-            )
-            edges.append(ca.edge_ids)
-        empty64 = np.empty(0, dtype=np.int64)
-        node_ids_flat = (
-            np.concatenate([ca.node_ids for ca in selected])
-            if selected else np.empty(0, dtype=np.int32)
-        )
-        times_flat = (
-            np.concatenate([ca.times for ca in selected])
-            if selected else np.empty(0)
-        )
-        link_child = np.concatenate(children) if children else empty64
-        link_parent = np.concatenate(parents) if parents else empty64
-        link_edge_ids = np.concatenate(edges) if edges else empty64
-
+    # Global position = action offset + trace index; columns stay
+    # action-local.
+    offsets = compiled.offsets
+    link_child = compiled.link_child
     total_positions = int(offsets[-1])
     if len(link_child):
         gammas = gamma_compiler.gammas_flat(
-            link_child, link_parent, link_edge_ids,
-            node_ids_flat, times_flat, total_positions,
+            link_child, compiled.link_parent, compiled.link_edge_ids,
+            compiled.node_ids_flat, compiled.times_flat, total_positions,
             floor=truncation,
         )
         # Credits are bounded by 1 (the gammas into any node sum to at
@@ -441,7 +394,7 @@ def scan_action_log_numpy(
             gammas >= truncation if truncation > 0.0 else gammas > 0.0
         )
         child_g = link_child[credited]
-        parent_g = link_parent[credited]
+        parent_g = compiled.link_parent[credited]
         gamma_g = gammas[credited]
     else:
         child_g = parent_g = np.empty(0, dtype=np.int64)
@@ -451,7 +404,7 @@ def scan_action_log_numpy(
     if len(child_g):
         _run_levels(pool, child_g, parent_g, gamma_g, offsets, truncation)
 
-    _bulk_load(index, pool, selected, offsets, node_ids_flat, compiled)
+    _bulk_load(index, pool, compiled)
     return index
 
 
@@ -528,12 +481,7 @@ def _run_levels(
 
 
 def _bulk_load(
-    index: CreditIndex,
-    pool: _RowPool,
-    selected: list[CompiledAction],
-    offsets: np.ndarray,
-    node_ids_flat: np.ndarray,
-    compiled: CompiledLog,
+    index: CreditIndex, pool: _RowPool, compiled: CompiledLog
 ) -> None:
     """Load activity counts and credit rows into the index in bulk.
 
@@ -542,6 +490,8 @@ def _bulk_load(
     log; per action only the ``dict(zip(...))`` construction remains.
     """
     graph = compiled.graph
+    offsets = compiled.offsets
+    node_ids_flat = compiled.node_ids_flat
     # np.asarray would turn uniform-length tuple/list node ids into a
     # 2-D object array; explicit assignment keeps one slot per id.
     values_obj = np.empty(len(graph.idmap.values), dtype=object)
@@ -597,7 +547,7 @@ def _bulk_load(
     owners_by_influencer = owners[transpose]
     vals_by_influencer = vals[transpose]
 
-    for position, ca in enumerate(selected):
+    for position, action in enumerate(compiled.actions):
         lo, hi = int(owner_bounds[position]), int(owner_bounds[position + 1])
         if lo == hi:
             continue
@@ -620,7 +570,7 @@ def _bulk_load(
             users_local,
         )
         index.bulk_set_credits(
-            ca.action, by_influenced, by_influencer, adopt=True
+            action, by_influenced, by_influencer, adopt=True
         )
 
 

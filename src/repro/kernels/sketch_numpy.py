@@ -115,9 +115,7 @@ class CompiledSketcher:
         cls, graph: SocialGraph, probabilities: Mapping[Edge, float]
     ) -> "CompiledSketcher":
         """Compile the positive-probability in-CSR of ``graph``."""
-        idmap, indptr, indices, values = positive_csr(
-            graph, probabilities, reverse=True
-        )
+        idmap, indptr, indices, values = positive_csr(graph, probabilities)
         return cls(indptr, indices, values, nodes=idmap.values)
 
     def generate(

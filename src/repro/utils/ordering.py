@@ -16,6 +16,7 @@ byte-identical to direct calls.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Hashable, Iterable, Mapping
 
 __all__ = ["node_sort_key", "ranked_nodes", "canonical_edges"]
@@ -59,13 +60,18 @@ def canonical_edges(
     holds every edge with a positive value (missing edges count as 0)
     as a ``(dst id, src id, value)`` triple, sorted, so an edge's rank
     is its canonical edge id: its position in the ``(dst, src)``-sorted
-    in-CSR of :func:`repro.kernels.interning.positive_csr`.
+    in-CSR of :func:`repro.kernels.interning.positive_csr`.  A NaN or
+    infinite value raises ``ValueError`` naming the edge.
     """
     nodes = sorted(graph.nodes(), key=node_sort_key)
     id_of = {node: index for index, node in enumerate(nodes)}
     edges = []
     for source, target in graph.edges():
         value = edge_values.get((source, target), 0.0)
+        if not isfinite(value):
+            raise ValueError(
+                f"edge {(source, target)!r} has a non-finite value {value!r}"
+            )
         if value > 0.0:
             edges.append((id_of[target], id_of[source], value))
     edges.sort()

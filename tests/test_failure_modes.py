@@ -48,6 +48,13 @@ class TestCorruptFiles:
         with pytest.raises(ValueError):
             load_edge_values(path)
 
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_edge_values_with_non_finite_value(self, tmp_path, token):
+        path = tmp_path / "values.tsv"
+        path.write_text(f"1\t2\t0.5\n2\t3\t{token}\n")
+        with pytest.raises(ValueError, match="values.tsv:2: .*finite"):
+            load_edge_values(path)
+
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_graph(tmp_path / "does-not-exist.tsv")
@@ -85,6 +92,23 @@ class TestModelParameterValidation:
 
         with pytest.raises(ValueError):
             scan_action_log(SocialGraph(), ActionLog(), truncation=-0.001)
+
+    def test_numpy_scan_rejects_actions_beside_a_compiled_log(self):
+        # A CompiledLog fixes the actions it holds; a subset is
+        # compiled on its own, never sliced out of a larger log.
+        pytest.importorskip("numpy")
+        from repro.kernels.interning import CompiledGraph, CompiledLog
+        from repro.kernels.scan_numpy import scan_action_log_numpy
+
+        graph = SocialGraph.from_edges([(1, 2)])
+        log = ActionLog.from_tuples(
+            [(1, "a", 0.0), (2, "a", 1.0), (1, "b", 0.0)]
+        )
+        compiled = CompiledLog(CompiledGraph(graph, log.users()), log)
+        with pytest.raises(ValueError, match="not both"):
+            scan_action_log_numpy(
+                graph, log, actions=["a"], compiled=compiled
+            )
 
     def test_index_rejects_negative_truncation(self):
         from repro.core.index import CreditIndex
@@ -150,6 +174,51 @@ class TestModelParameterValidation:
             uniform_probabilities(graph, probability=1.5)
         with pytest.raises(ValueError):
             trivalency_probabilities(graph, values=())
+
+
+NON_FINITE = [float("inf"), float("nan")]
+BACKENDS = ["python", "numpy"]
+
+
+def _path_graph():
+    return SocialGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+
+
+class TestNonFiniteEdgeValues:
+    """A NaN or infinite IC probability / LT weight is rejected, by
+    name, before any backend turns it into a spread or a sketch."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_spread_estimator(self, backend, model, value):
+        from repro.runtime.estimator import SpreadEstimator
+
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        values = {(1, 2): value, (2, 3): 0.5}
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) .*non-finite"):
+            SpreadEstimator(
+                _path_graph(), values, model=model, num_simulations=200,
+                seed=1, backend=backend,
+            ).spread([1])
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sketch_generators(self, backend, value):
+        from repro.core.sketch import generate_sketches
+
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+            from repro.kernels.sketch_numpy import CompiledSketcher
+        values = {(1, 2): 0.5, (2, 3): value}
+        with pytest.raises(ValueError, match=r"edge \(2, 3\) .*non-finite"):
+            if backend == "numpy":
+                CompiledSketcher.from_graph(_path_graph(), values).generate(
+                    50, seed=1
+                )
+            else:
+                generate_sketches(_path_graph(), values, 50, seed=1)
 
 
 class TestStatefulMisuse:

@@ -236,16 +236,13 @@ class TestCompiledPayloads:
         store.put(KEY_A, compiled)
         restored = store.get(KEY_A)
         assert restored.graph.idmap.ids == compiled.graph.idmap.ids
-        assert np.array_equal(restored.offsets, compiled.offsets)
-        assert len(restored.actions) == len(compiled.actions)
-        for original, rebuilt in zip(compiled.actions, restored.actions):
-            assert original.action == rebuilt.action
-            for name in ("node_ids", "times", "parent_indptr",
-                         "parent_pos", "parent_ids", "edge_ids"):
-                original_arr = getattr(original, name)
-                rebuilt_arr = getattr(rebuilt, name)
-                assert original_arr.dtype == rebuilt_arr.dtype
-                assert np.array_equal(original_arr, rebuilt_arr)
+        assert restored.actions == compiled.actions
+        for name in ("offsets", "node_ids_flat", "times_flat",
+                     "link_child", "link_parent", "link_edge_ids"):
+            original_arr = getattr(compiled, name)
+            restored_arr = getattr(restored, name)
+            assert original_arr.dtype == restored_arr.dtype
+            assert np.array_equal(original_arr, restored_arr)
 
 
 class TestGcForeignDirectories:

@@ -145,6 +145,43 @@ class TestSelectionParity:
         )
         assert other.store_events["misses"]  # no cross-seed reuse
 
+    def test_numpy_relearn_reads_the_stored_compiled_log(
+        self, tmp_path, monkeypatch
+    ):
+        # A kernel-built artifact that misses is relearned from the
+        # stored compiled_log; compiling the log again must not happen.
+        pytest.importorskip("numpy")
+        from repro.kernels.interning import CompiledLog
+
+        config = dict(SELECTION, backend="numpy", store=str(tmp_path / "store"))
+        cold = run_experiment(ExperimentConfig(**config))
+        store = ArtifactStore(config["store"])
+        ckey = cold.store_events["context_key"]
+        relearned = ("credit_index", "cd_evaluator")
+        cold_bytes = {}
+        for name in relearned:
+            key = artifact_key(ckey, name)
+            cold_bytes[name] = _payload_bytes(store, key)
+            store.delete(key)
+
+        def _no_compile(*args, **kwargs):
+            raise AssertionError("the log was compiled again")
+
+        monkeypatch.setattr(CompiledLog, "__init__", _no_compile)
+        warm = run_experiment(ExperimentConfig(**config))
+        assert "compiled_log" in warm.store_events["hits"]
+        assert sorted(warm.store_events["misses"]) == sorted(relearned)
+        for name in relearned:
+            assert name in warm.store_events["saved"]
+            key = artifact_key(ckey, name)
+            assert _payload_bytes(store, key) == cold_bytes[name]
+        assert _comparable(warm) == _comparable(cold)
+
+
+def _payload_bytes(store, key):
+    entry_dir = store.root / "objects" / key[:2] / key
+    return (entry_dir / store.entry(key).payload_name).read_bytes()
+
 
 class TestPredictionParity:
     def test_cold_then_warm_identical_and_learning_skipped(
