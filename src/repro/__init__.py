@@ -144,7 +144,6 @@ from repro.maximization.greedy import GreedyResult, greedy_maximize
 from repro.maximization.heuristics import high_degree_seeds, pagerank_seeds
 from repro.maximization.irie import irie_seeds
 from repro.maximization.ldag import LDAGModel
-from repro.maximization.oracle import ICSpreadOracle, LTSpreadOracle
 from repro.maximization.pmia import PMIAModel
 from repro.maximization.ris import RISResult, ris_maximize
 from repro.maximization.simpath import (
@@ -221,8 +220,6 @@ __all__ = [
     "high_degree_seeds",
     "irie_seeds",
     "pagerank_seeds",
-    "ICSpreadOracle",
-    "LTSpreadOracle",
     "PMIAModel",
     "LDAGModel",
     "RISResult",

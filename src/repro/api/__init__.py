@@ -33,6 +33,7 @@ from repro.api.context import IC_PROBABILITY_METHODS, SelectionContext
 from repro.api.registry import (
     Selector,
     SelectorSpec,
+    bind_selector,
     get_selector,
     list_selectors,
     register_selector,
@@ -61,6 +62,7 @@ __all__ = [
     "Selector",
     "register_selector",
     "get_selector",
+    "bind_selector",
     "list_selectors",
     "selector_names",
     "SeedSelection",

@@ -7,9 +7,12 @@ artifacts is the expensive part of any experiment, and several selectors
 share them — so :class:`SelectionContext` owns them, builds each lazily
 on first use, and caches it for every later selector run.
 
-It backs the selector registry, the experiment runner and the CLI, so
-all three construct artifacts identically — the property the
-registry's parity guarantees rest on.
+It backs the selector registry, the experiment runner, the CLI and
+``repro serve``, so all of them construct artifacts identically — the
+property the registry's parity guarantees rest on.  That includes the
+models built over the artifacts: :meth:`SelectionContext.oracle` is the
+selectors' spread oracle and :meth:`SelectionContext.predictor` the
+prediction protocol's model, for the pipeline and ``/predict`` alike.
 """
 
 from __future__ import annotations
@@ -23,17 +26,19 @@ from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
 from repro.kernels import resolve_backend
-from repro.maximization.oracle import (
-    ICSpreadOracle,
-    LTSpreadOracle,
-    SpreadOracle,
-)
+from repro.maximization.oracle import SpreadOracle
+from repro.runtime.estimator import SpreadEstimator
 from repro.runtime.executor import Executor, as_executor
 from repro.utils.rng import derive_seed as _derive_seed
 from repro.utils.rng import integer_seed
 from repro.utils.validation import require, require_non_negative
 
-__all__ = ["SelectionContext", "IC_PROBABILITY_METHODS", "ARTIFACT_NAMES"]
+__all__ = [
+    "SelectionContext",
+    "IC_PROBABILITY_METHODS",
+    "ARTIFACT_NAMES",
+    "PREDICTION_ARTIFACTS",
+]
 
 User = Hashable
 Edge = tuple[User, User]
@@ -56,6 +61,22 @@ ARTIFACT_NAMES = tuple(
     "compiled_log",
     "sketches",
 )
+
+# The prediction protocol's models (Figures 2-4), in listing order, each
+# with the one artifact its predictor reads: the five IC probability
+# assignments (Figure 2), then the Figure-3 trio — IC is the IC model
+# over EM-learned probabilities, LT the learned weights, CD the exact
+# sigma_cd evaluator.  SelectionContext.predictor builds from it, and
+# the store's warm start saves what it lists.
+PREDICTION_ARTIFACTS = {
+    **{
+        method: f"{_PROBABILITY_PREFIX}{method}"
+        for method in IC_PROBABILITY_METHODS
+    },
+    "IC": f"{_PROBABILITY_PREFIX}EM",
+    "LT": "lt_weights",
+    "CD": "cd_evaluator",
+}
 
 # Distinguishes "use the context's sketch_hops" from an explicit
 # ``hops=None`` (unbounded reverse reachability).
@@ -165,7 +186,7 @@ class SelectionContext:
         self._params = None
         self._credit_index = None
         self._cd_evaluator: CDSpreadEvaluator | None = None
-        self._oracles: dict[tuple, SpreadOracle] = {}
+        self._oracles: dict[tuple, SpreadEstimator] = {}
         self._models: dict[tuple, object] = {}
         # Per-action propagation DAGs, built at most once per action and
         # shared by their consumers: LT weight learning on both backends,
@@ -528,36 +549,30 @@ class SelectionContext:
 
         Under the ``numpy`` backend the Algorithm-2 scan runs as the
         vectorized kernel (:mod:`repro.kernels.scan_numpy`) over the
-        cached :meth:`compiled_log`; credit schemes the kernel cannot
-        vectorize fall back to the reference scan.
+        cached :meth:`compiled_log`; it compiles both credit schemes a
+        context uses (uniform and time-decay).
         """
         if self._credit_index is None and self._stored("credit_index") is None:
             log = self._require_log("the credit-index scan")
             credit = self._credit()
             if self.backend == "numpy":
-                from repro.kernels.scan_numpy import (
-                    UnsupportedCreditScheme,
-                    scan_action_log_numpy,
-                )
+                from repro.kernels.scan_numpy import scan_action_log_numpy
 
-                try:
-                    self._credit_index = scan_action_log_numpy(
-                        self.graph,
-                        log,
-                        credit=credit,
-                        truncation=self.truncation,
-                        compiled=self.compiled_log(),
-                    )
-                    return self._credit_index
-                except UnsupportedCreditScheme:
-                    pass
-            self._credit_index = scan_action_log(
-                self.graph,
-                log,
-                credit=credit,
-                truncation=self.truncation,
-                propagations=self.propagation,
-            )
+                self._credit_index = scan_action_log_numpy(
+                    self.graph,
+                    log,
+                    credit=credit,
+                    truncation=self.truncation,
+                    compiled=self.compiled_log(),
+                )
+            else:
+                self._credit_index = scan_action_log(
+                    self.graph,
+                    log,
+                    credit=credit,
+                    truncation=self.truncation,
+                    propagations=self.propagation,
+                )
         return self._credit_index
 
     def cd_evaluator(self) -> CDSpreadEvaluator:
@@ -598,8 +613,11 @@ class SelectionContext:
     ) -> SpreadOracle:
         """A spread oracle for ``model`` (``cd``, ``ic`` or ``lt``).
 
-        ``method`` picks the IC probability assignment (ignored
-        otherwise); ``seed`` overrides the context seed for the Monte
+        ``cd`` is the exact sigma_cd evaluator; ``ic``/``lt`` is a
+        cached :class:`~repro.runtime.estimator.SpreadEstimator` over
+        the IC probabilities of ``method`` (ignored for ``lt``) or the
+        LT weights, with the context's simulation count, backend and
+        executor.  ``seed`` overrides the context seed for the Monte
         Carlo worlds (the CD evaluator is deterministic and ignores it).
         """
         require(
@@ -611,25 +629,46 @@ class SelectionContext:
         seed = self.seed if seed is None else seed
         key = (model, method or self.probability_method, seed)
         if key not in self._oracles:
-            if model == "ic":
-                self._oracles[key] = ICSpreadOracle(
-                    self.graph,
-                    self.ic_probabilities(method),
-                    num_simulations=self.num_simulations,
-                    seed=seed,
-                    backend=self.backend,
-                    executor=self.executor,
-                )
-            else:
-                self._oracles[key] = LTSpreadOracle(
-                    self.graph,
-                    self.lt_weights(),
-                    num_simulations=self.num_simulations,
-                    seed=seed,
-                    backend=self.backend,
-                    executor=self.executor,
-                )
+            edge_values = (
+                self.ic_probabilities(method)
+                if model == "ic"
+                else self.lt_weights()
+            )
+            self._oracles[key] = SpreadEstimator(
+                self.graph,
+                edge_values,
+                model=model,
+                num_simulations=self.num_simulations,
+                seed=seed,
+                backend=self.backend,
+                executor=self.executor,
+            )
         return self._oracles[key]
+
+    def predictor(self, method: str) -> SpreadOracle:
+        """The spread predictor of prediction-protocol model ``method``.
+
+        ``CD`` is the sigma_cd evaluator; every other model is the
+        Monte-Carlo oracle over the artifact
+        :data:`PREDICTION_ARTIFACTS` names, on the worlds of
+        ``derive_seed("predict", method)``.  The prediction pipeline
+        and ``repro serve``'s ``/predict`` both score through this, so
+        a seed set gets one prediction from either.
+        """
+        require(
+            method in PREDICTION_ARTIFACTS,
+            f"prediction method must be one of {list(PREDICTION_ARTIFACTS)}, "
+            f"got {method!r}",
+        )
+        artifact = PREDICTION_ARTIFACTS[method]
+        if artifact == "cd_evaluator":
+            return self.cd_evaluator()
+        seed = self.derive_seed("predict", method)
+        if artifact == "lt_weights":
+            return self.oracle("lt", seed=seed)
+        return self.oracle(
+            "ic", method=artifact[len(_PROBABILITY_PREFIX):], seed=seed
+        )
 
     def pmia_model(self, method: str | None = None, theta: float = 1.0 / 320.0):
         """A cached :class:`~repro.maximization.pmia.PMIAModel`."""

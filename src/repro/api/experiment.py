@@ -26,8 +26,16 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import repro.api.adapters  # noqa: F401  (ensures built-ins are registered)
-from repro.api.context import IC_PROBABILITY_METHODS, SelectionContext
-from repro.api.registry import Selector, SelectorSpec, get_selector
+from repro.api.context import (
+    IC_PROBABILITY_METHODS,
+    PREDICTION_ARTIFACTS,
+    SelectionContext,
+)
+from repro.api.registry import (
+    SelectorSpec,
+    _budget_selector_names,
+    get_selector,
+)
 from repro.api.results import SeedSelection
 from repro.data.datasets import Dataset
 from repro.runtime.executor import EXECUTORS
@@ -55,7 +63,7 @@ _SCALES = ("mini", "small", "large")
 TASKS = ("selection", "prediction")
 # Prediction-protocol model names: the five IC probability assignments
 # (Figure 2) plus the Figure-3 trio (IC = EM-learned IC, LT, CD).
-PREDICTION_METHODS = ("UN", "TV", "WC", "EM", "PT", "IC", "LT", "CD")
+PREDICTION_METHODS = tuple(PREDICTION_ARTIFACTS)
 
 
 @dataclass(frozen=True)
@@ -384,13 +392,6 @@ class ExperimentConfig:
             return cls.from_dict(json.load(handle))
 
 
-def _budget_selector_names() -> list[str]:
-    """Registry names of the budget-aware selectors (for error messages)."""
-    from repro.api.registry import list_selectors
-
-    return [s.name for s in list_selectors() if s.supports_budget]
-
-
 def _missing_artifacts(
     spec: SelectorSpec, params: Mapping[str, Any], config: "ExperimentConfig"
 ) -> list[str]:
@@ -670,35 +671,6 @@ def _make_dataset(config: ExperimentConfig) -> Dataset:
     if config.dataset_seed is None:
         return maker(config.scale)
     return maker(config.scale, seed=config.dataset_seed)
-
-
-def _bind(config: ExperimentConfig, entry: SelectorConfig,
-          context: SelectionContext, trial: int) -> Selector:
-    """Bind the selector to its effective parameters for one cell.
-
-    Consumes the registry capability flags: stochastic selectors get a
-    derived per-trial seed unless the caller pinned one, budget-aware
-    selectors get the config's budget workload injected, and a budget
-    workload bound to a selector without ``supports_budget`` is
-    rejected with a :class:`ConfigError` (the config constructor
-    already enforces this; re-checking here covers hand-built configs
-    that mutated after construction).
-    """
-    selector = get_selector(entry.name, **entry.params)
-    if config.budget is not None:
-        require_config(
-            selector.spec.supports_budget,
-            f"selector {entry.display()!r} does not support budget "
-            f"workloads (supports_budget=False); budget-aware selectors: "
-            f"{_budget_selector_names()}",
-        )
-        if "budget" not in selector.params:
-            selector = selector.with_params(budget=config.budget)
-    if selector.spec.stochastic and "seed" not in selector.params:
-        selector = selector.with_params(
-            seed=context.derive_seed(entry.name, trial)
-        )
-    return selector
 
 
 def run_experiment(

@@ -28,13 +28,14 @@ from repro.api.context import SelectionContext
 from repro.api.results import SeedSelection
 from repro.maximization.greedy import GreedyResult
 from repro.maximization.ris import RISResult
-from repro.utils.validation import require
+from repro.utils.validation import require, require_config
 
 __all__ = [
     "SelectorSpec",
     "Selector",
     "register_selector",
     "get_selector",
+    "bind_selector",
     "list_selectors",
     "selector_names",
 ]
@@ -265,6 +266,49 @@ def get_selector(name: str, **params: Any) -> Selector:
             f"unknown selector {name!r}; available: {selector_names()}"
         )
     return Selector(_REGISTRY[name], params)
+
+
+def bind_selector(
+    context: SelectionContext,
+    name: str,
+    params: Mapping[str, Any] | None = None,
+    trial: int = 0,
+    budget: float | None = None,
+) -> Selector:
+    """Bind ``name`` to its effective parameters for one (trial, budget) cell.
+
+    The one binding rule of the experiment runner, ``repro prefix`` and
+    ``repro serve``'s ``/select``, consuming two capability flags:
+
+    * a ``budget`` workload is rejected with a
+      :class:`~repro.utils.validation.ConfigError` unless the selector
+      ``supports_budget``, and is bound unless ``params`` pin a budget
+      (the pinned one wins);
+    * a ``stochastic`` selector without a pinned ``seed`` gets
+      ``context.derive_seed(name, trial)``.
+
+    The bound parameters are what a run stamps into
+    ``SeedSelection.params`` and what keys a stored selection prefix,
+    so equal inputs here mean byte-equal answers everywhere.
+    """
+    selector = get_selector(name, **dict(params or {}))
+    if budget is not None:
+        require_config(
+            selector.spec.supports_budget,
+            f"selector {name!r} does not support budget workloads "
+            "(supports_budget=False); budget-aware selectors: "
+            f"{_budget_selector_names()}",
+        )
+        if "budget" not in selector.params:
+            selector = selector.with_params(budget=budget)
+    if selector.spec.stochastic and "seed" not in selector.params:
+        selector = selector.with_params(seed=context.derive_seed(name, trial))
+    return selector
+
+
+def _budget_selector_names() -> list[str]:
+    """Registry names of the budget-aware selectors (for error messages)."""
+    return [spec.name for spec in list_selectors() if spec.supports_budget]
 
 
 def list_selectors(family: str | None = None) -> list[SelectorSpec]:

@@ -29,8 +29,8 @@ from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
 from repro.maximization.celf import celf_maximize
-from repro.maximization.oracle import ICSpreadOracle
 from repro.probabilities.perturb import perturb_probabilities
+from repro.runtime.estimator import SpreadEstimator
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
@@ -80,8 +80,8 @@ def ic_noise_sweep(
     level re-perturbs them independently and re-runs CELF.
     """
     require(k >= 1, f"k must be >= 1, got {k}")
-    clean_oracle = ICSpreadOracle(
-        graph, probabilities, num_simulations=num_simulations, seed=seed
+    clean_oracle = SpreadEstimator(
+        graph, probabilities, "ic", num_simulations=num_simulations, seed=seed
     )
     clean = celf_maximize(clean_oracle, k)
     clean_spread = clean_oracle.spread(clean.seeds)
@@ -91,9 +91,10 @@ def ic_noise_sweep(
         noisy_probabilities = perturb_probabilities(
             probabilities, noise=noise, seed=seed + 1000 * (level_index + 1)
         )
-        noisy_oracle = ICSpreadOracle(
+        noisy_oracle = SpreadEstimator(
             graph,
             noisy_probabilities,
+            "ic",
             num_simulations=num_simulations,
             seed=seed,
         )

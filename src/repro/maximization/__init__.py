@@ -3,8 +3,10 @@
 This subpackage hosts everything that *selects seed sets*:
 
 * :mod:`~repro.maximization.oracle` — the ``SpreadOracle`` abstraction
-  (a thing that maps a seed set to an expected-spread number) plus the
-  Monte-Carlo-backed IC/LT oracles of the standard approach;
+  (a thing that maps a seed set to an expected-spread number) and the
+  call-counting wrapper; the standard approach's Monte-Carlo IC/LT
+  oracle is :class:`repro.runtime.SpreadEstimator`, built and cached by
+  :meth:`repro.api.SelectionContext.oracle`;
 * :mod:`~repro.maximization.greedy` — Algorithm 1 of the paper, the
   plain (1 - 1/e) greedy;
 * :mod:`~repro.maximization.celf` — the CELF lazy-forward optimisation
@@ -45,18 +47,11 @@ from repro.maximization.simpath import (
     simpath_maximize,
     simpath_spread,
 )
-from repro.maximization.oracle import (
-    CountingOracle,
-    ICSpreadOracle,
-    LTSpreadOracle,
-    SpreadOracle,
-)
+from repro.maximization.oracle import CountingOracle, SpreadOracle
 from repro.maximization.pmia import PMIAModel
 
 __all__ = [
     "SpreadOracle",
-    "ICSpreadOracle",
-    "LTSpreadOracle",
     "CountingOracle",
     "GreedyResult",
     "greedy_maximize",

@@ -9,7 +9,10 @@ Three pieces:
 * :mod:`repro.runtime.estimator` — :class:`SpreadEstimator`, the one
   Monte-Carlo IC/LT spread estimator: every seed set scored on the
   same counter-keyed worlds, bit-identical on every backend and
-  executor;
+  executor.  It is itself the MC selectors' oracle and the IC/LT
+  prediction model, built and cached by
+  :meth:`repro.api.SelectionContext.oracle` and
+  :meth:`~repro.api.SelectionContext.predictor`;
 * :mod:`repro.runtime.pipeline` — the stage graph
   (``dataset → split → learn → select|predict → evaluate``) both of
   the paper's protocols compile into, plus the capability-flag
@@ -42,7 +45,6 @@ __all__ = [
     "SpreadEstimator",
     "Stage",
     "PipelineState",
-    "PredictorSpec",
     "compile_pipeline",
     "execute_pipeline",
 ]
@@ -50,7 +52,6 @@ __all__ = [
 _PIPELINE_EXPORTS = (
     "Stage",
     "PipelineState",
-    "PredictorSpec",
     "compile_pipeline",
     "execute_pipeline",
 )

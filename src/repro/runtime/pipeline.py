@@ -42,37 +42,31 @@ result away).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from repro.api.context import SelectionContext
 from repro.api.experiment import (
     ExperimentConfig,
     ExperimentResult,
     SelectorRun,
-    _bind,
     _make_dataset,
     _missing_artifacts,
 )
-from repro.api.registry import get_selector
+from repro.api.registry import bind_selector, get_selector
 from repro.data.split import train_test_split
 from repro.evaluation.prediction import PredictionExperiment, held_out_traces
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import default_registry
-from repro.runtime.estimator import SpreadEstimator
 from repro.runtime.executor import Executor, as_executor, split_chunks
-from repro.utils.rng import derive_seed
 from repro.utils.timing import Timer
 from repro.utils.validation import ConfigError, require_config
 
 __all__ = [
     "Stage",
     "PipelineState",
-    "PredictorSpec",
     "compile_pipeline",
     "execute_pipeline",
 ]
-
-User = Hashable
 
 
 # ----------------------------------------------------------------------
@@ -104,65 +98,12 @@ def _evaluate_chunk(payload: tuple) -> list[list[float]]:
 
 
 def _predict_chunk(payload: tuple) -> list[float]:
-    """One predictor over a chunk of test-trace seed sets."""
-    spec, seed_sets = payload
-    return [spec.predict(list(seeds)) for seeds in seed_sets]
+    """One predictor over a chunk of test-trace seed sets.
 
-
-# ----------------------------------------------------------------------
-# Predictors (the prediction protocol's per-method engines)
-# ----------------------------------------------------------------------
-@dataclass
-class PredictorSpec:
-    """One spread predictor of the prediction protocol, picklable.
-
-    ``estimator`` is set for the Monte-Carlo models (the five IC
-    probability assignments, the EM-learned ``IC`` entry, ``LT``);
-    ``evaluator`` for the closed-form ``CD`` model.
+    ``float`` keeps the CD evaluator's empty-sum ``0`` a ``0.0``.
     """
-
-    method: str
-    estimator: SpreadEstimator | None = None
-    evaluator: Any | None = None
-
-    def predict(self, seeds: list[User]) -> float:
-        """The predicted spread of ``seeds`` under this model."""
-        if self.evaluator is not None:
-            return float(self.evaluator.spread(seeds))
-        assert self.estimator is not None
-        return self.estimator.spread(seeds)
-
-
-def _build_predictor(
-    method: str, context: SelectionContext, config: ExperimentConfig,
-    executor: Executor,
-) -> PredictorSpec:
-    """Build (and thereby prefetch the artifacts of) one predictor.
-
-    ``IC`` is the paper's Figure-3 entry — the IC model with EM-learned
-    probabilities; the five assignment names (``UN``/``TV``/``WC``/
-    ``EM``/``PT``) are the Figure-2 line-up; ``LT`` and ``CD`` learn
-    their weights/credits from the training fold.
-    """
-    if method == "CD":
-        return PredictorSpec(method=method, evaluator=context.cd_evaluator())
-    if method == "LT":
-        edge_values, model = context.lt_weights(), "lt"
-    else:
-        assignment = "EM" if method == "IC" else method
-        edge_values, model = context.ic_probabilities(assignment), "ic"
-    return PredictorSpec(
-        method=method,
-        estimator=SpreadEstimator(
-            context.graph,
-            edge_values,
-            model=model,
-            num_simulations=config.num_simulations,
-            seed=derive_seed(config.seed, "predict", method),
-            backend=context.backend,
-            executor=executor,
-        ),
-    )
+    predictor, seed_sets = payload
+    return [float(predictor.spread(list(seeds))) for seeds in seed_sets]
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +120,6 @@ class PipelineState:
     context: SelectionContext | None = None
     train_log: Any | None = None
     test_log: Any | None = None
-    predictors: list[PredictorSpec] = field(default_factory=list)
     # Held-out traces as (initiator seed set, actual spread) pairs, and
     # per-method raw predictions aligned with them.
     traces: list[tuple[tuple, float]] = field(default_factory=list)
@@ -249,7 +189,7 @@ def _prefetch_artifacts(config: ExperimentConfig,
     the shared context; under the process executor it is what makes the
     fan-out profitable at all — a worker's lazily built artifact dies
     with the worker.  For oracle-backed selectors the per-trial oracles
-    themselves are prepared (simulation engines compiled), so workers
+    themselves are built (simulation engines compiled), so workers
     receive ready-to-run engines in the pickled context instead of each
     recompiling them.
     """
@@ -267,8 +207,9 @@ def _prefetch_artifacts(config: ExperimentConfig,
             context.lt_weights()
         if spec.needs_sketches:
             for trial in range(config.trials):
-                bound = _bind(config, entry, context, trial)
-                params = bound.params
+                params = bind_selector(
+                    context, entry.name, entry.params, trial, config.budget
+                ).params
                 # Mirror the ris/hop adapter defaults exactly so the
                 # prefetched sketch-cache key matches the worker's
                 # lookup (including the injected per-trial seed).
@@ -287,14 +228,17 @@ def _prefetch_artifacts(config: ExperimentConfig,
                 context.cd_evaluator()
             else:
                 for trial in range(config.trials):
-                    bound = _bind(config, entry, context, trial)
+                    params = bind_selector(
+                        context, entry.name, entry.params, trial,
+                        config.budget,
+                    ).params
                     # Mirror the adapter's oracle() call exactly so the
                     # prefetched cache key matches the worker's lookup.
                     context.oracle(
                         model,
-                        method=bound.params.get("method"),
-                        seed=bound.params.get("seed"),
-                    ).prepare()
+                        method=params.get("method"),
+                        seed=params.get("seed"),
+                    )
     if config.evaluate_spread:
         context.cd_evaluator()
 
@@ -389,7 +333,13 @@ def _stage_select(state: PipelineState) -> None:
     context = state.context
     k_max = config.ks[-1]
     bound = [
-        (entry.display(), trial, _bind(config, entry, context, trial))
+        (
+            entry.display(),
+            trial,
+            bind_selector(
+                context, entry.name, entry.params, trial, config.budget
+            ),
+        )
         for entry in config.selectors
         for trial in range(config.trials)
     ]
@@ -447,10 +397,10 @@ def _stage_learn_prediction(state: PipelineState) -> None:
     state.context = _make_context(state)
     if state.config.store is not None:
         _consult_store(state)
-    state.predictors = [
-        _build_predictor(method, state.context, state.config, state.executor)
-        for method in state.config.methods
-    ]
+    # Build every model here, in the parent: learning is timed as
+    # learn_s, and the predict fan-out only reads cached models.
+    for method in state.config.methods:
+        state.context.predictor(method)
 
 
 def _stage_predict(state: PipelineState) -> None:
@@ -460,20 +410,21 @@ def _stage_predict(state: PipelineState) -> None:
     state.traces = traces
     seed_sets = [seeds for seeds, _ in traces]
     executor = state.executor
-    tasks: list[tuple[str, list]] = []
-    for spec in state.predictors:
+    tasks: list[tuple[str, tuple]] = []
+    for method in state.config.methods:
+        predictor = state.context.predictor(method)
         chunks = (
             split_chunks(seed_sets, executor.workers())
             if executor.is_parallel and len(seed_sets) > 1
             else [seed_sets]
         )
-        tasks.extend((spec.method, (spec, chunk)) for chunk in chunks)
+        tasks.extend((method, (predictor, chunk)) for chunk in chunks)
     if executor.is_parallel and len(tasks) > 1:
         outputs = executor.map(_predict_chunk, [p for _, p in tasks])
     else:
         outputs = [_predict_chunk(payload) for _, payload in tasks]
     predictions: dict[str, list[float]] = {
-        spec.method: [] for spec in state.predictors
+        method: [] for method in state.config.methods
     }
     for (method, _), chunk_output in zip(tasks, outputs):
         predictions[method].extend(chunk_output)

@@ -19,10 +19,12 @@ warm ``repro serve`` answers ``/select`` in microseconds:
   and run only the missing selections (:func:`resume_selection`);
 * anything else falls back to the cold path.
 
-Prefixes are keyed by the *fully bound* selector parameters (after the
-service's deterministic per-(selector, trial) seed injection), so a
-request only ever hits a prefix that the cold path would have answered
-identically — ``tests/test_serve_prefix.py`` asserts the byte-identity.
+Prefixes are keyed by the *fully bound* selector parameters (after
+:func:`~repro.api.registry.bind_selector`'s deterministic
+per-(selector, trial) seed injection — the rule ``/select`` and the
+experiment runner apply too), so a request only ever hits a prefix that
+the cold path would have answered identically —
+``tests/test_serve_prefix.py`` asserts the byte-identity.
 Derived bundles (``repro ingest``) re-learn artifacts, so
 :func:`refresh_prefixes` recomputes every recorded prefix against the
 derived context as part of :func:`repro.stream.derive.derive_bundle`.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.api.context import SelectionContext
-from repro.api.registry import Selector, get_selector
+from repro.api.registry import Selector, bind_selector, get_selector
 from repro.obs import trace as obs_trace
 from repro.api.results import SeedSelection
 from repro.store.keys import artifact_key, canonical_json
@@ -125,26 +127,6 @@ def prefix_artifact_name(selector: str, params: Mapping[str, Any]) -> str:
         digest_size=_DIGEST_SIZE,
     ).hexdigest()
     return f"__prefix__/{digest}"
-
-
-def bind_selector(
-    context: SelectionContext,
-    name: str,
-    params: Mapping[str, Any] | None = None,
-    trial: int = 0,
-) -> Selector:
-    """Bind ``name`` with the service's deterministic seed injection.
-
-    A stochastic selector without an explicit ``seed`` parameter gets
-    ``context.derive_seed(name, trial)`` — the exact rule
-    ``QueryService.select`` and the experiment runner apply — so the
-    bound parameter set (and with it the prefix key) matches what a
-    live request would run with.
-    """
-    selector = get_selector(name, **dict(params or {}))
-    if selector.spec.stochastic and "seed" not in selector.params:
-        selector = selector.with_params(seed=context.derive_seed(name, trial))
-    return selector
 
 
 def compute_prefix(

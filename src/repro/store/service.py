@@ -36,14 +36,18 @@ request gets HTTP 409); ``wait=true`` blocks until the job finishes
 (the CLI's mode), otherwise the response returns a job id to poll via
 ``GET /ingest``.
 
-Determinism: a stochastic selector that was not given an explicit
-``seed`` parameter gets ``derive_seed(context seed, selector, trial)``
-— exactly the experiment runner's per-(selector, trial) fan-out — and
-the Monte-Carlo predictors score every seed set on the counter-keyed
-worlds of ``derive_seed(context seed, "predict", method)``, as the
-prediction pipeline does, so a seed set has one answer however it is
-listed.  Identical requests therefore return identical payloads, which
-the smoke tests assert.
+Determinism: ``/select`` binds its selector through
+:func:`repro.api.registry.bind_selector`, the experiment runner's rule
+— a stochastic selector without an explicit ``seed`` parameter gets
+``derive_seed(context seed, selector, trial)``, and a ``budget`` pinned
+in ``params`` wins over the top-level one.  ``/spread`` and
+``/predict`` score through
+:meth:`~repro.api.context.SelectionContext.predictor`, the prediction
+pipeline's rule: the Monte-Carlo models use the counter-keyed worlds of
+``derive_seed(context seed, "predict", method)``, so a seed set has one
+answer however it is listed, and the pipeline's answer.  Identical
+requests therefore return identical payloads, which the smoke tests
+assert.
 
 Two production seams sit behind the handlers, both invisible in the
 response bytes:
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import queue as queue_module
 import threading
 import uuid
@@ -78,7 +83,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.api.context import SelectionContext
-from repro.api.registry import get_selector, list_selectors
+from repro.api.registry import bind_selector, list_selectors
 from repro.data.io import parse_id
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
@@ -88,7 +93,6 @@ from repro.obs.metrics import (
     render_exposition,
 )
 from repro.obs.trace import monotonic
-from repro.runtime.estimator import SpreadEstimator
 from repro.store.io import StoreIO
 from repro.store.prefix import (
     PREFIXABLE_SELECTORS,
@@ -105,7 +109,6 @@ from repro.store.warm import (
     serving_context,
 )
 from repro.utils.retry import RetryPolicy, with_retry
-from repro.utils.rng import derive_seed
 
 __all__ = ["QueryService", "ServiceError", "make_server", "serve"]
 
@@ -153,6 +156,35 @@ def _parse_id(value: Any) -> Hashable:
     )
 
 
+def _json_integer(payload: Mapping[str, Any], name: str) -> int:
+    """Field ``name`` of a request: a JSON integer (``0`` if absent).
+
+    A float, a string or a bool answers 400 rather than being coerced:
+    ``2.7`` would be served as ``2``, and ``true`` as ``1`` (``bool`` is
+    an ``int`` in Python).
+    """
+    value = payload.get(name, 0)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ServiceError(f"'{name}' must be a JSON integer")
+
+
+def _json_budget(value: Any) -> float:
+    """A request's ``budget``: a finite JSON number, else 400.
+
+    An infinite budget would select every seed with a positive gain and
+    put ``Infinity``, which is not JSON, in the response body.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ServiceError("'budget' must be a finite JSON number")
+
+
 def _context_ref(value: Any) -> str | None:
     """A request's ``context``: absent (``None``) or a key string, else 400."""
     if value is not None and not isinstance(value, str):
@@ -163,12 +195,11 @@ def _context_ref(value: Any) -> str | None:
 
 
 class _ServingSlot:
-    """One loaded context plus its lazily built prediction estimators."""
+    """One loaded context plus its checked selection prefixes."""
 
     def __init__(self, record: Mapping[str, Any], context: SelectionContext) -> None:
         self.record = dict(record)
         self.context = context
-        self._estimators: dict[str, SpreadEstimator] = {}
         # name -> (SelectionPrefix | None, problem | None): the checked
         # load result, cached so a corrupt artifact costs one store
         # read, not one per request.  Resume-extended prefixes are
@@ -207,26 +238,6 @@ class _ServingSlot:
         """Remember a resume-extended prefix (in-memory, this slot only)."""
         with self._lock:
             self._prefixes[prefix.artifact_name()] = (prefix, None)
-
-    def estimator(self, method: str) -> SpreadEstimator:
-        # ThreadingHTTPServer handles each request in its own thread;
-        # estimator construction mutates the dict, so it is serialized.
-        with self._lock:
-            if method not in self._estimators:
-                context = self.context
-                if method == "LT":
-                    edge_values, model = context.lt_weights(), "lt"
-                else:  # "IC": the EM-learned IC model, as in the pipeline
-                    edge_values, model = context.ic_probabilities("EM"), "ic"
-                self._estimators[method] = SpreadEstimator(
-                    context.graph,
-                    edge_values,
-                    model=model,
-                    num_simulations=context.num_simulations,
-                    seed=derive_seed(context.seed, "predict", method),
-                    backend=context.backend,
-                )
-            return self._estimators[method]
 
 
 class _BatchItem:
@@ -380,13 +391,15 @@ class _Coalescer:
             ):
                 try:
                     self._fire("serve.spread", method=method, items=len(group))
+                    # Only this worker builds predictors.  A cold /select
+                    # may cache another oracle key at the same time; a
+                    # lost race only builds an equal estimator twice.
+                    predictor = slot.context.predictor(method)
                     if method == "CD":
-                        evaluator = slot.context.cd_evaluator()
                         for item in group:
-                            item.result = evaluator.spread(item.seeds)
+                            item.result = predictor.spread(item.seeds)
                     else:
-                        estimator = slot.estimator(method)
-                        values = estimator.spread_many(
+                        values = predictor.spread_many(
                             [item.seeds for item in group]
                         )
                         for item, value in zip(group, values):
@@ -705,38 +718,21 @@ class QueryService:
         name = payload.get("selector")
         if not isinstance(name, str):
             raise ServiceError("'selector' (a registry name) is required")
-        try:
-            k = int(payload.get("k", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise ServiceError("'k' must be an integer") from None
+        k = _json_integer(payload, "k")
         if k < 1:
             raise ServiceError("'k' must be >= 1")
         params = payload.get("params", {})
         if not isinstance(params, Mapping):
             raise ServiceError("'params' must be a JSON object")
-        slot = self.slot(payload.get("context"))
-        try:
-            selector = get_selector(name, **params)
-        except ValueError as error:
-            raise ServiceError(str(error)) from None
         budget = payload.get("budget")
         if budget is not None:
-            if not selector.spec.supports_budget:
-                raise ServiceError(
-                    f"selector {name!r} does not support budget workloads"
-                )
-            try:
-                selector = selector.with_params(budget=float(budget))
-            except (TypeError, ValueError, OverflowError):
-                raise ServiceError("'budget' must be a number") from None
+            budget = _json_budget(budget)
+        trial = _json_integer(payload, "trial")
+        slot = self.slot(payload.get("context"))
         try:
-            trial = int(payload.get("trial", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise ServiceError("'trial' must be an integer") from None
-        if selector.spec.stochastic and "seed" not in selector.params:
-            selector = selector.with_params(
-                seed=slot.context.derive_seed(name, trial)
-            )
+            selector = bind_selector(slot.context, name, params, trial, budget)
+        except ValueError as error:
+            raise ServiceError(str(error)) from None
         try:
             selection = self._run_select(slot, selector, k)
         except ValueError as error:

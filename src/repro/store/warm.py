@@ -27,7 +27,11 @@ from __future__ import annotations
 import warnings
 from typing import Any, Mapping
 
-from repro.api.context import ARTIFACT_NAMES, SelectionContext
+from repro.api.context import (
+    ARTIFACT_NAMES,
+    PREDICTION_ARTIFACTS,
+    SelectionContext,
+)
 from repro.obs import trace as obs_trace
 from repro.store.keys import artifact_key, context_key, fingerprint_dataset
 from repro.store.store import ArtifactStore, StoreCorruption, StoreMiss
@@ -80,7 +84,8 @@ def required_artifacts(config: Any) -> list[str]:
     ``needs_sketches`` → the default reverse-reachability batch (plus
     the probabilities it is drawn over, so a sketch miss can re-learn),
     ``needs_oracle`` → whatever the bound model consumes; the CD-proxy
-    evaluation and the prediction task add their own.  The
+    evaluation adds the evaluator, and each prediction method the
+    artifact :data:`~repro.api.context.PREDICTION_ARTIFACTS` names.  The
     influenceability parameters ride along whenever the time-decay
     credit scheme backs an index/evaluator build.
     """
@@ -94,13 +99,7 @@ def required_artifacts(config: Any) -> list[str]:
 
     if config.task == "prediction":
         for method in config.methods:
-            if method == "CD":
-                _add("cd_evaluator")
-            elif method == "LT":
-                _add("lt_weights")
-            else:
-                assignment = "EM" if method == "IC" else method
-                _add(f"ic_probabilities/{assignment}")
+            _add(PREDICTION_ARTIFACTS[method])
     else:
         for entry in config.selectors:
             spec = get_selector(entry.name).spec

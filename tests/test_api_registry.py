@@ -31,10 +31,10 @@ from repro.maximization.greedy import greedy_maximize
 from repro.maximization.heuristics import high_degree_seeds, pagerank_seeds
 from repro.maximization.irie import irie_seeds
 from repro.maximization.ldag import LDAGModel
-from repro.maximization.oracle import ICSpreadOracle, LTSpreadOracle
 from repro.maximization.pmia import PMIAModel
 from repro.maximization.ris import ris_maximize
 from repro.maximization.simpath import simpath_maximize
+from repro.runtime import SpreadEstimator
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +143,10 @@ class TestParity:
         assert via.seeds == direct.seeds
 
     def test_celf_over_ic_oracle(self, ctx, k):
-        oracle = ICSpreadOracle(
+        oracle = SpreadEstimator(
             ctx.graph,
             ctx.ic_probabilities("EM"),
+            "ic",
             num_simulations=ctx.num_simulations,
             seed=5,
         )
@@ -154,9 +155,10 @@ class TestParity:
         assert via.seeds == direct.seeds
 
     def test_celf_over_lt_oracle(self, ctx, k):
-        oracle = LTSpreadOracle(
+        oracle = SpreadEstimator(
             ctx.graph,
             ctx.lt_weights(),
+            "lt",
             num_simulations=ctx.num_simulations,
             seed=5,
         )

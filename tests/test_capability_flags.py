@@ -1,7 +1,7 @@
 """The registry capability flags are load-bearing, one test per flag.
 
-PR 1 declared the flags; the runtime now consumes them: ``_bind`` /
-``ExperimentConfig`` reject budget workloads on selectors without
+The registry declares the flags and the runtime consumes them:
+``bind_selector`` / ``ExperimentConfig`` reject budget workloads on selectors without
 ``supports_budget``, and the pipeline's learn stage validates the
 ``needs_*`` flags against the bound context *before* anything runs,
 raising :class:`~repro.api.ConfigError` with the missing artifact named.
@@ -42,7 +42,7 @@ class TestSupportsBudget:
 
     def test_budget_workload_rejected_at_bind_time(self, toy):
         # A config mutated after construction still cannot smuggle a
-        # budget past _bind.
+        # budget past bind_selector.
         config = selection_config(selectors=["cd"])
         config.budget = 2.0
         with pytest.raises(ConfigError, match="supports_budget"):

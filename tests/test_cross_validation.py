@@ -65,14 +65,16 @@ class TestLTFamily:
 
     def test_celf_over_mc_matches_simpath_selection_quality(self, lt_instance):
         from repro.maximization.celf import celf_maximize
-        from repro.maximization.oracle import LTSpreadOracle
         from repro.maximization.simpath import (
             simpath_maximize,
             simpath_spread,
         )
+        from repro.runtime import SpreadEstimator
 
         graph, weights = lt_instance
-        oracle = LTSpreadOracle(graph, weights, num_simulations=300, seed=3)
+        oracle = SpreadEstimator(
+            graph, weights, "lt", num_simulations=300, seed=3
+        )
         mc_seeds = celf_maximize(oracle, 3).seeds
         sp_seeds = simpath_maximize(graph, weights, 3, eta=1e-4).seeds
         mc_quality = simpath_spread(graph, weights, mc_seeds, eta=1e-5)
@@ -116,13 +118,13 @@ class TestICFamily:
             degree_discount_ic_seeds,
         )
         from repro.maximization.irie import irie_seeds
-        from repro.maximization.oracle import ICSpreadOracle
         from repro.maximization.pmia import PMIAModel
         from repro.maximization.ris import ris_maximize
+        from repro.runtime import SpreadEstimator
 
         graph, probabilities = ic_instance
-        oracle = ICSpreadOracle(
-            graph, probabilities, num_simulations=600, seed=5
+        oracle = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=600, seed=5
         )
         reference = celf_maximize(oracle, 3)
         selections = {

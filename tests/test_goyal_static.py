@@ -136,12 +136,13 @@ class TestDispatch:
             assert graph.has_edge(*edge)
 
     def test_usable_by_ic_oracle(self, simple_instance):
-        from repro.maximization.oracle import ICSpreadOracle
+        from repro.runtime import SpreadEstimator
 
         graph, log = simple_instance
-        oracle = ICSpreadOracle(
+        oracle = SpreadEstimator(
             graph,
             bernoulli_probabilities(graph, log),
+            "ic",
             num_simulations=200,
             seed=1,
         )

@@ -12,7 +12,8 @@ from repro.api import SelectionContext
 from repro.maximization.celf import celf_maximize
 from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.greedy import greedy_maximize
-from repro.maximization.oracle import CountingOracle, ICSpreadOracle, LTSpreadOracle
+from repro.maximization.oracle import CountingOracle
+from repro.runtime import SpreadEstimator
 
 
 class SetCoverOracle:
@@ -169,14 +170,14 @@ def monte_carlo_runs(request, flixster_mini):
     context = SelectionContext(graph, flixster_mini.log)
     backend = "numpy" if kernels.numpy_available() else "python"
     if request.param == "ic":
-        inner = ICSpreadOracle(
-            graph, context.ic_probabilities("EM"), num_simulations=WORLDS,
-            seed=4, backend=backend,
+        inner = SpreadEstimator(
+            graph, context.ic_probabilities("EM"), "ic",
+            num_simulations=WORLDS, seed=4, backend=backend,
         )
     else:
-        inner = LTSpreadOracle(
-            graph, context.lt_weights(), num_simulations=WORLDS,
-            seed=4, backend=backend,
+        inner = SpreadEstimator(
+            graph, context.lt_weights(), "lt",
+            num_simulations=WORLDS, seed=4, backend=backend,
         )
     oracle = _MemoOracle(inner)
     runs = {

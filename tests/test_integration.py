@@ -18,8 +18,8 @@ from repro import (
     train_test_split,
 )
 from repro.maximization.ldag import LDAGModel
-from repro.maximization.oracle import ICSpreadOracle
 from repro.maximization.pmia import PMIAModel
+from repro.runtime import SpreadEstimator
 
 
 class TestFullCDPipeline:
@@ -68,8 +68,9 @@ class TestStandardApproachPipeline:
     def test_em_to_celf(self, flixster_mini):
         train, _ = train_test_split(flixster_mini.log)
         em = learn_ic_probabilities_em(flixster_mini.graph, train)
-        oracle = ICSpreadOracle(
-            flixster_mini.graph, em.probabilities, num_simulations=10, seed=1
+        oracle = SpreadEstimator(
+            flixster_mini.graph, em.probabilities, "ic", num_simulations=10,
+            seed=1,
         )
         result = celf_maximize(oracle, k=3)
         assert len(result.seeds) == 3

@@ -142,12 +142,12 @@ class TestSeeds:
     def test_quality_close_to_celf(self):
         """IRIE seeds reach near-greedy spread under forward MC."""
         from repro.maximization.celf import celf_maximize
-        from repro.maximization.oracle import ICSpreadOracle
+        from repro.runtime import SpreadEstimator
 
         graph = erdos_renyi_graph(25, 0.15, seed=9)
         probabilities = uniform_probabilities(graph, 0.2)
-        oracle = ICSpreadOracle(
-            graph, probabilities, num_simulations=400, seed=0
+        oracle = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=400, seed=0
         )
         celf = celf_maximize(oracle, 3)
         irie = irie_seeds(graph, probabilities, 3)

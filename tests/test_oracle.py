@@ -1,11 +1,11 @@
-"""Tests for repro.maximization.oracle."""
+"""Tests for the spread-oracle protocol and its Monte-Carlo oracle."""
 
 import pytest
 
 import repro.kernels as kernels
 from repro.api import SelectionContext
 from repro.graphs.digraph import SocialGraph
-from repro.maximization.oracle import CountingOracle, ICSpreadOracle, LTSpreadOracle
+from repro.maximization.oracle import CountingOracle
 from repro.runtime import SpreadEstimator
 
 BACKENDS = ["python"] + (
@@ -20,71 +20,80 @@ def graph():
 
 class TestICOracle:
     def test_candidates_are_all_nodes(self, graph):
-        oracle = ICSpreadOracle(graph, {}, num_simulations=1)
+        oracle = SpreadEstimator(graph, {}, "ic", num_simulations=1)
         assert sorted(oracle.candidates()) == [0, 1, 2]
 
     def test_spread_deterministic_per_seed_set(self, graph):
         probabilities = {edge: 0.5 for edge in graph.edges()}
-        oracle = ICSpreadOracle(graph, probabilities, num_simulations=50, seed=1)
+        oracle = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=50, seed=1
+        )
         assert oracle.spread([0]) == oracle.spread([0])
 
     def test_spread_independent_of_seed_order(self, graph):
         probabilities = {edge: 0.5 for edge in graph.edges()}
-        oracle = ICSpreadOracle(graph, probabilities, num_simulations=50, seed=1)
+        oracle = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=50, seed=1
+        )
         assert oracle.spread([0, 1]) == oracle.spread([1, 0])
 
     def test_different_base_seeds_differ(self, graph):
         probabilities = {edge: 0.5 for edge in graph.edges()}
-        first = ICSpreadOracle(graph, probabilities, num_simulations=20, seed=1)
-        second = ICSpreadOracle(graph, probabilities, num_simulations=20, seed=2)
+        first = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=20, seed=1
+        )
+        second = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=20, seed=2
+        )
         # Not guaranteed different, but overwhelmingly likely.
         assert first.spread([0]) != second.spread([0])
 
     def test_invalid_simulations_raise(self, graph):
         with pytest.raises(ValueError):
-            ICSpreadOracle(graph, {}, num_simulations=0)
+            SpreadEstimator(graph, {}, "ic", num_simulations=0)
 
 
 class TestLTOracle:
     def test_spread_of_seed_only(self, graph):
-        oracle = LTSpreadOracle(graph, {}, num_simulations=10, seed=1)
+        oracle = SpreadEstimator(graph, {}, "lt", num_simulations=10, seed=1)
         assert oracle.spread([0]) == 1.0
 
     def test_full_weight_chain(self):
         chain = SocialGraph.from_edges([(0, 1), (1, 2)])
-        oracle = LTSpreadOracle(
-            chain, {(0, 1): 1.0, (1, 2): 1.0}, num_simulations=10, seed=1
+        oracle = SpreadEstimator(
+            chain, {(0, 1): 1.0, (1, 2): 1.0}, "lt", num_simulations=10,
+            seed=1,
         )
         assert oracle.spread([0]) == 3.0
 
 
 class TestCountingOracle:
     def test_counts_calls(self, graph):
-        inner = ICSpreadOracle(graph, {}, num_simulations=1, seed=1)
+        inner = SpreadEstimator(graph, {}, "ic", num_simulations=1, seed=1)
         counting = CountingOracle(inner)
         counting.spread([0])
         counting.spread([1])
         assert counting.calls == 2
 
     def test_delegates_value(self, graph):
-        inner = ICSpreadOracle(graph, {}, num_simulations=1, seed=1)
+        inner = SpreadEstimator(graph, {}, "ic", num_simulations=1, seed=1)
         counting = CountingOracle(inner)
         assert counting.spread([0]) == inner.spread([0])
 
     def test_delegates_candidates(self, graph):
-        inner = ICSpreadOracle(graph, {}, num_simulations=1, seed=1)
+        inner = SpreadEstimator(graph, {}, "ic", num_simulations=1, seed=1)
         assert CountingOracle(inner).candidates() == inner.candidates()
 
 
 @pytest.fixture(scope="module")
 def learned(flixster_mini):
-    """flixster_mini's EM probabilities and LT weights, and its two
-    highest out-degree users."""
+    """flixster_mini's graph and log, its EM probabilities and LT
+    weights, and its two highest out-degree users."""
     graph = flixster_mini.graph
     context = SelectionContext(graph, flixster_mini.log)
     top = sorted(graph.nodes(), key=lambda node: -graph.out_degree(node))
     values = {"ic": context.ic_probabilities("EM"), "lt": context.lt_weights()}
-    return graph, values, top[0], top[1]
+    return flixster_mini, values, top[0], top[1]
 
 
 class TestOneSeedSetOneAnswer:
@@ -95,18 +104,16 @@ class TestOneSeedSetOneAnswer:
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize(
-        "model, oracle_class", [("ic", ICSpreadOracle), ("lt", LTSpreadOracle)]
-    )
-    def test_listing_does_not_matter(self, learned, model, oracle_class, backend):
-        graph, values, a, b = learned
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_listing_does_not_matter(self, learned, model, backend):
+        dataset, values, a, b = learned
         estimators = [
-            oracle_class(
-                graph, values[model], num_simulations=100, seed=3,
-                backend=backend,
-            ),
+            SelectionContext(
+                dataset.graph, dataset.log, backend=backend
+            ).oracle(model, method="EM", seed=3),
             SpreadEstimator(
-                graph, values[model], model, 100, seed=3, backend=backend
+                dataset.graph, values[model], model, 100, seed=3,
+                backend=backend,
             ),
         ]
         for estimator in estimators:

@@ -177,11 +177,13 @@ class TestRISMaximize:
     def test_quality_matches_celf_on_small_instance(self):
         """RIS seeds reach (near-)greedy spread under forward MC."""
         from repro.maximization.celf import celf_maximize
-        from repro.maximization.oracle import ICSpreadOracle
+        from repro.runtime import SpreadEstimator
 
         graph = erdos_renyi_graph(20, 0.2, seed=6)
         probabilities = uniform_probabilities(graph, 0.25)
-        oracle = ICSpreadOracle(graph, probabilities, num_simulations=400, seed=0)
+        oracle = SpreadEstimator(
+            graph, probabilities, "ic", num_simulations=400, seed=0
+        )
         celf = celf_maximize(oracle, 3)
         ris = ris_maximize(graph, probabilities, 3, num_rr_sets=5000, seed=7)
         ris_quality = oracle.spread(ris.seeds)

@@ -19,6 +19,8 @@ import time
 import pytest
 
 from repro.api import ExperimentConfig, SelectionContext, run_experiment
+from repro.data.split import train_test_split
+from repro.evaluation.prediction import held_out_traces
 from repro.store import ArtifactStore
 from repro.store.service import (
     QueryService,
@@ -178,6 +180,37 @@ class TestQueryService:
         )
         assert len(served["selection"]["seeds"]) <= 2
 
+    def test_pinned_budget_param_wins_over_top_level_budget(self, service):
+        # The experiment runner's rule: a budget pinned in params wins.
+        served = service.select({
+            "selector": "cd_budget", "k": 2, "budget": 3.0,
+            "params": {"budget": 1.0},
+        })
+        assert served["selection"]["params"]["budget"] == 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 2.7),
+            ("k", True),
+            ("k", "3"),
+            ("trial", True),
+            ("trial", 1.5),
+            ("budget", float("inf")),
+            ("budget", float("nan")),
+            ("budget", "2.5"),
+            ("budget", True),
+            ("budget", 10**400),
+        ],
+    )
+    def test_select_numbers_are_not_coerced(self, service, field, value):
+        # k and trial are JSON integers, budget a finite JSON number;
+        # none is parsed from a string or read from a bool.
+        payload = {"selector": "cd_budget", "k": 2, "budget": 2.0}
+        with pytest.raises(ServiceError, match=field) as info:
+            service.select({**payload, field: value})
+        assert info.value.status == 400
+
     def test_validation_errors(self, service):
         with pytest.raises(ServiceError):
             service.select({"k": 2})
@@ -277,6 +310,22 @@ class TestHTTP:
         assert status == 400
         assert "unknown selector" in json.loads(payload)["error"]
 
+    def test_infinite_budget_is_400(self, server):
+        # 1e999 parses as inf; served, it picked every positive-gain
+        # seed and answered a body holding Infinity, which is not JSON.
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server, timeout=30
+        )
+        connection.request(
+            "POST", "/select",
+            body='{"selector": "cd_budget", "k": 2, "budget": 1e999}',
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read().decode("utf-8"))
+        connection.close()
+        assert response.status == 400
+        assert "'budget'" in payload["error"]
+
     def test_malformed_body_is_400(self, server):
         connection = http.client.HTTPConnection(
             "127.0.0.1", server, timeout=30
@@ -340,6 +389,36 @@ class TestHTTP:
         assert reply == b""
         assert time.monotonic() - started < 4
         assert self._call(server, "GET", "/healthz")[0] == 200
+
+
+class TestPredictMatchesPipeline:
+    def test_predict_equals_the_prediction_pipeline(
+        self, tmp_path, flixster_mini
+    ):
+        # /predict and the prediction task build their models through
+        # one rule, so a held-out trace gets the same prediction.
+        root = str(tmp_path / "store")
+        config = ExperimentConfig(
+            task="prediction", methods=["IC", "LT", "CD"],
+            num_simulations=40, max_test_traces=10, store=root,
+        )
+        result = run_experiment(config, dataset=flixster_mini)
+        _, test = train_test_split(flixster_mini.log, every=config.split_every)
+        traces = held_out_traces(
+            flixster_mini.graph, test, config.max_test_traces
+        )
+        key = result.store_events["context_key"]
+        service = QueryService(root)
+        for method in config.methods:
+            served = [
+                service.predict({
+                    "seeds": list(seeds), "method": method, "context": key,
+                })["predicted_spread"]
+                for seeds, _ in traces
+            ]
+            assert served == [
+                predicted for _, predicted in result.pairs(method)
+            ], method
 
 
 class TestLRU:
