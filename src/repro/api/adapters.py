@@ -258,9 +258,9 @@ def _ris(
 ):
     """Greedy coverage over the context's deterministic sketch batch.
 
-    The sketches come from :meth:`SelectionContext.sketches` — warm
-    starts and the runtime prefetch hand them over prebuilt — and the
-    coverage maximization dispatches through the backend seam.  With
+    The sketches come from :meth:`SelectionContext.sketches`, which
+    builds and caches the bound batch, and the coverage maximization
+    dispatches through the backend seam.  With
     the same base seed this is bit-identical to a direct
     :func:`~repro.maximization.ris.ris_maximize` call.
     """

@@ -37,6 +37,7 @@ __all__ = [
     "SelectionContext",
     "IC_PROBABILITY_METHODS",
     "ARTIFACT_NAMES",
+    "GRAPH_ONLY_ARTIFACTS",
     "PREDICTION_ARTIFACTS",
 ]
 
@@ -60,6 +61,13 @@ ARTIFACT_NAMES = tuple(
     "cd_evaluator",
     "compiled_log",
     "sketches",
+)
+
+# The slots a context builds from the graph (and seed) alone: a run
+# without a training log can read them, and a log delta cannot change
+# them, so a fold carries them over by reference.
+GRAPH_ONLY_ARTIFACTS = tuple(
+    f"{_PROBABILITY_PREFIX}{method}" for method in ("UN", "TV", "WC")
 )
 
 # The prediction protocol's models (Figures 2-4), in listing order, each
@@ -197,9 +205,9 @@ class SelectionContext:
         # Interned CSR representation the numpy kernels share (lazy).
         self._compiled_log = None
         # The default sketch batch (the persistable slot) plus an
-        # ad-hoc cache for other (method, count, hops, seed) requests —
-        # per-trial injected seeds land here, the prefetch mirror
-        # included, so process workers ship warm sketches too.
+        # ad-hoc cache for other (method, count, hops, seed) requests:
+        # the per-trial batches of the ris/hop cells land here, each
+        # built by the cell that reads it.
         self._sketches = None
         self._sketch_cache: dict[tuple, object] = {}
         self._sketchers: dict[str, object] = {}
@@ -473,11 +481,12 @@ class SelectionContext:
         With no arguments this is the context's *default* batch — the
         persistable ``sketches`` artifact slot (``num_sketches`` /
         ``sketch_hops`` from the constructor, probabilities from the
-        default method, seed schedule from the context seed), the one
-        :mod:`repro.store` warm-starts.  Explicit arguments (notably
-        the per-trial ``seed`` the experiment runner injects into the
-        ``ris``/``hop`` selectors) land in an ad-hoc cache keyed by
-        ``(method, count, hops, generation seed)``.
+        default method, seed schedule from the context seed).  Only a
+        call that matches it exactly reads that slot.  Other arguments
+        (notably the per-trial ``seed`` :func:`~repro.api.bind_selector`
+        gives the ``ris``/``hop`` selectors) land in an ad-hoc cache
+        keyed by ``(method, count, hops, generation seed)``, filled by
+        the cell that reads the batch.
 
         The generation seed is
         :func:`repro.core.sketch.sketch_generation_seed` of the base

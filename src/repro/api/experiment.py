@@ -31,11 +31,7 @@ from repro.api.context import (
     PREDICTION_ARTIFACTS,
     SelectionContext,
 )
-from repro.api.registry import (
-    SelectorSpec,
-    _budget_selector_names,
-    get_selector,
-)
+from repro.api.registry import _budget_selector_names, get_selector
 from repro.api.results import SeedSelection
 from repro.data.datasets import Dataset
 from repro.runtime.executor import EXECUTORS
@@ -390,43 +386,6 @@ class ExperimentConfig:
         """Load a config from a JSON file (the ``repro run`` format)."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-
-def _missing_artifacts(
-    spec: SelectorSpec, params: Mapping[str, Any], config: "ExperimentConfig"
-) -> list[str]:
-    """Learned artifacts ``spec`` needs that require a training log.
-
-    This is the capability-flag routing rule the pipeline's learn stage
-    consumes: ``needs_index``/``needs_weights`` always require the log;
-    ``needs_probabilities`` — and ``needs_sketches``, whose RR batches
-    are drawn over those probabilities — only when the resolved
-    assignment method is learned (``EM``/``PT``); ``needs_oracle``
-    depending on the bound ``model`` (the CD evaluator and LT weights
-    are learned, IC follows the probability rule).
-    """
-    method = params.get("method") or config.probability_method
-    model = params.get("model", "cd")
-    missing: list[str] = []
-    if spec.needs_index:
-        missing.append("the Algorithm-2 credit index")
-    if spec.needs_weights:
-        missing.append("learned LT weights")
-    if spec.needs_probabilities and method in ("EM", "PT"):
-        missing.append(f"{method}-learned IC probabilities")
-    if spec.needs_sketches and method in ("EM", "PT"):
-        missing.append(
-            f"reverse-reachability sketches over {method}-learned "
-            "probabilities"
-        )
-    if spec.needs_oracle:
-        if model == "cd":
-            missing.append("the sigma_cd evaluator")
-        elif model == "ic" and method in ("EM", "PT"):
-            missing.append(f"{method}-learned IC probabilities")
-        elif model == "lt":
-            missing.append("learned LT weights")
-    return missing
 
 
 @dataclass

@@ -69,15 +69,15 @@ class SelectorSpec:
         One-line summary for listings.
     needs_oracle / needs_index / needs_probabilities / needs_weights /
     needs_sketches:
-        Which shared artifacts the selector pulls from the context —
-        i.e. what a caller must be able to provide (a training log is
-        required for everything except the purely structural selectors).
-        ``needs_sketches`` marks the reverse-reachability consumers
-        (``ris``/``hop``): the runtime prefetches their sketch batches
-        under parallel executors and :mod:`repro.store` persists them.
+        Which shared artifacts the selector pulls from the context;
+        :meth:`Selector.reads` turns them, with the bound ``method`` and
+        ``model``, into artifact slot names.  ``needs_sketches`` marks
+        the reverse-reachability consumers (``ris``/``hop``): they read
+        the IC probabilities their sketch batches are drawn over, and
+        each cell builds its own batch.
     supports_budget:
-        Whether the selector understands per-seed costs (reserved for
-        budgeted selectors; none of the built-ins do yet).
+        Whether the selector understands budget workloads (a total
+        seed-cost cap; the built-in ``cd_budget`` does).
     supports_time_log:
         Whether the adapter can record the cumulative runtime-vs-k
         curve (Figure-7 instrumentation) into
@@ -152,6 +152,31 @@ class Selector:
     def with_params(self, **params: Any) -> "Selector":
         """A copy with ``params`` merged over the current binding."""
         return Selector(self.spec, {**self.params, **params})
+
+    def reads(self, context: SelectionContext) -> list[str]:
+        """The artifact slots this selector reads from ``context``.
+
+        The one routing rule from capability flags to slots: the
+        runner's log-free validation, its parallel prefetch and the
+        store's warm start all derive from it.  ``method`` is the bound
+        one or else the context's; ``model`` (oracle selectors only)
+        defaults to ``cd``.  A sketch selector's batch is no slot: it
+        is keyed by the bound count, hops and seed, so the cell that
+        reads it builds it.
+        """
+        spec = self.spec
+        method = self.params.get("method") or context.probability_method
+        model = self.params.get("model", "cd") if spec.needs_oracle else None
+        slots = []
+        if spec.needs_index:
+            slots.append("credit_index")
+        if model == "cd":
+            slots.append("cd_evaluator")
+        if spec.needs_probabilities or spec.needs_sketches or model == "ic":
+            slots.append(f"ic_probabilities/{method}")
+        if spec.needs_weights or model == "lt":
+            slots.append("lt_weights")
+        return slots
 
     def select(
         self,

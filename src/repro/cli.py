@@ -497,9 +497,10 @@ def _cmd_list_selectors(args: argparse.Namespace) -> int:
     rows = []
     for spec in list_selectors(family=args.family):
         capabilities = spec.capabilities()
-        # The needs_* flags name the stored artifacts a selector pulls
-        # (`repro store ls` lists what a store holds), the rest are
-        # behavioral: supports_budget / supports_time_log / stochastic.
+        # The needs_* flags are what Selector.reads turns into the
+        # artifact slots a bound selector reads (`repro store ls` lists
+        # what a store holds); the rest are behavioral:
+        # supports_budget / supports_time_log / stochastic.
         needs = [
             name.removeprefix("needs_")
             for name, on in capabilities.items()

@@ -27,16 +27,17 @@ happens in submission order, so ``serial``/``thread``/``process`` runs
 are bit-identical (``tests/test_runtime_parallel.py``).
 
 The ``learn`` stage is where the registry's capability flags become
-load-bearing: before anything runs, every selector entry is validated
-against the workload (budget vs ``supports_budget``) and the context
-(``needs_index``/``needs_oracle``/``needs_probabilities``/
-``needs_weights``/``needs_sketches`` vs the availability of a training
-log), raising
-:class:`~repro.utils.validation.ConfigError` up front; under a parallel
-executor the same flags drive artifact *prefetching*, so worker tasks
-only ever read the shared context instead of racing to build it (or,
-under the process executor, rebuilding it per task and throwing the
-result away).
+load-bearing, through :meth:`~repro.api.registry.Selector.reads` (the
+artifact slots a bound selector reads).  Before anything runs, a
+context without a training log is checked against every slot the
+selectors and the CD-proxy evaluation read, raising
+:class:`~repro.utils.validation.ConfigError` up front for one that
+needs the log.  Under a parallel executor the same slots
+(:func:`repro.store.warm.required_artifacts`) are *prefetched*, so
+worker tasks only read the shared artifacts instead of racing to build
+them (or, under the process executor, rebuilding them per task and
+throwing the result away).  What a single cell reads alone — a
+per-trial sketch batch or Monte-Carlo oracle — the cell builds.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.api.context import SelectionContext
+from repro.api.context import GRAPH_ONLY_ARTIFACTS, SelectionContext
 from repro.api.experiment import (
     ExperimentConfig,
     ExperimentResult,
     SelectorRun,
     _make_dataset,
-    _missing_artifacts,
 )
 from repro.api.registry import bind_selector, get_selector
 from repro.data.split import train_test_split
@@ -167,80 +167,42 @@ def _make_context(state: PipelineState) -> SelectionContext:
 
 def _validate_entries(config: ExperimentConfig,
                       context: SelectionContext) -> None:
-    """Reject selector/context combinations up front (capability flags)."""
+    """Reject, up front, a read a context without a log cannot serve.
+
+    Such a context builds only the :data:`GRAPH_ONLY_ARTIFACTS`.
+    """
     if context.train_log is not None:
         return
-    for entry in config.selectors:
-        spec = get_selector(entry.name).spec
-        missing = _missing_artifacts(spec, entry.params, config)
+    readers = [
+        (f"selector {entry.display()!r}",
+         get_selector(entry.name, **entry.params).reads(context))
+        for entry in config.selectors
+    ]
+    if config.evaluate_spread:
+        readers.append(("evaluate_spread", ["cd_evaluator"]))
+    for reader, reads in readers:
+        missing = [name for name in reads if name not in GRAPH_ONLY_ARTIFACTS]
+        verb = "needs" if len(missing) == 1 else "need"
         require_config(
             not missing,
-            f"selector {entry.display()!r} needs {', '.join(missing)}, "
-            "which require a training action log, but the context was "
-            "built without one",
+            f"{reader} reads {', '.join(missing)}, which {verb} a "
+            "training action log, but the context was built without one",
         )
 
 
 def _prefetch_artifacts(config: ExperimentConfig,
                         context: SelectionContext) -> None:
-    """Build the flagged artifacts once, in the parent, before fan-out.
+    """Build every shared slot the run reads once, in the parent.
 
     Under the thread executor this keeps worker cells read-only over
-    the shared context; under the process executor it is what makes the
-    fan-out profitable at all — a worker's lazily built artifact dies
-    with the worker.  For oracle-backed selectors the per-trial oracles
-    themselves are built (simulation engines compiled), so workers
-    receive ready-to-run engines in the pickled context instead of each
-    recompiling them.
+    the shared artifacts; under the process executor it is what makes
+    the fan-out profitable at all — a worker's lazily built artifact
+    dies with the worker.
     """
-    if context.train_log is None:
-        return
-    for entry in config.selectors:
-        spec = get_selector(entry.name).spec
-        method = entry.params.get("method") or config.probability_method
-        model = entry.params.get("model", "cd")
-        if spec.needs_index:
-            context.credit_index()
-        if spec.needs_probabilities:
-            context.ic_probabilities(method)
-        if spec.needs_weights:
-            context.lt_weights()
-        if spec.needs_sketches:
-            for trial in range(config.trials):
-                params = bind_selector(
-                    context, entry.name, entry.params, trial, config.budget
-                ).params
-                # Mirror the ris/hop adapter defaults exactly so the
-                # prefetched sketch-cache key matches the worker's
-                # lookup (including the injected per-trial seed).
-                context.sketches(
-                    method=params.get("method"),
-                    num_sketches=params.get(
-                        "num_rr_sets", params.get("num_sketches", 10_000)
-                    ),
-                    hops=params.get(
-                        "hops", 2 if entry.name == "hop" else None
-                    ),
-                    seed=params.get("seed"),
-                )
-        if spec.needs_oracle:
-            if model == "cd":
-                context.cd_evaluator()
-            else:
-                for trial in range(config.trials):
-                    params = bind_selector(
-                        context, entry.name, entry.params, trial,
-                        config.budget,
-                    ).params
-                    # Mirror the adapter's oracle() call exactly so the
-                    # prefetched cache key matches the worker's lookup.
-                    context.oracle(
-                        model,
-                        method=params.get("method"),
-                        seed=params.get("seed"),
-                    )
-    if config.evaluate_spread:
-        context.cd_evaluator()
+    from repro.store.warm import required_artifacts
+
+    for name in required_artifacts(config, context):
+        context.build_artifact(name)
 
 
 def _consult_store(state: PipelineState) -> None:
@@ -271,7 +233,7 @@ def _consult_store(state: PipelineState) -> None:
     state.result.store_events = warm_start(
         ArtifactStore(config.store),
         context,
-        required_artifacts(config),
+        required_artifacts(config, context),
         consult=config.warm_start,
         dataset=dataset,
         split=split,

@@ -4,9 +4,10 @@ This module is the bridge between :class:`~repro.store.store.ArtifactStore`
 and :class:`~repro.api.context.SelectionContext`:
 
 * :func:`required_artifacts` maps an
-  :class:`~repro.api.experiment.ExperimentConfig` to the artifact slots
-  its selectors / prediction methods / evaluation will pull — the same
-  capability-flag routing the runtime's learn stage validates against;
+  :class:`~repro.api.experiment.ExperimentConfig` and its context to
+  the artifact slots its selectors / prediction methods / evaluation
+  read — from :meth:`~repro.api.registry.Selector.reads`, the routing
+  rule the runtime's learn stage also validates and prefetches by;
 * :func:`warm_start` loads whatever the store holds for the context's
   key (hit), builds what is missing through the context's own lazy
   accessors (miss → learn), and saves every newly built artifact back —
@@ -74,66 +75,37 @@ def artifact_source_key(record: Mapping[str, Any], name: str) -> str:
     return record.get("artifact_sources", {}).get(name, record["context_key"])
 
 
-def required_artifacts(config: Any) -> list[str]:
-    """The artifact slots ``config`` will pull, from the capability flags.
+def required_artifacts(config: Any, context: SelectionContext) -> list[str]:
+    """The artifact slots ``config`` reads from ``context``, in order.
 
-    Mirrors the routing rule of the runtime learn stage
-    (``_missing_artifacts`` / ``_prefetch_artifacts``): ``needs_index``
-    → the credit index, ``needs_probabilities`` → the resolved
-    assignment's probabilities, ``needs_weights`` → LT weights,
-    ``needs_sketches`` → the default reverse-reachability batch (plus
-    the probabilities it is drawn over, so a sketch miss can re-learn),
-    ``needs_oracle`` → whatever the bound model consumes; the CD-proxy
-    evaluation adds the evaluator, and each prediction method the
-    artifact :data:`~repro.api.context.PREDICTION_ARTIFACTS` names.  The
-    influenceability parameters ride along whenever the time-decay
-    credit scheme backs an index/evaluator build.
+    Prediction reads the slot :data:`~repro.api.context.PREDICTION_ARTIFACTS`
+    names for each method; selection reads what each selector's
+    :meth:`~repro.api.registry.Selector.reads` returns, plus the
+    evaluator when ``evaluate_spread``.  Two slots ride along, so that a
+    miss of the slot they feed does not learn them again:
+    ``ic_probabilities/EM`` under a read PT (PT perturbs EM), and
+    ``influence_params`` under a time-decay index or evaluator (their
+    Eq.-9 credits).
     """
     from repro.api.registry import get_selector
 
-    needed: list[str] = []
-
-    def _add(name: str) -> None:
-        if name not in needed:
-            needed.append(name)
-
     if config.task == "prediction":
-        for method in config.methods:
-            _add(PREDICTION_ARTIFACTS[method])
+        needed = [PREDICTION_ARTIFACTS[method] for method in config.methods]
     else:
-        for entry in config.selectors:
-            spec = get_selector(entry.name).spec
-            method = entry.params.get("method") or config.probability_method
-            model = entry.params.get("model", "cd")
-            if spec.needs_index:
-                _add("credit_index")
-            if spec.needs_probabilities:
-                _add(f"ic_probabilities/{method}")
-            if spec.needs_weights:
-                _add("lt_weights")
-            if spec.needs_sketches:
-                _add(f"ic_probabilities/{method}")
-                _add("sketches")
-            if spec.needs_oracle:
-                if model == "cd":
-                    _add("cd_evaluator")
-                elif model == "ic":
-                    _add(f"ic_probabilities/{method}")
-                else:
-                    _add("lt_weights")
+        needed = [
+            name
+            for entry in config.selectors
+            for name in get_selector(entry.name, **entry.params).reads(context)
+        ]
         if config.evaluate_spread:
-            _add("cd_evaluator")
-    if config.probability_method == "PT" or any(
-        name == "ic_probabilities/PT" for name in needed
+            needed.append("cd_evaluator")
+    if "ic_probabilities/PT" in needed:
+        needed.append("ic_probabilities/EM")
+    if context.credit_scheme == "timedecay" and (
+        "credit_index" in needed or "cd_evaluator" in needed
     ):
-        # PT perturbs the EM probabilities; storing EM too means a PT
-        # miss still warm-starts its expensive half.
-        _add("ic_probabilities/EM")
-    if ("credit_index" in needed or "cd_evaluator" in needed) and (
-        getattr(config, "credit_scheme", "timedecay") == "timedecay"
-    ):
-        _add("influence_params")
-    return needed
+        needed.append("influence_params")
+    return list(dict.fromkeys(needed))
 
 
 def context_key_for(

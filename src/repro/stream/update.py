@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-from repro.api.context import SelectionContext
+from repro.api.context import GRAPH_ONLY_ARTIFACTS, SelectionContext
 from repro.core.streaming import StreamingCreditIndex
 from repro.probabilities.lt_weights import (
     count_propagations,
@@ -76,15 +76,6 @@ __all__ = [
 User = Hashable
 Edge = tuple[User, User]
 Tuple3 = tuple[User, Hashable, float]
-
-# Artifacts that depend on the social graph (and seed) alone — a log
-# delta cannot change them, so they carry over by reference.
-_GRAPH_ONLY = (
-    "ic_probabilities/UN",
-    "ic_probabilities/WC",
-    "ic_probabilities/TV",
-)
-
 
 @dataclass
 class StreamStats:
@@ -212,7 +203,7 @@ def fold_delta(
 
     closed_actions = list(closed_log.actions())
     for name in names:
-        if name in _GRAPH_ONLY:
+        if name in GRAPH_ONLY_ARTIFACTS:
             new_context.set_artifact(name, context.get_artifact(name))
             report.carried.append(name)
         elif name == "sketches":
@@ -222,7 +213,7 @@ def fold_delta(
             # re-learn over the union log.
             value = context.get_artifact(name)
             method = getattr(value, "method", None) or context.probability_method
-            if f"ic_probabilities/{method}" in _GRAPH_ONLY:
+            if f"ic_probabilities/{method}" in GRAPH_ONLY_ARTIFACTS:
                 new_context.set_artifact(name, value)
                 report.carried.append(name)
             else:

@@ -218,6 +218,54 @@ class TestParity:
         ).seeds == degree_discount_ic_seeds(ctx.graph, k, probability=0.02)
 
 
+# The artifact slots each built-in reads from an EM context, unbound.
+READS_ON_EM = {
+    "cd": ["credit_index"],
+    "cd_budget": ["credit_index"],
+    "greedy": ["cd_evaluator"],
+    "celf": ["cd_evaluator"],
+    "celfpp": ["cd_evaluator"],
+    "ris": ["ic_probabilities/EM"],
+    "hop": ["ic_probabilities/EM"],
+    "simpath": ["lt_weights"],
+    "pmia": ["ic_probabilities/EM"],
+    "ldag": ["lt_weights"],
+    "irie": ["ic_probabilities/EM"],
+    "high_degree": [],
+    "pagerank": [],
+    "single_discount": [],
+    "degree_discount": [],
+}
+
+
+class TestReads:
+    @pytest.mark.parametrize(
+        "name, params, expected",
+        [
+            pytest.param(spec.name, {}, READS_ON_EM.get(spec.name),
+                         id=spec.name)
+            for spec in list_selectors()
+        ]
+        + [
+            pytest.param("celf", {"model": "cd"}, ["cd_evaluator"],
+                         id="celf-model=cd"),
+            pytest.param("celf", {"model": "ic"}, ["ic_probabilities/EM"],
+                         id="celf-model=ic"),
+            pytest.param("celf", {"model": "lt"}, ["lt_weights"],
+                         id="celf-model=lt"),
+            pytest.param("pmia", {"method": "UN"}, ["ic_probabilities/UN"],
+                         id="pmia-method=UN"),
+            pytest.param("ris", {"method": "WC"}, ["ic_probabilities/WC"],
+                         id="ris-method=WC"),
+        ],
+    )
+    def test_slots_read_from_an_em_context(self, toy, name, params, expected):
+        assert expected is not None, f"selector {name!r} has no table row"
+        reads = get_selector(name, **params).reads(SelectionContext(toy.graph))
+        assert reads == expected
+        assert set(reads) <= set(ARTIFACT_NAMES)
+
+
 class TestSelectionContext:
     def test_structural_selectors_work_without_log(self, toy):
         ctx = SelectionContext(toy.graph)

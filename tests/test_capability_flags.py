@@ -76,21 +76,21 @@ class TestSupportsBudget:
 class TestNeedsIndex:
     def test_rejected_up_front_without_log(self, structural_context):
         config = selection_config(selectors=["cd"])
-        with pytest.raises(ConfigError, match="credit index"):
+        with pytest.raises(ConfigError, match="credit_index"):
             run_experiment(config, context=structural_context)
 
 
 class TestNeedsOracle:
     def test_cd_oracle_needs_log(self, structural_context):
         config = selection_config(selectors=["celf"])
-        with pytest.raises(ConfigError, match="sigma_cd"):
+        with pytest.raises(ConfigError, match="cd_evaluator"):
             run_experiment(config, context=structural_context)
 
     def test_learned_ic_oracle_needs_log(self, structural_context):
         config = selection_config(
             selectors=[{"name": "celf", "params": {"model": "ic"}}],
         )
-        with pytest.raises(ConfigError, match="EM-learned"):
+        with pytest.raises(ConfigError, match="ic_probabilities/EM"):
             run_experiment(config, context=structural_context)
 
     def test_static_ic_oracle_runs_without_log(self, structural_context):
@@ -108,7 +108,7 @@ class TestNeedsOracle:
 class TestNeedsProbabilities:
     def test_learned_method_needs_log(self, structural_context):
         config = selection_config(selectors=["pmia"])  # method defaults EM
-        with pytest.raises(ConfigError, match="EM-learned"):
+        with pytest.raises(ConfigError, match="ic_probabilities/EM"):
             run_experiment(config, context=structural_context)
 
     def test_static_method_runs_without_log(self, structural_context):
@@ -119,11 +119,20 @@ class TestNeedsProbabilities:
         result = run_experiment(config, context=structural_context)
         assert len(result.runs[0].selection.seeds) == 2
 
+    def test_context_method_routes_without_log(self, toy):
+        # The context's own assignment is the one pmia reads, not the
+        # config's default EM.
+        context = SelectionContext(toy.graph, probability_method="UN")
+        config = selection_config(selectors=["pmia"], evaluate_spread=False)
+        result = run_experiment(config, context=context)
+        direct = get_selector("pmia").select(context, 2)
+        assert result.runs[0].selection.seeds == direct.seeds
+
 
 class TestNeedsWeights:
     def test_rejected_up_front_without_log(self, structural_context):
         config = selection_config(selectors=["ldag"])
-        with pytest.raises(ConfigError, match="LT weights"):
+        with pytest.raises(ConfigError, match="lt_weights"):
             run_experiment(config, context=structural_context)
 
 
@@ -132,7 +141,7 @@ class TestNeedsSketches:
         config = selection_config(
             selectors=["hop"], evaluate_spread=False
         )  # method defaults EM
-        with pytest.raises(ConfigError, match="sketches"):
+        with pytest.raises(ConfigError, match="ic_probabilities/EM"):
             run_experiment(config, context=structural_context)
 
     def test_static_method_runs_without_log(self, structural_context):
@@ -145,7 +154,7 @@ class TestNeedsSketches:
         result = run_experiment(config, context=structural_context)
         assert len(result.runs[0].selection.seeds) == 2
 
-    def test_parallel_prefetch_builds_sketches_up_front(self):
+    def test_parallel_run_equals_serial(self):
         config = selection_config(
             selectors=[{"name": "ris", "params": {"num_rr_sets": 100}}],
             executor="thread",
@@ -164,6 +173,47 @@ class TestNeedsSketches:
         assert [run.selection.seeds for run in result.runs] == [
             run.selection.seeds for run in serial.runs
         ]
+
+
+class TestParallelPrefetch:
+    def test_learn_stage_builds_exactly_the_required_artifacts(
+        self, monkeypatch
+    ):
+        # A per-trial sketch batch or oracle is read by one cell only,
+        # so the cell builds it; the parent builds the shared slots.
+        import repro.runtime.pipeline as pipeline
+        from repro.store.warm import required_artifacts
+
+        calls = []
+        for name in ("sketches", "oracle"):
+            original = getattr(SelectionContext, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(SelectionContext, name, spy)
+        learned = {}
+
+        def record(state):
+            learned["context"] = state.context
+            learned["names"] = state.context.artifact_names()
+
+        monkeypatch.setattr(pipeline, "_stage_select", record)
+        config = selection_config(
+            selectors=[
+                {"name": "ris", "params": {"num_rr_sets": 50}},
+                {"name": "celf", "params": {"model": "ic"}},
+            ],
+            executor="thread",
+            trials=2,
+        )
+        run_experiment(config)
+        built = [name for name in learned["names"] if name != "compiled_log"]
+        assert sorted(built) == sorted(
+            required_artifacts(config, learned["context"])
+        )
+        assert calls == []
 
 
 class TestStochastic:
@@ -204,4 +254,17 @@ class TestValidationHappensBeforeSelection:
         # abort the experiment before anything is selected.
         config = selection_config(selectors=["high_degree", "cd"])
         with pytest.raises(ConfigError):
+            run_experiment(config, context=structural_context)
+
+    def test_evaluation_without_log_rejected_before_selection(
+        self, structural_context, monkeypatch
+    ):
+        import repro.runtime.pipeline as pipeline
+
+        def no_selection(state):
+            raise AssertionError("a selector ran before validation")
+
+        monkeypatch.setattr(pipeline, "_stage_select", no_selection)
+        config = selection_config(selectors=["high_degree"])
+        with pytest.raises(ConfigError, match="cd_evaluator"):
             run_experiment(config, context=structural_context)

@@ -16,7 +16,7 @@ import json
 import pytest
 
 import repro.api.context as context_module
-from repro.api import ExperimentConfig, run_experiment
+from repro.api import ExperimentConfig, SelectionContext, run_experiment
 from repro.store import ArtifactStore, artifact_key
 from repro.store.warm import required_artifacts
 
@@ -48,6 +48,13 @@ def _comparable(result):
         run["selection"].pop("wall_time_s")
         run["selection"].get("metadata", {}).pop("time_log", None)
     return payload
+
+
+def _context_for(config, dataset):
+    """The context the learn stage would bind ``config``'s selectors to."""
+    return SelectionContext(
+        dataset.graph, probability_method=config.probability_method
+    )
 
 
 def _forbid_learning(monkeypatch):
@@ -255,32 +262,32 @@ class TestCorruptionFallback:
 
 
 class TestConfigSurface:
-    def test_required_artifacts_selection(self):
+    def test_required_artifacts_selection(self, toy):
         config = ExperimentConfig(
             selectors=["cd", "pmia", "ldag"], probability_method="EM"
         )
-        needed = required_artifacts(config)
+        needed = required_artifacts(config, _context_for(config, toy))
         assert "credit_index" in needed
         assert "ic_probabilities/EM" in needed
         assert "lt_weights" in needed
         assert "cd_evaluator" in needed  # evaluate_spread default
         assert "influence_params" in needed
 
-    def test_required_artifacts_prediction(self):
+    def test_required_artifacts_prediction(self, toy):
         config = ExperimentConfig(
             task="prediction", methods=["UN", "IC", "LT", "CD"]
         )
-        needed = required_artifacts(config)
+        needed = required_artifacts(config, _context_for(config, toy))
         assert "ic_probabilities/UN" in needed
         assert "ic_probabilities/EM" in needed  # the IC entry
         assert "lt_weights" in needed
         assert "cd_evaluator" in needed
 
-    def test_required_artifacts_pt_pulls_em(self):
+    def test_required_artifacts_pt_pulls_em(self, toy):
         config = ExperimentConfig(
             selectors=["pmia"], probability_method="PT", evaluate_spread=False
         )
-        needed = required_artifacts(config)
+        needed = required_artifacts(config, _context_for(config, toy))
         assert "ic_probabilities/PT" in needed
         assert "ic_probabilities/EM" in needed
 
@@ -307,6 +314,47 @@ class TestConfigSurface:
             ExperimentConfig(**SELECTION, store=123)
         with pytest.raises(ValueError):
             ExperimentConfig(**SELECTION, warm_start="yes")
+
+
+class TestOnlyReadSlotsAreStored:
+    def test_routing_reads_the_context_method_and_scheme(
+        self, tmp_path, flixster_mini
+    ):
+        context = SelectionContext(
+            flixster_mini.graph,
+            flixster_mini.log,
+            probability_method="UN",
+            credit_scheme="uniform",
+        )
+        config = ExperimentConfig(
+            selectors=["cd", "pmia"], ks=[2], store=str(tmp_path / "store")
+        )
+        saved = run_experiment(config, context=context).store_events["saved"]
+        assert "ic_probabilities/UN" in saved  # what pmia reads
+        assert "ic_probabilities/EM" not in saved
+        assert "influence_params" not in saved  # uniform credits
+
+    def test_sketch_run_stores_no_sketch_batch(self, tmp_path):
+        # Every hop cell draws its own per-trial batch; the context's
+        # default batch is read by none of them.
+        config = dict(
+            SELECTION,
+            selectors=[{"name": "hop", "params": {"num_sketches": 200}}],
+            trials=2,
+            store=str(tmp_path / "store"),
+        )
+        cold = run_experiment(ExperimentConfig(**config))
+        assert "sketches" not in cold.store_events["saved"]
+        warm = run_experiment(ExperimentConfig(**config))
+        assert not warm.store_events["misses"]
+        assert _comparable(warm) == _comparable(cold)
+
+    def test_pt_method_alone_stores_no_em(self, tmp_path):
+        config = ExperimentConfig(
+            **SELECTION, probability_method="PT", store=str(tmp_path / "store")
+        )
+        saved = run_experiment(config).store_events["saved"]
+        assert "ic_probabilities/EM" not in saved
 
 
 class TestRepairAndPriming:
