@@ -2,7 +2,7 @@
 
 Sweeps the number of training tuples on the large datasets, timing the
 full CD pipeline (parameter learning + Algorithm-2 scan + seed
-selection) and recording the credit index's memory estimate.  Expected
+selection) and recording the credit index's exact buffer size.  Expected
 shape: both curves grow roughly linearly in the tuple count, with the
 scan dominating runtime (the paper: 11.6 of 15 minutes spent scanning).
 

@@ -194,7 +194,10 @@ class SelectionContext:
         self._params = None
         self._credit_index = None
         self._cd_evaluator: CDSpreadEvaluator | None = None
+        # Monte-Carlo oracles by (model, method, seed); the first one
+        # built for a (model, method) lends its compiled engine to all.
         self._oracles: dict[tuple, SpreadEstimator] = {}
+        self._oracle_bases: dict[tuple, SpreadEstimator] = {}
         self._models: dict[tuple, object] = {}
         # Per-action propagation DAGs, built at most once per action and
         # shared by their consumers: LT weight learning on both backends,
@@ -627,7 +630,9 @@ class SelectionContext:
         the IC probabilities of ``method`` (ignored for ``lt``) or the
         LT weights, with the context's simulation count, backend and
         executor.  ``seed`` overrides the context seed for the Monte
-        Carlo worlds (the CD evaluator is deterministic and ignores it).
+        Carlo worlds (the CD evaluator is deterministic and ignores it);
+        the oracles of one (model, method) differ only in their seed and
+        share one compiled engine.
         """
         require(
             model in ORACLE_MODELS,
@@ -636,22 +641,27 @@ class SelectionContext:
         if model == "cd":
             return self.cd_evaluator()
         seed = self.seed if seed is None else seed
-        key = (model, method or self.probability_method, seed)
+        method = (method or self.probability_method) if model == "ic" else None
+        key = (model, method, seed)
         if key not in self._oracles:
-            edge_values = (
-                self.ic_probabilities(method)
-                if model == "ic"
-                else self.lt_weights()
-            )
-            self._oracles[key] = SpreadEstimator(
-                self.graph,
-                edge_values,
-                model=model,
-                num_simulations=self.num_simulations,
-                seed=seed,
-                backend=self.backend,
-                executor=self.executor,
-            )
+            base = self._oracle_bases.get((model, method))
+            if base is None:
+                edge_values = (
+                    self.ic_probabilities(method)
+                    if model == "ic"
+                    else self.lt_weights()
+                )
+                base = SpreadEstimator(
+                    self.graph,
+                    edge_values,
+                    model=model,
+                    num_simulations=self.num_simulations,
+                    seed=seed,
+                    backend=self.backend,
+                    executor=self.executor,
+                )
+                self._oracle_bases[(model, method)] = base
+            self._oracles[key] = base.with_seed(seed)
         return self._oracles[key]
 
     def predictor(self, method: str) -> SpreadOracle:

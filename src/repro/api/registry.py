@@ -24,7 +24,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.api.context import SelectionContext
+from repro.api.context import (
+    IC_PROBABILITY_METHODS,
+    ORACLE_MODELS,
+    SelectionContext,
+)
 from repro.api.results import SeedSelection
 from repro.maximization.greedy import GreedyResult
 from repro.maximization.ris import RISResult
@@ -143,6 +147,29 @@ class Selector:
         )
         self.spec = spec
         self.params = dict(params)
+        model = self.params.get("model", "cd")
+        if spec.needs_oracle:
+            require(
+                model in ORACLE_MODELS,
+                f"selector {spec.name!r} got model {model!r}; "
+                f"model must be one of {ORACLE_MODELS}",
+            )
+        method = self.params.get("method")
+        if method is not None and self._reads_probabilities():
+            require(
+                method in IC_PROBABILITY_METHODS,
+                f"selector {spec.name!r} got method {method!r}; "
+                f"method must be one of {IC_PROBABILITY_METHODS}",
+            )
+
+    def _reads_probabilities(self) -> bool:
+        """Whether :meth:`reads` names an ``ic_probabilities`` slot."""
+        spec = self.spec
+        return (
+            spec.needs_probabilities
+            or spec.needs_sketches
+            or (spec.needs_oracle and self.params.get("model") == "ic")
+        )
 
     @property
     def name(self) -> str:
@@ -172,7 +199,7 @@ class Selector:
             slots.append("credit_index")
         if model == "cd":
             slots.append("cd_evaluator")
-        if spec.needs_probabilities or spec.needs_sketches or model == "ic":
+        if self._reads_probabilities():
             slots.append(f"ic_probabilities/{method}")
         if spec.needs_weights or model == "lt":
             slots.append("lt_weights")

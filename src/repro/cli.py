@@ -714,8 +714,10 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             f"-> {args.out}"
         )
     if args.store is not None:
+        from repro.api import get_selector
+        from repro.api.context import PREDICTION_ARTIFACTS
         from repro.store.store import ArtifactStore
-        from repro.store.warm import warm_start
+        from repro.store.warm import warm_start, with_riders
 
         context = SelectionContext(
             graph,
@@ -726,14 +728,16 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             seed=args.seed,
             credit_scheme=args.credit_scheme,
         )
-        needed = [
-            "credit_index",
-            "cd_evaluator",
-            f"ic_probabilities/{args.probability_method}",
-            "lt_weights",
-        ]
-        if args.credit_scheme == "timedecay":
-            needed.append("influence_params")
+        # What `repro serve` reads: cd's slots, the CD/IC/LT predictors'
+        # and the context's own probability method, with their riders.
+        needed = with_riders(
+            [
+                *get_selector("cd").reads(context),
+                *(PREDICTION_ARTIFACTS[method] for method in ("CD", "IC", "LT")),
+                f"ic_probabilities/{args.probability_method}",
+            ],
+            context,
+        )
         events = warm_start(
             ArtifactStore(args.store),
             context,

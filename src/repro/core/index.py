@@ -6,17 +6,28 @@ of Algorithms 3-5.  An entry ``UC[v][a][u]`` holds
 ``u`` on action ``a``, restricted to paths avoiding the current seed set
 ``S`` (initially empty, so it starts as plain ``Gamma_{v,u}(a)``).
 
-The index keeps *both* orientations:
+The index is one columnar table on stdlib :class:`array.array`, one row
+per entry:
 
-* ``out`` — by influencer: ``out[v][a][u]`` (drives marginal-gain
-  computation, Algorithm 4);
-* ``inc`` — by influenced: ``inc[u][a][v]`` (drives the Lemma-2 update
-  when a node joins the seed set, Algorithm 5).
+* ``src``, ``act``, ``dst`` — int32 influencer, action and influenced
+  ids; ``val`` — the float64 credit;
+* entries sit in *layout order*: each influencer's entries are
+  contiguous (its row, rows in user-id order), its actions follow scan
+  order, and the targets within an action keep the order the scan
+  found them in.  ``row_start[i]:row_start[i + 1]`` is user ``i``'s
+  row, and within a row ``act`` never decreases;
+* ``inc_order`` lists entry positions grouped by influenced user (a
+  stable sort of layout order by ``dst``); ``inc_start`` bounds each
+  user's group.  It drives the Lemma-2 update (Algorithm 5);
+* ``alive`` masks deleted entries.  Lemma 2 and :meth:`remove_user`
+  only ever delete, so masking keeps every remaining entry where it
+  was and every summation order unchanged.
 
-The two mirrors are kept exactly consistent; tests verify it.  Memory is
-dominated by credit entries, so :meth:`CreditIndex.total_entries` and
-:meth:`CreditIndex.estimate_memory_bytes` provide the measurements
-behind Figure 8 (right) and Table 4.
+User ids follow the activity order (``user_of[i]``, ``counts[i]`` is
+``A_u``), action ids the order actions were added in (``action_of``).
+Outside this module the columns are read-only; the NumPy kernels view
+them with ``np.frombuffer``.  :attr:`CreditIndex.nbytes` is the exact
+buffer size behind Figure 8 (right) and Table 4.
 
 :class:`SeedCredits` is SC: ``sc[x][a] = Gamma_{S,x}(a)``, the credit
 the *current seed set* earns for influencing ``x`` — the
@@ -25,8 +36,12 @@ the *current seed set* earns for influencing ``x`` — the
 
 from __future__ import annotations
 
-import sys
-from typing import Hashable, Iterator
+import copy
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
+from itertools import compress
+from typing import Hashable, Iterable, Iterator
 
 from repro.utils.validation import require_non_negative
 
@@ -38,6 +53,34 @@ Action = Hashable
 # Entries whose value falls to (numerically) zero after a Lemma-2 update
 # are dropped to keep the index tight.
 _ZERO = 1e-15
+
+# The columns and their array typecodes: int32 ids and entry positions,
+# float64 credits, int64 row bounds (``users + 1`` each).
+_COLUMNS = {
+    "src": "i", "act": "i", "dst": "i", "val": "d",
+    "inc_order": "i", "row_start": "q", "inc_start": "q",
+}
+
+
+class _Activity(Mapping):
+    """Read-only ``{user: A_u}`` view of an index, in user-id order."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: "CreditIndex") -> None:
+        self._index = index
+
+    def __getitem__(self, user: User) -> int:
+        return self._index.counts[self._index.user_ids[user]]
+
+    def __iter__(self) -> Iterator[User]:
+        return iter(self._index.user_of)
+
+    def __len__(self) -> int:
+        return len(self._index.user_of)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class CreditIndex:
@@ -51,89 +94,133 @@ class CreditIndex:
     def __init__(self, truncation: float = 0.0) -> None:
         require_non_negative(truncation, "truncation")
         self.truncation = truncation
-        self.out: dict[User, dict[Action, dict[User, float]]] = {}
-        self.inc: dict[User, dict[Action, dict[User, float]]] = {}
-        self.activity: dict[User, int] = {}
-        self._entries = 0
+        self.user_of: list[User] = []
+        self.user_ids: dict[User, int] = {}
+        self.counts = array("i")
+        self.action_of: list[Action] = []
+        self.action_ids: dict[Action, int] = {}
+        self._install(
+            self._layout(array("i"), array("i"), array("i"), array("d"))
+        )
 
     # ------------------------------------------------------------------
-    # Mutation
+    # Construction
     # ------------------------------------------------------------------
+    @property
+    def activity(self) -> Mapping[User, int]:
+        """``{user: A_u}``, the number of actions each user performed."""
+        return _Activity(self)
+
     def record_activity(self, user: User) -> None:
         """Count one action performed by ``user`` (the ``A_u`` counter)."""
-        self.activity[user] = self.activity.get(user, 0) + 1
-
-    def set_credit(
-        self, influencer: User, action: Action, influenced: User, value: float
-    ) -> None:
-        """Set ``Gamma_{influencer, influenced}(action)`` in both mirrors."""
-        by_action = self.out.setdefault(influencer, {})
-        targets = by_action.setdefault(action, {})
-        if influenced not in targets:
-            self._entries += 1
-        targets[influenced] = value
-        self.inc.setdefault(influenced, {}).setdefault(action, {})[
-            influencer
-        ] = value
-
-    def bulk_set_credits(
-        self,
-        action: Action,
-        credits_by_influenced: "dict[User, dict[User, float]]",
-        credits_by_influencer: "dict[User, dict[User, float]] | None" = None,
-        adopt: bool = False,
-    ) -> None:
-        """Load one action's credits in bulk (the NumPy scan fast path).
-
-        Equivalent to calling :meth:`set_credit` for every
-        ``(influencer, action, influenced, value)`` triple in
-        ``credits_by_influenced[influenced][influencer]``, but builds
-        the ``inc`` mirror one dict per influenced user instead of
-        walking two ``setdefault`` chains per entry.
-
-        ``credits_by_influencer`` optionally supplies the *same*
-        entries already grouped by influencer (the transpose); the
-        ``out`` mirror is then built dict-per-group as well, which is
-        what makes the NumPy scan's load phase cheap.  The caller must
-        guarantee the two groupings describe identical entry sets.
-
-        ``adopt=True`` lets the index keep the provided inner dicts as
-        its own storage where the slot is empty (no defensive copy);
-        the caller relinquishes them and must not mutate them after.
-        """
-        for influenced, sources in credits_by_influenced.items():
-            if not sources:
-                continue
-            by_action = self.inc.setdefault(influenced, {})
-            existing = by_action.get(action)
-            if existing is None:
-                by_action[action] = sources if adopt else dict(sources)
-            else:
-                existing.update(sources)
-            if credits_by_influencer is None:
-                for influencer, value in sources.items():
-                    targets = self.out.setdefault(influencer, {}).setdefault(
-                        action, {}
-                    )
-                    if influenced not in targets:
-                        self._entries += 1
-                    targets[influenced] = value
-        if credits_by_influencer is None:
+        user_id = self.user_ids.get(user)
+        if user_id is not None:
+            self.counts[user_id] += 1
             return
-        for influencer, targets in credits_by_influencer.items():
-            if not targets:
-                continue
-            by_action = self.out.setdefault(influencer, {})
-            existing = by_action.get(action)
-            if existing is None:
-                by_action[action] = targets if adopt else dict(targets)
-                self._entries += len(targets)
-            else:
-                for influenced, value in targets.items():
-                    if influenced not in existing:
-                        self._entries += 1
-                    existing[influenced] = value
+        self.user_ids[user] = len(self.user_of)
+        self.user_of.append(user)
+        self.counts.append(1)
+        self.row_start.append(self.row_start[-1])
+        self.inc_start.append(self.inc_start[-1])
 
+    def add_entries(
+        self, entries: Iterable[tuple[User, Action, User, float]]
+    ) -> None:
+        """Append ``(influencer, action, influenced, value)`` entries.
+
+        Both users must have recorded activity, and every action must
+        be new to the index: a scanned action is never rescanned.  The
+        entries are appended in the given order, then one stable sort by
+        influencer moves them into layout order, so each influencer's
+        actions and each action's targets keep the order given.
+        """
+        user_ids, action_ids, action_of = (
+            self.user_ids, self.action_ids, self.action_of,
+        )
+        known = len(action_of)
+        src, act, dst, val = array("i"), array("i"), array("i"), array("d")
+        for influencer, action, influenced, value in entries:
+            action_id = action_ids.get(action)
+            if action_id is None:
+                action_id = action_ids[action] = len(action_of)
+                action_of.append(action)
+            elif action_id < known:
+                raise ValueError(f"action {action!r} is already in the index")
+            if influencer not in user_ids or influenced not in user_ids:
+                raise ValueError(
+                    f"entry ({influencer!r}, {action!r}, {influenced!r}) "
+                    "names a user with no recorded activity"
+                )
+            src.append(user_ids[influencer])
+            act.append(action_id)
+            dst.append(user_ids[influenced])
+            val.append(value)
+        if not val:
+            return
+        old = self._compacted()
+        src, act, dst, val = (
+            old["src"] + src, old["act"] + act, old["dst"] + dst,
+            old["val"] + val,
+        )
+        order, _ = _stable_order(src, len(self.user_of))
+        self._install(self._layout(*(
+            _take(column, order) for column in (src, act, dst, val)
+        )))
+
+    def adopt(
+        self, users: list, counts: Iterable[int], actions: list, **columns
+    ) -> None:
+        """Replace the contents with a layout built elsewhere.
+
+        The NumPy scan's hand-over: ``users``/``counts`` are the id
+        space in activity order and ``actions`` the action ids;
+        ``columns`` holds every column of :data:`_COLUMNS` as a buffer of
+        its type, entries already in layout order.
+        """
+        self.user_of = list(users)
+        self.user_ids = {user: id_ for id_, user in enumerate(self.user_of)}
+        self.counts = array("i", counts)
+        self.action_of = list(actions)
+        self.action_ids = {
+            action: id_ for id_, action in enumerate(self.action_of)
+        }
+        self._install({
+            name: _column(code, columns[name])
+            for name, code in _COLUMNS.items()
+        })
+
+    def _install(self, columns: dict[str, array]) -> None:
+        """Take every column of :data:`_COLUMNS`; all entries are live."""
+        self.__dict__.update(columns)
+        self.alive = bytearray(b"\x01") * len(self.val)
+
+    def _layout(self, src: array, act: array, dst: array,
+                val: array) -> dict[str, array]:
+        """All columns, given the entry columns in layout order."""
+        users = len(self.user_of)
+        inc_order, inc_start = _stable_order(dst, users)
+        return {
+            "src": src, "act": act, "dst": dst, "val": val,
+            "inc_order": inc_order,
+            "row_start": array(
+                "q", [bisect_left(src, user) for user in range(users + 1)]
+            ),
+            "inc_start": inc_start,
+        }
+
+    def _compacted(self) -> dict[str, array]:
+        """All columns, holding the live entries only."""
+        if self.alive.count(0) == 0:
+            return {name: getattr(self, name) for name in _COLUMNS}
+        keep = array("i", compress(range(len(self.alive)), self.alive))
+        return self._layout(*(
+            _take(column, keep)
+            for column in (self.src, self.act, self.dst, self.val)
+        ))
+
+    # ------------------------------------------------------------------
+    # Lemma 2 and seed removal
+    # ------------------------------------------------------------------
     def discount_through(self, seed: User) -> None:
         """Apply Lemma 2 for a new seed: remove the credit that flowed through it.
 
@@ -144,36 +231,39 @@ class CreditIndex:
         credit may have been below ``lambda`` at scan time and never
         stored.
 
-        Call it before :meth:`remove_user`: the seed's own entries keep
-        ``out[v][a]`` and ``inc[u][a]`` non-empty throughout, so no
-        container is ever dropped here.  Every entry changes at most once
-        and none is inserted, so the source-major order (each source's
-        row fetched once) leaves exactly the state, dict order included,
-        of applying the decrements one entry at a time.
+        Every entry changes at most once and reads only the seed's own
+        entries, which stay live until :meth:`remove_user`, so the order
+        the pairs are visited in cannot change any value.  Each source's
+        ``(v, a)`` segment is found by bisection inside its row.
         """
-        in_credits = self.inc.get(seed, {})
-        for action, targets in self.out.get(seed, {}).items():
-            sources = in_credits.get(action)
-            if not sources:
+        seed_id = self.user_ids.get(seed)
+        if seed_id is None:
+            return
+        act, dst, val, alive = self.act, self.dst, self.val, self.alive
+        targets: dict[int, dict[int, float]] = {}
+        for action, target, value in self.row_ids(seed_id):
+            targets.setdefault(action, {})[target] = value
+        if not targets:
+            return
+        lo, hi = self.inc_start[seed_id], self.inc_start[seed_id + 1]
+        for position in self.inc_order[lo:hi]:
+            action = act[position]
+            by_target = targets.get(action)
+            if by_target is None or not alive[position]:
                 continue
-            target_rows = [
-                (target, seed_to_target, self.inc[target][action])
-                for target, seed_to_target in targets.items()
-            ]
-            for source, source_to_seed in sources.items():
-                row = self.out[source][action]
-                for target, seed_to_target, target_sources in target_rows:
-                    value = row.get(target)
-                    if value is None:
-                        continue
-                    remaining = value - source_to_seed * seed_to_target
-                    if remaining <= _ZERO:
-                        del row[target]
-                        del target_sources[source]
-                        self._entries -= 1
-                    else:
-                        row[target] = remaining
-                        target_sources[source] = remaining
+            source = self.src[position]
+            source_to_seed = val[position]
+            start = bisect_left(act, action, self.row_start[source], position)
+            end = bisect_right(act, action, position, self.row_start[source + 1])
+            for entry in range(start, end):
+                seed_to_target = by_target.get(dst[entry])
+                if seed_to_target is None or not alive[entry]:
+                    continue
+                remaining = val[entry] - source_to_seed * seed_to_target
+                if remaining <= _ZERO:
+                    alive[entry] = 0
+                else:
+                    val[entry] = remaining
 
     def remove_user(self, user: User) -> None:
         """Delete every credit entry to or from ``user`` (it became a seed).
@@ -183,94 +273,180 @@ class CreditIndex:
         and credits *from* it are never read again (Algorithm 4 only
         evaluates non-seeds).
         """
-        for action, sources in list(self.inc.get(user, {}).items()):
-            for source in list(sources):
-                self._remove(source, action, user)
-        self.inc.pop(user, None)
-        for action, targets in list(self.out.get(user, {}).items()):
-            for target in list(targets):
-                self._remove(user, action, target)
-        self.out.pop(user, None)
-
-    def _remove(self, influencer: User, action: Action, influenced: User) -> None:
-        by_action = self.out.get(influencer)
-        if by_action is None:
+        user_id = self.user_ids.get(user)
+        if user_id is None:
             return
-        targets = by_action.get(action)
-        if targets is None or influenced not in targets:
-            return
-        del targets[influenced]
-        self._entries -= 1
-        if not targets:
-            del by_action[action]
-        if not by_action:
-            del self.out[influencer]
-        sources = self.inc[influenced][action]
-        del sources[influencer]
-        if not sources:
-            del self.inc[influenced][action]
-        if not self.inc[influenced]:
-            del self.inc[influenced]
+        lo, hi = self.row_start[user_id], self.row_start[user_id + 1]
+        self.alive[lo:hi] = bytes(hi - lo)
+        lo, hi = self.inc_start[user_id], self.inc_start[user_id + 1]
+        for position in self.inc_order[lo:hi]:
+            self.alive[position] = 0
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def row_ids(self, user_id: int) -> Iterator[tuple[int, int, float]]:
+        """``(action id, influenced id, value)`` of one row's live entries."""
+        lo, hi = self.row_start[user_id], self.row_start[user_id + 1]
+        return compress(
+            zip(self.act[lo:hi], self.dst[lo:hi], self.val[lo:hi]),
+            self.alive[lo:hi],
+        )
+
+    def row(self, influencer: User) -> Iterator[tuple[Action, User, float]]:
+        """``(action, influenced, value)`` of ``influencer``'s live entries."""
+        user_id = self.user_ids.get(influencer)
+        if user_id is None:
+            return iter(())
+        action_of, user_of = self.action_of, self.user_of
+        return (
+            (action_of[action], user_of[target], value)
+            for action, target, value in self.row_ids(user_id)
+        )
+
+    def sources(self, influenced: User) -> Iterator[tuple[User, Action, float]]:
+        """``(influencer, action, value)`` of the live entries into a user.
+
+        Grouped by influencer in user-id order; each influencer's
+        actions in scan order.
+        """
+        user_id = self.user_ids.get(influenced)
+        if user_id is None:
+            return iter(())
+        lo, hi = self.inc_start[user_id], self.inc_start[user_id + 1]
+        src, act, val, alive = self.src, self.act, self.val, self.alive
+        return (
+            (self.user_of[src[position]], self.action_of[act[position]],
+             val[position])
+            for position in self.inc_order[lo:hi]
+            if alive[position]
+        )
+
+    def entries(self) -> Iterator[tuple[User, Action, User, float]]:
+        """Every live ``(influencer, action, influenced, value)``, in order."""
+        action_of, user_of = self.action_of, self.user_of
+        for user_id, influencer in enumerate(user_of):
+            for action, influenced, value in self.row_ids(user_id):
+                yield influencer, action_of[action], user_of[influenced], value
+
     def credit(self, influencer: User, action: Action, influenced: User) -> float:
         """``Gamma^{V-S}_{influencer, influenced}(action)`` (0 if absent)."""
-        return (
-            self.out.get(influencer, {}).get(action, {}).get(influenced, 0.0)
-        )
+        source = self.user_ids.get(influencer)
+        action_id = self.action_ids.get(action)
+        target = self.user_ids.get(influenced)
+        if source is None or action_id is None or target is None:
+            return 0.0
+        lo, hi = self.row_start[source], self.row_start[source + 1]
+        start = bisect_left(self.act, action_id, lo, hi)
+        end = bisect_right(self.act, action_id, start, hi)
+        for position in range(start, end):
+            if self.dst[position] == target and self.alive[position]:
+                return self.val[position]
+        return 0.0
 
     def users(self) -> Iterator[User]:
         """Users with recorded activity (the candidate seed universe)."""
-        return iter(self.activity)
+        return iter(self.user_of)
 
     @property
     def total_entries(self) -> int:
-        """Number of stored (v, a, u) credit entries."""
-        return self._entries
+        """Number of live (v, a, u) credit entries."""
+        return self.alive.count(1)
 
-    def estimate_memory_bytes(self) -> int:
-        """Rough memory footprint of the credit entries.
+    @property
+    def nbytes(self) -> int:
+        """Exact size in bytes of the index's buffers.
 
-        Counts each entry as one dict slot with a boxed float plus the
-        amortised key share, *in both mirrors* — ``out`` and ``inc``
-        each store every entry, so the process holds two slots per
-        credit.  This is the quantity proportional to the paper's
-        Figure-8 memory curve.
+        The entry columns, the ``inc_order`` and the alive mask, plus
+        the per-user row bounds and activity counts — the quantity
+        behind the paper's Figure-8 memory curve and Table 4.
         """
-        per_entry = 2 * (sys.getsizeof(0.0) + 80)  # float box + dict slot, x2 mirrors
-        return self._entries * per_entry
+        columns = [getattr(self, name) for name in _COLUMNS] + [self.counts]
+        return len(self.alive) + sum(
+            column.itemsize * len(column) for column in columns
+        )
 
     def copy(self) -> "CreditIndex":
-        """Deep-copy the index (the maximizer mutates it in place).
-
-        Rebuilds both mirrors by direct nested-dict reconstruction and
-        carries ``_entries`` over — no per-entry ``set_credit`` calls
-        (which would walk two ``setdefault`` chains per entry).
-        """
-        duplicate = CreditIndex(truncation=self.truncation)
-        duplicate.activity = dict(self.activity)
-        duplicate.out = {
-            influencer: {
-                action: dict(targets) for action, targets in by_action.items()
-            }
-            for influencer, by_action in self.out.items()
+        """Copy the index (the maximizer mutates it in place)."""
+        duplicate = CreditIndex.__new__(CreditIndex)
+        duplicate.__dict__ = {
+            name: copy.copy(value) for name, value in self.__dict__.items()
         }
-        duplicate.inc = {
-            influenced: {
-                action: dict(sources) for action, sources in by_action.items()
-            }
-            for influenced, by_action in self.inc.items()
-        }
-        duplicate._entries = self._entries
         return duplicate
+
+    # ------------------------------------------------------------------
+    # Pickling: raw column bytes, dead entries compacted away
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        columns = self._compacted()
+        # ``src`` is implied by the row bounds.
+        return {
+            "truncation": self.truncation,
+            "users": self.user_of,
+            "counts": self.counts.tobytes(),
+            "actions": self.action_of,
+            **{
+                name: column.tobytes()
+                for name, column in columns.items() if name != "src"
+            },
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        self.truncation = state.pop("truncation")
+        rows = _column("q", state["row_start"])
+        src = array("i")
+        for user_id in range(len(rows) - 1):
+            src.extend(
+                array("i", [user_id]) * (rows[user_id + 1] - rows[user_id])
+            )
+        self.adopt(
+            state.pop("users"), _column("i", state.pop("counts")),
+            state.pop("actions"), src=src, **state,
+        )
 
     def __repr__(self) -> str:
         return (
-            f"CreditIndex(users={len(self.activity)}, "
+            f"CreditIndex(users={len(self.user_of)}, "
             f"entries={self.total_entries}, truncation={self.truncation})"
         )
+
+
+def _column(typecode: str, data) -> array:
+    """An array of ``typecode`` over ``data``'s buffer (copied unless it
+    already is one)."""
+    if isinstance(data, array) and data.typecode == typecode:
+        return data
+    column = array(typecode)
+    column.frombytes(memoryview(data).cast("B"))
+    return column
+
+
+def _take(column: array, order: array) -> array:
+    """``column`` gathered at the positions ``order``."""
+    return array(column.typecode, map(column.__getitem__, order))
+
+
+def _stable_order(keys: array, size: int) -> tuple[array, array]:
+    """``(order, starts)``: positions of ``keys`` (ids below ``size``) in
+    stable key order, and where each key's run starts (``size + 1``).
+
+    A counting sort: linear in ``len(keys) + size``.
+    """
+    slots = [0] * size
+    for key in keys:
+        slots[key] += 1
+    total = 0
+    for key, count in enumerate(slots):
+        slots[key] = total
+        total += count
+    starts = array("q", slots)
+    starts.append(total)
+    order = array("i", bytes(4 * len(keys)))
+    for position, key in enumerate(keys):
+        order[slots[key]] = position
+        slots[key] += 1
+    return order, starts
 
 
 class SeedCredits:

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Callable, Hashable
 
 from repro.core.index import CreditIndex, SeedCredits
 from repro.kernels import resolve_backend
@@ -64,36 +66,49 @@ def marginal_gain(index: CreditIndex, seed_credits: SeedCredits, node: User) -> 
 
     ``sum_{a in actions(x)} (1 - Gamma_{S,x}(a)) *
     (1/A_x + sum_u UC[x][a][u] / A_u)`` — the ``1/A_x`` part summed in
-    closed form as ``1 - total_seed_credit(x) / A_x``.
+    closed form as ``1 - total_seed_credit(x) / A_x``.  The inner sums
+    walk ``node``'s row, one action segment at a time.
     """
-    activity = index.activity.get(node, 0)
-    if activity == 0:
+    user = index.user_ids.get(node)
+    if user is None:
         return 0.0
-    gain = 1.0 - seed_credits.total(node) / activity
-    for action, targets in index.out.get(node, {}).items():
+    counts = index.counts
+    gain = 1.0 - seed_credits.total(node) / counts[user]
+    for action, entries in groupby(index.row_ids(user), itemgetter(0)):
         term = 0.0
-        for target, value in targets.items():
-            term += value / index.activity[target]
-        factor = 1.0 - seed_credits.get(node, action)
+        for _, target, value in entries:
+            term += value / counts[target]
+        factor = 1.0 - seed_credits.get(node, index.action_of[action])
         if factor > 0.0:
             gain += factor * term
     return gain
 
 
-def _absorb_seed(index: CreditIndex, seed_credits: SeedCredits, seed: User) -> None:
-    """Algorithm 5: fold ``seed`` into S, updating UC and SC in place."""
-    out_credits = index.out.get(seed, {})
-    # Lemma 3 first — it needs the pre-update credit values:
-    # Gamma_{S+x,u}(a) = Gamma_{S,u}(a) + Gamma^{V-S}_{x,u}(a) (1 - Gamma_{S,x}(a)).
-    for action, targets in out_credits.items():
-        factor = 1.0 - seed_credits.get(seed, action)
-        if factor <= 0.0:
-            continue
-        for target, value in targets.items():
-            seed_credits.add(target, action, value * factor)
+def _absorb_seed(
+    index: CreditIndex,
+    seed_credits: SeedCredits,
+    seed: User,
+    discount: Callable[[User], None] | None = None,
+) -> None:
+    """Algorithm 5: fold ``seed`` into S, updating UC and SC in place.
+
+    ``discount`` applies Lemma 2 (default :meth:`CreditIndex.discount_through`;
+    the NumPy maximizer passes its vectorized equivalent).
+    """
+    user = index.user_ids.get(seed)
+    if user is not None:
+        # Lemma 3 first — it needs the pre-update credit values:
+        # Gamma_{S+x,u}(a) = Gamma_{S,u}(a) + Gamma^{V-S}_{x,u}(a) (1 - Gamma_{S,x}(a)).
+        for action_id, entries in groupby(index.row_ids(user), itemgetter(0)):
+            action = index.action_of[action_id]
+            factor = 1.0 - seed_credits.get(seed, action)
+            if factor <= 0.0:
+                continue
+            for _, target, value in entries:
+                seed_credits.add(index.user_of[target], action, value * factor)
     # Lemma 2: remove, from every remaining pair, the credit that flowed
     # through the new seed.
-    index.discount_through(seed)
+    (index.discount_through if discount is None else discount)(seed)
     # The seed leaves V - S: its remaining in/out credits are dead.
     index.remove_user(seed)
     seed_credits.drop_user(seed)
@@ -138,11 +153,12 @@ def cd_maximize(
         If given, the final :class:`CDState` is appended, ready to
         resume past this run's ``k``.
     backend:
-        Compute backend for the initial gain sweep (the cold-start hot
-        path): under ``"numpy"`` the empty-seed-set gains come from
-        :func:`repro.kernels.cd_numpy.cd_initial_gains`, bit-identical
-        to the reference sweep; the CELF re-evaluations after each
-        selection touch few users and stay pure Python either way.
+        Compute backend: under ``"numpy"`` the empty-seed-set gains
+        come from :func:`repro.kernels.cd_numpy.cd_initial_gains` and
+        Lemma 2 from :class:`repro.kernels.cd_numpy.Lemma2Discount`,
+        both bit-identical to the reference; the CELF re-evaluations
+        after each selection touch few users and stay pure Python
+        either way.
 
     Returns
     -------
@@ -153,6 +169,7 @@ def cd_maximize(
     require(k >= 0, f"k must be non-negative, got {k}")
     started = time.perf_counter()
     result = GreedyResult()
+    vectorized = resolve_backend(backend) == "numpy"
     if state is not None:
         working = state.index.copy()
         seed_credits = state.seed_credits.copy()
@@ -165,7 +182,7 @@ def cd_maximize(
         working = index if mutate else index.copy()
         seed_credits = SeedCredits()
         queue = LazyQueue()
-        if resolve_backend(backend) == "numpy":
+        if vectorized:
             from repro.kernels.cd_numpy import cd_initial_gains
 
             for user, gain in cd_initial_gains(working):
@@ -176,13 +193,18 @@ def cd_maximize(
                 gain = marginal_gain(working, seed_credits, user)
                 result.oracle_calls += 1
                 queue.push(user, gain, iteration=0)
+    discount = working.discount_through
+    if vectorized:
+        from repro.kernels.cd_numpy import Lemma2Discount
+
+        discount = Lemma2Discount(working)
     while len(result.seeds) < k and queue:
         entry = queue.pop()
         if entry.iteration == len(result.seeds):
             result.seeds.append(entry.item)
             result.gains.append(entry.gain)
             result.spread += entry.gain
-            _absorb_seed(working, seed_credits, entry.item)
+            _absorb_seed(working, seed_credits, entry.item, discount)
             if time_log is not None:
                 time_log.append((len(result.seeds), time.perf_counter() - started))
             if checkpoints is not None:

@@ -49,24 +49,29 @@ def kappa(index: CreditIndex, influencer: User, influenced: User) -> float:
     ``u`` has no recorded activity or no credit flows between the pair.
     """
     activity = index.activity.get(influenced, 0)
-    if activity == 0:
+    row = index.user_ids.get(influencer)
+    if activity == 0 or row is None:
         return 0.0
+    target = index.user_ids[influenced]
     total = 0.0
-    for targets in index.out.get(influencer, {}).values():
-        total += targets.get(influenced, 0.0)
+    for _, other, value in index.row_ids(row):
+        if other == target:
+            total += value
     return total / activity
 
 
 def influence_vector(index: CreditIndex, influencer: User) -> dict[User, float]:
     """``{u: kappa_{v,u}}`` for every user ``v`` holds credit over."""
-    totals: dict[User, float] = {}
-    for targets in index.out.get(influencer, {}).values():
-        for influenced, value in targets.items():
-            totals[influenced] = totals.get(influenced, 0.0) + value
+    totals: dict[int, float] = {}
+    row = index.user_ids.get(influencer)
+    if row is not None:
+        for _, target, value in index.row_ids(row):
+            totals[target] = totals.get(target, 0.0) + value
+    counts = index.counts
     return {
-        influenced: value / index.activity[influenced]
-        for influenced, value in totals.items()
-        if index.activity.get(influenced, 0) > 0
+        index.user_of[target]: value / counts[target]
+        for target, value in totals.items()
+        if counts[target] > 0
     }
 
 
@@ -83,9 +88,8 @@ def top_influencers(
     if activity == 0:
         return []
     totals: dict[User, float] = {}
-    for sources in index.inc.get(influenced, {}).values():
-        for influencer, value in sources.items():
-            totals[influencer] = totals.get(influencer, 0.0) + value
+    for influencer, _, value in index.sources(influenced):
+        totals[influencer] = totals.get(influencer, 0.0) + value
     ranked = sorted(
         ((influencer, total / activity) for influencer, total in totals.items()),
         key=lambda pair: (-pair[1], node_sort_key(pair[0])),
@@ -106,11 +110,14 @@ def most_influential(
     """
     require(limit >= 0, f"limit must be non-negative, got {limit}")
     scores: dict[User, float] = {}
-    for influencer, by_action in index.out.items():
+    counts = index.counts
+    for row, influencer in enumerate(index.user_of):
+        entries = list(index.row_ids(row))
+        if not entries:
+            continue
         total = 0.0
-        for targets in by_action.values():
-            for influenced, value in targets.items():
-                total += value / index.activity[influenced]
+        for _, target, value in entries:
+            total += value / counts[target]
         scores[influencer] = total
     ranked = sorted(
         scores.items(), key=lambda pair: (-pair[1], node_sort_key(pair[0]))
@@ -184,15 +191,14 @@ def explain_spread(index: CreditIndex, seeds: Iterable[User]) -> InfluenceBreakd
     joint_by_action_user: dict[tuple[Action, User], float] = {}
     for seed in unique_seeds:
         solo = 0.0
-        for action, targets in index.out.get(seed, {}).items():
-            for influenced, value in targets.items():
-                if influenced in seen:
-                    continue
-                solo += value / index.activity[influenced]
-                key = (action, influenced)
-                joint_by_action_user[key] = (
-                    joint_by_action_user.get(key, 0.0) + value
-                )
+        for action, influenced, value in index.row(seed):
+            if influenced in seen:
+                continue
+            solo += value / index.activity[influenced]
+            key = (action, influenced)
+            joint_by_action_user[key] = (
+                joint_by_action_user.get(key, 0.0) + value
+            )
         per_seed[seed] = solo
 
     per_user: dict[User, float] = {}

@@ -83,32 +83,38 @@ def scan_action_log(
     if propagations is None:
         propagations = lambda action: PropagationGraph.build(graph, log, action)  # noqa: E731
     wanted = list(log.actions()) if actions is None else list(actions)
-    for action in wanted:
-        propagation = propagations(action)
-        # Credits into each user for *this* action:
-        # local[u][w] = Gamma_{w,u}(a) accumulated so far.
-        local: dict[User, dict[User, float]] = {}
-        for user in propagation.nodes():
-            index.record_activity(user)
-            incoming: dict[User, float] = {}
-            for parent in propagation.parents(user):
-                gamma = credit_fn(propagation, parent, user)
-                if gamma <= 0.0:
-                    continue
-                # Direct credit (the Gamma_{v,v} = 1 base case).
-                if gamma >= truncation:
-                    incoming[parent] = incoming.get(parent, 0.0) + gamma
-                # Transitive credit: everyone with credit on the parent
-                # earns a gamma-scaled share (Eq. 5).
-                for grandparent, parent_credit in local.get(parent, {}).items():
-                    increment = gamma * parent_credit
-                    if increment >= truncation:
-                        incoming[grandparent] = (
-                            incoming.get(grandparent, 0.0) + increment
-                        )
-            if incoming:
-                local[user] = incoming
-        for user, incoming in local.items():
-            for influencer, value in incoming.items():
-                index.set_credit(influencer, action, user, value)
+
+    def credits():
+        # One action at a time: record its users' activity, then emit its
+        # entries, which add_entries appends and sorts into layout order.
+        for action in wanted:
+            propagation = propagations(action)
+            # Credits into each user for *this* action:
+            # local[u][w] = Gamma_{w,u}(a) accumulated so far.
+            local: dict[User, dict[User, float]] = {}
+            for user in propagation.nodes():
+                index.record_activity(user)
+                incoming: dict[User, float] = {}
+                for parent in propagation.parents(user):
+                    gamma = credit_fn(propagation, parent, user)
+                    if gamma <= 0.0:
+                        continue
+                    # Direct credit (the Gamma_{v,v} = 1 base case).
+                    if gamma >= truncation:
+                        incoming[parent] = incoming.get(parent, 0.0) + gamma
+                    # Transitive credit: everyone with credit on the parent
+                    # earns a gamma-scaled share (Eq. 5).
+                    for grandparent, parent_credit in local.get(parent, {}).items():
+                        increment = gamma * parent_credit
+                        if increment >= truncation:
+                            incoming[grandparent] = (
+                                incoming.get(grandparent, 0.0) + increment
+                            )
+                if incoming:
+                    local[user] = incoming
+            for user, incoming in local.items():
+                for influencer, value in incoming.items():
+                    yield influencer, action, user, value
+
+    index.add_entries(credits())
     return index

@@ -6,10 +6,10 @@ tuples), Figure 9 (solution quality vs number of tuples) and Table 4
 for IC/LT/CD) is ``run_experiment(...).runtime_curves()`` of
 :func:`repro.api.run_experiment`.
 
-Memory is reported as the credit index's entry-based estimate
-(:meth:`repro.core.index.CreditIndex.estimate_memory_bytes`) — the
-quantity the paper's Figure 8 (right) tracks, without OS-level RSS noise
-(a documented substitution, see DESIGN.md).
+Memory is reported as the credit index's exact buffer size
+(:attr:`repro.core.index.CreditIndex.nbytes`) — the quantity the paper's
+Figure 8 (right) tracks, without OS-level RSS noise (a documented
+substitution, see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def scalability_experiment(
                 graph, sublog, credit=TimeDecayCredit(params), truncation=truncation
             )
         entries = index.total_entries
-        memory = index.estimate_memory_bytes()
+        memory = index.nbytes
         with Timer() as select_timer:
             selection = cd_maximize(index, k, mutate=True)
         rows.append(
@@ -142,7 +142,7 @@ def truncation_experiment(
         with Timer() as timer:
             index = scan_action_log(graph, log, credit=credit, truncation=value)
             entries = index.total_entries
-            memory = index.estimate_memory_bytes()
+            memory = index.nbytes
             selection = cd_maximize(index, k, mutate=True)
         rows.append(
             TruncationRow(

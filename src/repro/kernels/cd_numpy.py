@@ -1,22 +1,20 @@
-"""CD-model kernels (NumPy): the maximizer's initial gain sweep and the
-sigma_cd evaluator build.
+"""CD-model kernels (NumPy): the maximizer's initial gain sweep, its
+Lemma-2 update, and the sigma_cd evaluator build.
 
 Algorithm 3's cold start evaluates the Theorem-3 marginal gain of
 *every* user against the empty seed set — by far the hottest part of
 :func:`repro.core.maximize.cd_maximize` (the CELF queue touches only a
 handful of users afterwards).  Against an empty seed set the gain
 collapses to ``1 + sum_a sum_u UC[x][a][u] / A_u``, so the whole sweep
-is two segmented sums over the credit index flattened in its own dict
-order.
+is one segmented pass over the credit index's columns, read in place
+through ``np.frombuffer``.
 
 Bit-identity with :func:`repro.core.maximize.marginal_gain` holds
 because ``np.add.at`` applies updates sequentially in array order and
-the flattening enumerates ``(user, action, target)`` in exactly the
-reference's dict-iteration order; the ``(1 - Gamma)`` factor is
-exactly ``1.0`` for every action when no seeds exist, and
-``1.0 * term == term`` in IEEE arithmetic, so even the per-action
-accumulation order matches.  Users with zero activity get ``0.0``, as
-the reference's early return does.
+the columns hold ``(user, action, target)`` in exactly the order the
+reference walks a row; the ``(1 - Gamma)`` factor is exactly ``1.0``
+for every action when no seeds exist, and ``1.0 * term == term`` in
+IEEE arithmetic, so even the per-action accumulation order matches.
 
 :func:`cd_evaluator_numpy` builds the exact sigma_cd evaluator (Eq. 8)
 from the context's cached :class:`~repro.kernels.interning.CompiledLog`
@@ -37,16 +35,27 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.credit import DirectCredit
-from repro.core.index import CreditIndex
+from repro.core.index import _ZERO, CreditIndex
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
 from repro.kernels.interning import CompiledGraph, CompiledLog
 from repro.kernels.scan_numpy import CompiledCredit
 
-__all__ = ["cd_initial_gains", "cd_evaluator_numpy"]
+__all__ = ["cd_initial_gains", "Lemma2Discount", "cd_evaluator_numpy"]
 
 User = Hashable
+
+
+def _columns(index: CreditIndex) -> tuple[np.ndarray, ...]:
+    """Zero-copy views ``(src, act, dst, val, alive)`` of the index."""
+    return (
+        np.frombuffer(index.src, dtype=np.int32),
+        np.frombuffer(index.act, dtype=np.int32),
+        np.frombuffer(index.dst, dtype=np.int32),
+        np.frombuffer(index.val, dtype=np.float64),
+        np.frombuffer(index.alive, dtype=np.bool_),
+    )
 
 
 def cd_initial_gains(index: CreditIndex) -> list[tuple[User, float]]:
@@ -56,36 +65,82 @@ def cd_initial_gains(index: CreditIndex) -> list[tuple[User, float]]:
     ``marginal_gain(index, SeedCredits(), user)`` — the exact values
     ``cd_maximize`` pushes into its lazy queue on a cold start.
     """
-    users = list(index.users())
-    activity = index.activity
-    values: list[float] = []
-    target_activity: list[int] = []
-    entry_block: list[int] = []
-    block_user: list[int] = []
-    blocks = 0
-    for position, user in enumerate(users):
-        if activity.get(user, 0) == 0:
-            continue
-        for action, targets in index.out.get(user, {}).items():
-            for target, value in targets.items():
-                values.append(value)
-                target_activity.append(activity[target])
-                entry_block.append(blocks)
-            block_user.append(position)
-            blocks += 1
-    gains = np.zeros(len(users))
-    active = np.asarray(
-        [activity.get(user, 0) > 0 for user in users], dtype=bool
-    )
-    gains[active] = 1.0
-    if blocks:
-        quotients = np.asarray(values) / np.asarray(
-            target_activity, dtype=np.float64
+    src, act, dst, val, alive = _columns(index)
+    if not alive.all():
+        live = np.flatnonzero(alive)
+        src, act, dst, val = src[live], act[live], dst[live], val[live]
+    counts = np.frombuffer(index.counts, dtype=np.int32)
+    gains = np.where(counts > 0, 1.0, 0.0)
+    if len(val):
+        # One segment per (user, action) run of the layout.
+        starts = np.ones(len(val), dtype=bool)
+        starts[1:] = (src[1:] != src[:-1]) | (act[1:] != act[:-1])
+        terms = np.zeros(int(starts.sum()))
+        np.add.at(terms, np.cumsum(starts) - 1, val / counts[dst])
+        np.add.at(gains, src[starts], terms)
+    return list(zip(index.user_of, gains.tolist()))
+
+
+class Lemma2Discount:
+    """Lemma 2 over one working index, vectorized per seed.
+
+    ``Lemma2Discount(index)(seed)`` leaves exactly the state of
+    ``index.discount_through(seed)``: every ``(v, a, u)`` it touches is
+    updated once, from the seed's own entries, with the same float
+    operations.  The ``(influencer, action)`` key of each entry never
+    decreases in layout order, so it is computed once per run; per seed
+    one gather collects the ``(v, a)`` segments of the seed's sources and
+    a sorted-key lookup matches their targets against the seed's.
+    Only values and the alive mask change, so the index keeps its
+    positions while this object lives.
+    """
+
+    def __init__(self, index: CreditIndex) -> None:
+        self._index = index
+        src, self._act, self._dst, self._val, self._alive = _columns(index)
+        self._keys = src.astype(np.int64) * max(len(index.action_of), 1)
+        self._keys += self._act
+        self._inc = np.frombuffer(index.inc_order, dtype=np.int32)
+        self._users = len(index.user_of)
+
+    def __call__(self, seed: User) -> None:
+        index = self._index
+        seed_id = index.user_ids.get(seed)
+        if seed_id is None:
+            return
+        act, dst, val, alive = self._act, self._dst, self._val, self._alive
+        lo, hi = index.row_start[seed_id], index.row_start[seed_id + 1]
+        outgoing = lo + np.flatnonzero(alive[lo:hi])
+        lo, hi = index.inc_start[seed_id], index.inc_start[seed_id + 1]
+        incoming = self._inc[lo:hi]
+        incoming = incoming[alive[incoming]]
+        if not len(outgoing) or not len(incoming):
+            return
+        # The seed's targets, keyed by (action, target) and sorted.
+        target_keys = act[outgoing].astype(np.int64) * self._users + dst[outgoing]
+        order = np.argsort(target_keys)
+        target_keys = target_keys[order]
+        seed_to_target = val[outgoing[order]]
+        # Each source's (v, a) segment, gathered in one pass.
+        keys = self._keys[incoming]
+        starts = np.searchsorted(self._keys, keys, side="left")
+        lengths = np.searchsorted(self._keys, keys, side="right") - starts
+        owner = np.repeat(np.arange(len(incoming)), lengths)
+        flat = np.arange(int(lengths.sum())) + np.repeat(
+            starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths
         )
-        terms = np.zeros(blocks)
-        np.add.at(terms, np.asarray(entry_block, dtype=np.int64), quotients)
-        np.add.at(gains, np.asarray(block_user, dtype=np.int64), terms)
-    return [(user, float(gains[position])) for position, user in enumerate(users)]
+        live = alive[flat]
+        flat, owner = flat[live], owner[live]
+        entry_keys = act[flat].astype(np.int64) * self._users + dst[flat]
+        slot = np.minimum(
+            np.searchsorted(target_keys, entry_keys), len(target_keys) - 1
+        )
+        hit = target_keys[slot] == entry_keys
+        flat = flat[hit]
+        remaining = val[flat] - val[incoming[owner[hit]]] * seed_to_target[slot[hit]]
+        dead = remaining <= _ZERO
+        alive[flat[dead]] = False
+        val[flat[~dead]] = remaining[~dead]
 
 
 def cd_evaluator_numpy(

@@ -22,12 +22,10 @@ across every action at once*:
   level-local keys, falling back to a radix sort + ``reduceat`` when
   the key space would be too large — work proportional to the
   reference's increment count, with no per-increment Python;
-* surviving entries are bulk-loaded into the
-  :class:`~repro.core.index.CreditIndex` through
-  :meth:`~repro.core.index.CreditIndex.bulk_set_credits` in adopting
-  mode, with both mirror orientations pre-grouped as arrays so the
-  per-entry cost is a C-level ``dict(zip(...))``, not nested
-  ``setdefault`` chains, and activity counters come from one global
+* the pool's rows are handed to the
+  :class:`~repro.core.index.CreditIndex` as its columns after one
+  stable sort by influencer (:meth:`~repro.core.index.CreditIndex.adopt`),
+  with no per-entry Python, and activity counters come from one global
   ``bincount``.
 
 Direct-credit schemes are compiled to flat ``gamma`` arrays; the two
@@ -404,7 +402,7 @@ def scan_action_log_numpy(
     if len(child_g):
         _run_levels(pool, child_g, parent_g, gamma_g, offsets, truncation)
 
-    _bulk_load(index, pool, compiled)
+    _hand_over(index, pool, compiled)
     return index
 
 
@@ -480,120 +478,116 @@ def _run_levels(
         )
 
 
-def _bulk_load(
+def _stable_argsort(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``[0, 2**32)``.
+
+    Two least-significant-first passes over 16-bit digits, which NumPy
+    radix-sorts: several times faster than its stable sort of wider
+    integers, with the same result.
+    """
+    order = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
+    if len(ids) and int(ids.max()) >> 16:
+        high = (ids[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
+
+
+def _hand_over(
     index: CreditIndex, pool: _RowPool, compiled: CompiledLog
 ) -> None:
-    """Load activity counts and credit rows into the index in bulk.
+    """Move the activity counts and the pooled credit rows into the index.
 
-    All array preparation is global — one pool gather, one radix
-    transpose sort and two vectorized boundary searches for the whole
-    log; per action only the ``dict(zip(...))`` construction remains.
+    The pool gathers its rows owner-major, which is action-major in scan
+    order with each action's targets in trace order; one stable sort by
+    influencer turns that into the index's layout.  Folding into a
+    standing index appends the new entries behind the live old ones
+    before that sort, so each influencer's old actions stay first.
     """
     graph = compiled.graph
     offsets = compiled.offsets
-    node_ids_flat = compiled.node_ids_flat
+    node_ids = compiled.node_ids_flat
     # np.asarray would turn uniform-length tuple/list node ids into a
     # 2-D object array; explicit assignment keeps one slot per id.
     values_obj = np.empty(len(graph.idmap.values), dtype=object)
     values_obj[:] = graph.idmap.values
 
-    # Activity: one global bincount, one dict update per touched user.
-    activity = index.activity
-    incremental = bool(activity)
-    if len(node_ids_flat):
-        counts = np.bincount(
-            node_ids_flat.astype(np.int64), minlength=graph.n
+    # Activity: one global bincount; new users join in compiled-id order.
+    users = list(index.user_of)
+    counts = index.counts.tolist()
+    user_ids = dict(index.user_ids)
+    per_node = np.bincount(node_ids, minlength=graph.n)
+    touched = np.flatnonzero(per_node)
+    touched_ids = []
+    for user, count in zip(
+        values_obj[touched].tolist(), per_node[touched].tolist()
+    ):
+        user_id = user_ids.get(user)
+        if user_id is None:
+            user_id = user_ids[user] = len(users)
+            users.append(user)
+            counts.append(count)
+        else:
+            counts[user_id] += count
+        touched_ids.append(user_id)
+    remap = np.arange(len(users), dtype=np.int32)
+    if index.user_of:
+        # A fresh scan orders activity by compiled id; folding into a
+        # standing index restores that order, so the incremental result
+        # equals one global scan of the union log.
+        position = graph.idmap.ids
+        unknown = len(position)
+        order = sorted(
+            range(len(users)),
+            key=lambda user_id: position.get(users[user_id], unknown),
         )
-        touched = np.nonzero(counts)[0]
-        for user, count in zip(
-            values_obj[touched].tolist(), counts[touched].tolist()
-        ):
-            activity[user] = activity.get(user, 0) + count
-        if incremental:
-            # A fresh scan inserts activity keys in node-id order (the
-            # bincount walk above).  When folding into a pre-populated
-            # index (streaming), restore that canonical order so the
-            # incremental result is byte-identical to one global scan
-            # of the union log.
-            position = {
-                user: rank for rank, user in enumerate(values_obj.tolist())
-            }
-            index.activity = dict(
-                sorted(
-                    activity.items(),
-                    key=lambda item: position.get(item[0], len(position)),
-                )
-            )
+        remap[order] = np.arange(len(order))
+        users = [users[user_id] for user_id in order]
+        counts = [counts[user_id] for user_id in order]
+    index_of_node = np.full(graph.n, -1, dtype=np.int32)
+    index_of_node[touched] = remap[np.asarray(touched_ids, dtype=np.int64)]
 
-    populated = np.nonzero(pool.length)[0]
-    if len(populated) == 0:
-        return
-    # Object identities per global position, shared by both groupings.
-    users_obj = values_obj[node_ids_flat.astype(np.int64)]
+    populated = np.flatnonzero(pool.length)
     row_pos, cols, vals = pool.gather(populated)
     owners = populated[row_pos]
-    # Columns as global positions: a column is a trace index within the
-    # owner's action, so the owner's action offset lifts it.
-    action_of_owner = (
-        np.searchsorted(offsets, owners, side="right") - 1
-    )
-    cols_global = cols + offsets[action_of_owner]
-    # Entry ranges per action, in owner order and in influencer order
-    # (one stable radix sort lifts the transpose for the whole log).
-    owner_bounds = np.searchsorted(owners, offsets)
-    transpose = np.argsort(cols_global, kind="stable")
-    cols_sorted = cols_global[transpose]
-    influencer_bounds = np.searchsorted(cols_sorted, offsets)
-    owners_by_influencer = owners[transpose]
-    vals_by_influencer = vals[transpose]
-
-    for position, action in enumerate(compiled.actions):
-        lo, hi = int(owner_bounds[position]), int(owner_bounds[position + 1])
-        if lo == hi:
-            continue
-        base = int(offsets[position])
-        # Action-local positions over the action's contiguous object
-        # slice keep the per-entry gathers inside a tiny working set.
-        users_local = users_obj[base:int(offsets[position + 1])]
-        by_influenced = _group_rows(
-            owners[lo:hi] - base, cols_global[lo:hi] - base,
-            vals[lo:hi], users_local,
-        )
-        tlo, thi = (
-            int(influencer_bounds[position]),
-            int(influencer_bounds[position + 1]),
-        )
-        by_influencer = _group_rows(
-            cols_sorted[tlo:thi] - base,
-            owners_by_influencer[tlo:thi] - base,
-            vals_by_influencer[tlo:thi],
-            users_local,
-        )
-        index.bulk_set_credits(
-            action, by_influenced, by_influencer, adopt=True
-        )
-
-
-def _group_rows(
-    group_pos: np.ndarray,
-    member_pos: np.ndarray,
-    entry_values: np.ndarray,
-    users_obj: np.ndarray,
-) -> dict:
-    """Build ``{user: {user: value}}`` from grouped entry arrays.
-
-    ``group_pos`` must be non-decreasing (row-major pool order, or
-    explicitly sorted); each group becomes one ``dict(zip(...))`` over
-    object-array gathers — no per-entry Python lookups.  Positions are
-    global, so one shared ``users_obj`` covers every action.
-    """
-    boundaries = np.nonzero(np.diff(group_pos))[0] + 1
-    starts = np.concatenate(([0], boundaries)).tolist()
-    ends = np.concatenate((boundaries, [len(group_pos)])).tolist()
-    group_users = users_obj[group_pos[starts]].tolist()
-    members = users_obj[member_pos].tolist()
-    entries = entry_values.tolist()
-    return {
-        owner: dict(zip(members[start:end], entries[start:end]))
-        for owner, start, end in zip(group_users, starts, ends)
+    del row_pos
+    action_pos = np.searchsorted(offsets, owners, side="right") - 1
+    present = np.unique(action_pos)
+    new_actions = [compiled.actions[position] for position in present.tolist()]
+    for action in new_actions:
+        if action in index.action_ids:
+            raise ValueError(f"action {action!r} is already in the index")
+    action_id = np.full(len(compiled.actions), -1, dtype=np.int32)
+    action_id[present] = len(index.action_of) + np.arange(len(present))
+    # Columns are trace indexes within the owner's action.
+    cols += offsets[action_pos]
+    entries = {
+        "src": index_of_node[node_ids[cols]],
+        "act": action_id[action_pos],
+        "dst": index_of_node[node_ids[owners]],
+        "val": vals,
     }
+    del cols, owners, action_pos
+    if index.val:
+        live = np.flatnonzero(np.frombuffer(index.alive, dtype=np.bool_))
+        old = {
+            name: np.frombuffer(getattr(index, name), dtype=values.dtype)[live]
+            for name, values in entries.items()
+        }
+        old["src"], old["dst"] = remap[old["src"]], remap[old["dst"]]
+        entries = {
+            name: np.concatenate((old[name], values))
+            for name, values in entries.items()
+        }
+        del old
+    order = _stable_argsort(entries["src"])
+    columns = {name: values[order] for name, values in entries.items()}
+    del entries, order
+    inc_order = _stable_argsort(columns["dst"])
+    bounds = np.arange(len(users) + 1)
+    columns.update(
+        inc_order=inc_order.astype(np.int32),
+        row_start=np.searchsorted(columns["src"], bounds),
+        inc_start=np.searchsorted(columns["dst"][inc_order], bounds),
+    )
+    del inc_order
+    index.adopt(users, counts, index.action_of + new_actions, **columns)

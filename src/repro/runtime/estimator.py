@@ -26,6 +26,7 @@ the reference the engines are tested against, world by world.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -177,6 +178,15 @@ class SpreadEstimator:
     def engine(self):
         """The compiled cascade engine."""
         return self._engine
+
+    def with_seed(self, seed: int | random.Random | None) -> "SpreadEstimator":
+        """This estimator on the worlds of ``seed``, sharing its engine.
+
+        The engine takes the seed per call, so nothing is recompiled.
+        """
+        twin = copy.copy(self)
+        twin.seed = keyed_seed(seed)
+        return twin
 
     def candidates(self) -> list[User]:
         """All graph nodes (the :class:`SpreadOracle` protocol)."""

@@ -169,10 +169,12 @@ def _validate_entries(config: ExperimentConfig,
                       context: SelectionContext) -> None:
     """Reject, up front, a read a context without a log cannot serve.
 
-    Such a context builds only the :data:`GRAPH_ONLY_ARTIFACTS`.
+    Such a context serves the slots it holds (a stored bundle's, say)
+    and builds only the :data:`GRAPH_ONLY_ARTIFACTS`.
     """
     if context.train_log is not None:
         return
+    servable = set(GRAPH_ONLY_ARTIFACTS) | set(context.artifact_names())
     readers = [
         (f"selector {entry.display()!r}",
          get_selector(entry.name, **entry.params).reads(context))
@@ -181,7 +183,7 @@ def _validate_entries(config: ExperimentConfig,
     if config.evaluate_spread:
         readers.append(("evaluate_spread", ["cd_evaluator"]))
     for reader, reads in readers:
-        missing = [name for name in reads if name not in GRAPH_ONLY_ARTIFACTS]
+        missing = [name for name in reads if name not in servable]
         verb = "needs" if len(missing) == 1 else "need"
         require_config(
             not missing,

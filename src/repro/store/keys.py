@@ -39,7 +39,9 @@ __all__ = [
 # invisible miss (re-learn and re-save) instead of a misread.
 # Version 2: Monte-Carlo spread moved to counter-keyed worlds, so the
 # stored celf/celfpp/greedy prefixes over IC/LT oracles changed meaning.
-FORMAT_VERSION = 2
+# Version 3: the credit index (and a cd prefix's resume state) pickles
+# as raw column bytes; stored bytes changed, results did not.
+FORMAT_VERSION = 3
 
 _DIGEST_SIZE = 16  # 128-bit hex keys: 32 characters
 

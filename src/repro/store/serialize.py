@@ -12,8 +12,8 @@ and JSON/TSV would be wrong — because the warm-start contract is
 * node/action identifiers are arbitrary hashables (ints, strings,
   tuples), which a textual format would have to re-parse heuristically;
 * the compiled CSR forms of :mod:`repro.kernels.interning` and the
-  nested-dict :class:`~repro.core.index.CreditIndex` define compact
-  pickle state already shared with the process executor.
+  columnar :class:`~repro.core.index.CreditIndex` pickle as raw array
+  bytes, state already shared with the process executor.
 
 The safety considerations that usually argue against pickle do not
 apply: the store is a local cache written and read by the same library,

@@ -81,11 +81,7 @@ def required_artifacts(config: Any, context: SelectionContext) -> list[str]:
     Prediction reads the slot :data:`~repro.api.context.PREDICTION_ARTIFACTS`
     names for each method; selection reads what each selector's
     :meth:`~repro.api.registry.Selector.reads` returns, plus the
-    evaluator when ``evaluate_spread``.  Two slots ride along, so that a
-    miss of the slot they feed does not learn them again:
-    ``ic_probabilities/EM`` under a read PT (PT perturbs EM), and
-    ``influence_params`` under a time-decay index or evaluator (their
-    Eq.-9 credits).
+    evaluator when ``evaluate_spread``; then :func:`with_riders`.
     """
     from repro.api.registry import get_selector
 
@@ -99,10 +95,28 @@ def required_artifacts(config: Any, context: SelectionContext) -> list[str]:
         ]
         if config.evaluate_spread:
             needed.append("cd_evaluator")
-    if "ic_probabilities/PT" in needed:
+    return with_riders(needed, context)
+
+
+def with_riders(needed: list[str], context: SelectionContext) -> list[str]:
+    """``needed`` plus the slots that ride along, deduped in order.
+
+    Two slots ride along, so that a miss of the slot they feed does not
+    learn them again: ``ic_probabilities/EM`` under a read PT (PT
+    perturbs EM), and ``influence_params`` under a time-decay index or
+    evaluator (their Eq.-9 credits).  A rider is added only while a
+    slot it feeds is not already held by ``context``.
+    """
+    needed = list(needed)
+    held = set(context.artifact_names())
+
+    def unheld(*names: str) -> bool:
+        return any(name in needed and name not in held for name in names)
+
+    if unheld("ic_probabilities/PT"):
         needed.append("ic_probabilities/EM")
-    if context.credit_scheme == "timedecay" and (
-        "credit_index" in needed or "cd_evaluator" in needed
+    if context.credit_scheme == "timedecay" and unheld(
+        "credit_index", "cd_evaluator"
     ):
         needed.append("influence_params")
     return list(dict.fromkeys(needed))

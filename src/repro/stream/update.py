@@ -316,29 +316,19 @@ _CREDIT_VALUE_TOLERANCE = 1e-9
 def _credit_index_parity(got, expected) -> bool:
     """Kernel-parity equivalence for two credit indexes.
 
-    Identical entry sets in identical dict order, identical activity
-    counters and truncation, values within ``_CREDIT_VALUE_TOLERANCE``.
+    Identical entries in identical layout order, identical activity
+    counters (order included) and truncation, values within
+    ``_CREDIT_VALUE_TOLERANCE``.
     """
+    got_entries = list(got.entries())
+    expected_entries = list(expected.entries())
     return (
         got.truncation == expected.truncation
-        and got.total_entries == expected.total_entries
-        and got.activity == expected.activity
-        and list(got.activity) == list(expected.activity)
-        and _nested_credits_match(got.out, expected.out)
-        and _nested_credits_match(got.inc, expected.inc)
+        and list(got.activity.items()) == list(expected.activity.items())
+        and len(got_entries) == len(expected_entries)
+        and all(
+            mine[:3] == theirs[:3]
+            and abs(mine[3] - theirs[3]) <= _CREDIT_VALUE_TOLERANCE
+            for mine, theirs in zip(got_entries, expected_entries)
+        )
     )
-
-
-def _nested_credits_match(got: dict, expected: dict) -> bool:
-    if list(got) != list(expected):
-        return False
-    for key, value in got.items():
-        other = expected[key]
-        if isinstance(value, dict):
-            if not isinstance(other, dict) or not _nested_credits_match(
-                value, other
-            ):
-                return False
-        elif abs(value - other) > _CREDIT_VALUE_TOLERANCE:
-            return False
-    return True

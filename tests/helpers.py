@@ -178,59 +178,73 @@ def full_walk_kappa(
     }
 
 
-def per_entry_discount(index: CreditIndex, seed: User) -> None:
+def nested_credits(index: CreditIndex) -> dict:
+    """The index's live entries as ``{v: {a: {u: value}}}``, in layout order.
+
+    A plain nested-dict copy, independent of the index's columns: the
+    oracle :func:`reference_absorb_seed` works on it.
+    """
+    credits: dict = {}
+    for influencer, action, influenced, value in index.entries():
+        credits.setdefault(influencer, {}).setdefault(action, {})[
+            influenced
+        ] = value
+    return credits
+
+
+def flat_credits(credits: dict) -> list:
+    """Every ``(v, a, u, value)`` of a nested-dict copy, in dict order."""
+    return [
+        (influencer, action, influenced, value)
+        for influencer, by_action in credits.items()
+        for action, targets in by_action.items()
+        for influenced, value in targets.items()
+    ]
+
+
+def per_entry_discount(credits: dict, seed: User) -> None:
     """Lemma 2 for a new seed, one ``(v, a, u)`` decrement at a time.
 
-    :meth:`CreditIndex.discount_through` applies the same decrements
-    source-major; this target-major loop, which looks every entry up
-    through both mirrors, is the reference it must match exactly, in
-    values and in dict order.
+    Target-major over a nested-dict copy, looking every source up by a
+    scan of all rows: the reference that
+    :meth:`CreditIndex.discount_through` and the NumPy Lemma-2 kernel
+    must match exactly, in values and in entry order.  A missing entry
+    is a no-op (under truncation that credit may never have been
+    stored); an entry that falls to ``<= 1e-15`` is deleted.
     """
-    in_credits = index.inc.get(seed, {})
-    for action, targets in index.out.get(seed, {}).items():
-        sources = in_credits.get(action)
-        if not sources:
-            continue
+    for action, targets in credits.get(seed, {}).items():
+        sources = {
+            source: by_action[action][seed]
+            for source, by_action in credits.items()
+            if seed in by_action.get(action, {})
+        }
         for target, seed_to_target in list(targets.items()):
-            for source, source_to_seed in list(sources.items()):
-                _subtract_credit(
-                    index, source, action, target,
-                    source_to_seed * seed_to_target,
-                )
-
-
-def _subtract_credit(
-    index: CreditIndex, influencer: User, action: Hashable,
-    influenced: User, amount: float,
-) -> None:
-    """One decrement, dropping the entry at ``<= 1e-15``.
-
-    A missing entry is a no-op: under truncation that credit may never
-    have been stored.
-    """
-    targets = index.out.get(influencer, {}).get(action)
-    if targets is None or influenced not in targets:
-        return
-    remaining = targets[influenced] - amount
-    if remaining <= 1e-15:
-        index._remove(influencer, action, influenced)
-    else:
-        targets[influenced] = remaining
-        index.inc[influenced][action][influencer] = remaining
+            for source, source_to_seed in sources.items():
+                row = credits[source][action]
+                if target not in row:
+                    continue
+                remaining = row[target] - source_to_seed * seed_to_target
+                if remaining <= 1e-15:
+                    del row[target]
+                else:
+                    row[target] = remaining
 
 
 def reference_absorb_seed(
-    index: CreditIndex, seed_credits: SeedCredits, seed: User
+    credits: dict, seed_credits: SeedCredits, seed: User
 ) -> None:
-    """Algorithm 5 with the per-entry Lemma-2 loop of :func:`per_entry_discount`."""
-    for action, targets in index.out.get(seed, {}).items():
+    """Algorithm 5 over a nested-dict copy (see :func:`nested_credits`)."""
+    for action, targets in credits.get(seed, {}).items():
         factor = 1.0 - seed_credits.get(seed, action)
         if factor <= 0.0:
             continue
         for target, value in targets.items():
             seed_credits.add(target, action, value * factor)
-    per_entry_discount(index, seed)
-    index.remove_user(seed)
+    per_entry_discount(credits, seed)
+    credits.pop(seed, None)
+    for by_action in credits.values():
+        for targets in by_action.values():
+            targets.pop(seed, None)
     seed_credits.drop_user(seed)
 
 

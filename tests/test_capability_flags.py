@@ -200,6 +200,17 @@ class TestParallelPrefetch:
             learned["names"] = state.context.artifact_names()
 
         monkeypatch.setattr(pipeline, "_stage_select", record)
+        # What the rule asks for before the learn stage: once the slots
+        # are held, their riders are no longer required.
+        required = []
+
+        def requiring(config, context):
+            required.append(required_artifacts(config, context))
+            return required[-1]
+
+        monkeypatch.setattr(
+            "repro.store.warm.required_artifacts", requiring
+        )
         config = selection_config(
             selectors=[
                 {"name": "ris", "params": {"num_rr_sets": 50}},
@@ -210,9 +221,8 @@ class TestParallelPrefetch:
         )
         run_experiment(config)
         built = [name for name in learned["names"] if name != "compiled_log"]
-        assert sorted(built) == sorted(
-            required_artifacts(config, learned["context"])
-        )
+        assert len(required) == 1
+        assert sorted(built) == sorted(required[0])
         assert calls == []
 
 

@@ -18,7 +18,12 @@ from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator
 from repro.maximization.celf import celf_maximize
 
-from tests.helpers import random_instance, reference_absorb_seed
+from tests.helpers import (
+    flat_credits,
+    nested_credits,
+    random_instance,
+    reference_absorb_seed,
+)
 
 
 class TestMarginalGain:
@@ -149,51 +154,58 @@ class TestCDMaximize:
         assert truncated_spread >= 0.95 * exact_spread
 
 
-def _entries_in_order(mirror):
-    """Every ``(outer, action, inner, value)`` of one mirror, in dict order."""
-    return [
-        (outer, action, inner, value)
-        for outer, by_action in mirror.items()
-        for action, row in by_action.items()
-        for inner, value in row.items()
-    ]
+def _discounts(index):
+    """Both Lemma-2 implementations over ``index`` (NumPy when installed)."""
+    discounts = {"python": index.discount_through}
+    try:
+        from repro.kernels.cd_numpy import Lemma2Discount
+    except ImportError:
+        return discounts
+    discounts["numpy"] = Lemma2Discount(index)
+    return discounts
 
 
 class TestLemma2Discount:
-    """``discount_through`` leaves exactly the per-entry loop's state."""
+    """Both Lemma-2 implementations leave exactly the per-entry oracle's state."""
 
     @staticmethod
-    def _missing_pairs(index, seed):
+    def _missing_pairs(credits, seed):
         """``(v, a, u)`` decrements of ``seed`` with no stored entry."""
         return sum(
-            target not in index.out[source][action]
-            for action, targets in index.out.get(seed, {}).items()
-            for source in index.inc.get(seed, {}).get(action, {})
+            target not in by_action[action]
+            for action, targets in credits.get(seed, {}).items()
+            for by_action in credits.values()
+            if seed in by_action.get(action, {})
             for target in targets
         )
 
     def _absorb_both(self, index, k):
-        """Absorb cd's first ``k`` seeds both ways, comparing after each.
+        """Absorb cd's first ``k`` seeds into copies of ``index`` with
+        each Lemma-2 implementation and into the nested-dict oracle,
+        comparing after each.
 
         Returns how many decrements found no entry to discount.
         """
         seeds = cd_maximize(index, k=k).seeds
-        fast, fast_credits = index.copy(), SeedCredits()
-        slow, slow_credits = index.copy(), SeedCredits()
-        missing = 0
-        for seed in seeds:
-            missing += self._missing_pairs(fast, seed)
-            _absorb_seed(fast, fast_credits, seed)
-            reference_absorb_seed(slow, slow_credits, seed)
-            assert _entries_in_order(fast.out) == _entries_in_order(slow.out)
-            assert _entries_in_order(fast.inc) == _entries_in_order(slow.inc)
-            assert fast.total_entries == slow.total_entries
-            assert list(fast_credits._credits.items()) == list(
-                slow_credits._credits.items()
-            )
-            assert list(fast_credits._sums.items()) == list(
-                slow_credits._sums.items()
-            )
+        for backend in ("python", "numpy"):
+            fast, fast_credits = index.copy(), SeedCredits()
+            discount = _discounts(fast).get(backend)
+            if discount is None:
+                continue
+            slow, slow_credits = nested_credits(index), SeedCredits()
+            missing = 0
+            for seed in seeds:
+                missing += self._missing_pairs(slow, seed)
+                _absorb_seed(fast, fast_credits, seed, discount)
+                reference_absorb_seed(slow, slow_credits, seed)
+                assert list(fast.entries()) == flat_credits(slow), backend
+                assert fast.total_entries == len(flat_credits(slow))
+                assert list(fast_credits._credits.items()) == list(
+                    slow_credits._credits.items()
+                )
+                assert list(fast_credits._sums.items()) == list(
+                    slow_credits._sums.items()
+                )
         return missing
 
     @pytest.mark.parametrize("truncation", [0.0, 0.05, 0.2])

@@ -492,6 +492,44 @@ class TestStoreCommands:
         assert len(response["selection"]["seeds"]) == 3
         assert service._select_paths == {"prefix": 1, "resume": 0, "cold": 0}
 
+    def test_default_bundle_is_what_serve_reads(self, store_dir):
+        from repro.store import ArtifactStore
+        from repro.store.warm import load_context_record
+
+        from repro.kernels import resolve_backend
+
+        record = load_context_record(ArtifactStore(store_dir))
+        expected = [
+            "cd_evaluator", "credit_index", "ic_probabilities/EM",
+            "influence_params", "lt_weights",
+        ]
+        if resolve_backend(None) == "numpy":
+            expected.append("compiled_log")  # the kernels' shared input
+        assert sorted(record["artifacts"]) == sorted(expected)
+
+    def test_learned_probability_method_keeps_every_predictor_servable(
+        self, dataset_files, tmp_path, capsys
+    ):
+        # /predict IC reads the EM probabilities whatever the context's
+        # method is, so a WC bundle stores both.
+        from repro.store.service import QueryService
+
+        graph_path, log_path = dataset_files
+        store_path = str(tmp_path / "wc-store")
+        code = main([
+            "learn", "--graph", graph_path, "--log", log_path,
+            "--store", store_path, "--probability-method", "WC",
+        ])
+        assert code == 0
+        service = QueryService(store_path)
+        seeds = service.select({"selector": "cd", "k": 2})["selection"]["seeds"]
+        for method in ("IC", "LT", "CD"):
+            response = service.predict({"seeds": seeds, "method": method})
+            assert response["predicted_spread"] >= len(seeds)
+        # The context's own method serves the probability selectors.
+        response = service.select({"selector": "pmia", "k": 2})
+        assert len(response["selection"]["seeds"]) == 2
+
     def test_prefix_rejects_unknown_selector(self, store_dir, capsys):
         code = main(
             ["prefix", "--store", store_dir, "--selector", "pagerank",

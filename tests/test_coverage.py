@@ -80,7 +80,7 @@ class TestCdCoverBasics:
         index = scan_action_log(toy.graph, toy.log, truncation=0.0)
         result = cd_cover(index, target=2.0, mutate=True)
         for seed in result.seeds:
-            assert seed not in index.out
+            assert list(index.row(seed)) == []
 
     def test_trajectory_is_cumulative_gains(self, flixster_mini):
         index = scan_action_log(flixster_mini.graph, flixster_mini.log)

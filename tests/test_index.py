@@ -1,48 +1,70 @@
 """Tests for repro.core.index (the UC/SC sparse credit structures)."""
 
+import pickle
+
 import pytest
 
 from repro.core.index import CreditIndex, SeedCredits
 
 
+def _index(*entries, truncation=0.0):
+    """An index holding ``entries`` (each user active once)."""
+    index = CreditIndex(truncation=truncation)
+    for influencer, _, influenced, _ in entries:
+        for user in (influencer, influenced):
+            if user not in index.activity:
+                index.record_activity(user)
+    index.add_entries(entries)
+    return index
+
+
 class TestCreditIndex:
     def test_set_and_get(self):
-        index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
+        index = _index(("v", "a", "u", 0.5))
         assert index.credit("v", "a", "u") == 0.5
 
     def test_missing_credit_is_zero(self):
         assert CreditIndex().credit("v", "a", "u") == 0.0
+        assert _index(("v", "a", "u", 0.5)).credit("u", "a", "v") == 0.0
 
     def test_mirrors_consistent_after_set(self):
-        index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
-        assert index.out["v"]["a"]["u"] == 0.5
-        assert index.inc["u"]["a"]["v"] == 0.5
+        # The row (by influencer) and the inc order (by influenced) see
+        # the same entry.
+        index = _index(("v", "a", "u", 0.5))
+        assert list(index.row("v")) == [("a", "u", 0.5)]
+        assert list(index.sources("u")) == [("v", "a", 0.5)]
+        assert list(index.row("u")) == [] and list(index.sources("v")) == []
 
-    def test_overwrite_does_not_double_count_entries(self):
-        index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
-        index.set_credit("v", "a", "u", 0.7)
+    def test_rescanned_action_rejected(self):
+        index = _index(("v", "a", "u", 0.5))
+        with pytest.raises(ValueError, match="already in the index"):
+            index.add_entries([("v", "a", "u", 0.7)])
         assert index.total_entries == 1
-        assert index.credit("v", "a", "u") == 0.7
+        assert index.credit("v", "a", "u") == 0.5
+
+    def test_entry_needs_recorded_activity(self):
+        index = CreditIndex()
+        index.record_activity("v")
+        with pytest.raises(ValueError, match="no recorded activity"):
+            index.add_entries([("v", "a", "u", 0.5)])
 
     @staticmethod
     def _through_x(v_to_u=None, v_to_x=0.5, x_to_u=0.4):
         """``v -> x -> u`` on action ``a``, plus ``v -> u`` when given."""
-        index = CreditIndex()
-        index.set_credit("v", "a", "x", v_to_x)
-        index.set_credit("x", "a", "u", x_to_u)
+        entries = [("v", "a", "x", v_to_x), ("x", "a", "u", x_to_u)]
         if v_to_u is not None:
-            index.set_credit("v", "a", "u", v_to_u)
-        return index
+            entries.append(("v", "a", "u", v_to_u))
+        return _index(*entries)
 
     def test_subtract_credit(self):
         # Gamma_{v,u} - Gamma_{v,x} Gamma_{x,u} = 0.5 - 0.5 * 0.4.
         index = self._through_x(v_to_u=0.5)
         index.discount_through("x")
         assert index.credit("v", "a", "u") == pytest.approx(0.3)
-        assert index.inc["u"]["a"]["v"] == pytest.approx(0.3)
+        assert dict(
+            ((source, action), value)
+            for source, action, value in index.sources("u")
+        )[("v", "a")] == pytest.approx(0.3)
         # The seed's own entries stay for remove_user to drop.
         assert index.credit("v", "a", "x") == 0.5
         assert index.credit("x", "a", "u") == 0.4
@@ -51,8 +73,8 @@ class TestCreditIndex:
         index = self._through_x(v_to_u=0.2)
         index.discount_through("x")
         assert index.total_entries == 2
-        assert "u" not in index.out["v"]["a"]
-        assert "v" not in index.inc["u"]["a"]
+        assert ("a", "u") not in {entry[:2] for entry in index.row("v")}
+        assert "v" not in {source for source, _, _ in index.sources("u")}
 
     def test_subtract_missing_entry_is_noop(self):
         index = self._through_x()
@@ -62,10 +84,11 @@ class TestCreditIndex:
         CreditIndex().discount_through("x")  # an unknown seed, too
 
     def test_remove_user_clears_both_directions(self):
-        index = CreditIndex()
-        index.set_credit("v", "a", "x", 0.5)   # into x
-        index.set_credit("x", "a", "u", 0.4)   # from x
-        index.set_credit("v", "a", "u", 0.3)   # unrelated
+        index = _index(
+            ("v", "a", "x", 0.5),   # into x
+            ("x", "a", "u", 0.4),   # from x
+            ("v", "a", "u", 0.3),   # unrelated
+        )
         index.remove_user("x")
         assert index.credit("v", "a", "x") == 0.0
         assert index.credit("x", "a", "u") == 0.0
@@ -83,11 +106,10 @@ class TestCreditIndex:
         index.record_activity("v")
         index.record_activity("u")
         assert sorted(index.users()) == ["u", "v"]
+        assert list(index.activity) == ["v", "u"]
 
     def test_copy_is_deep(self):
-        index = CreditIndex(truncation=0.01)
-        index.record_activity("v")
-        index.set_credit("v", "a", "u", 0.5)
+        index = _index(("v", "a", "u", 0.5), truncation=0.01)
         duplicate = index.copy()
         duplicate.remove_user("u")
         duplicate.record_activity("v")
@@ -96,59 +118,74 @@ class TestCreditIndex:
         assert duplicate.truncation == 0.01
 
     def test_memory_estimate_scales_with_entries(self):
-        index = CreditIndex()
-        assert index.estimate_memory_bytes() == 0
-        index.set_credit("v", "a", "u", 0.5)
-        one = index.estimate_memory_bytes()
-        index.set_credit("v", "a", "w", 0.5)
-        assert index.estimate_memory_bytes() == 2 * one
+        # nbytes grows by the same amount per entry: three int32 ids, a
+        # float64 value, an int32 inc slot and one mask byte.
+        assert CreditIndex().nbytes == 16  # the two empty row-bound arrays
+        one = _index(("v", "a", "u", 0.5)).nbytes
+        two = _index(("v", "a", "u", 0.5), ("v", "a", "w", 0.5)).nbytes
+        per_user = 2 * 8 + 4  # row_start, inc_start, activity count
+        assert two - one == 25 + per_user
 
-    def test_memory_estimate_counts_both_mirrors(self):
-        # out and inc each hold every entry, so the per-entry cost must
-        # reflect two dict slots — not one (the Figure-8 curves).
-        index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
-        import sys
-
-        assert index.estimate_memory_bytes() == 2 * (sys.getsizeof(0.0) + 80)
+    def test_nbytes_is_the_exact_buffer_size(self):
+        index = _index(("v", "a", "u", 0.5))
+        assert index.nbytes == (
+            3 * 4 + 8 + 4 + 1      # one entry
+            + 2 * 3 * 8            # row_start and inc_start, two users
+            + 2 * 4                # activity counts
+        )
 
     def test_copy_preserves_structure_and_count(self):
-        index = CreditIndex(truncation=0.01)
-        index.record_activity("v")
-        index.set_credit("v", "a", "u", 0.5)
-        index.set_credit("v", "b", "w", 0.25)
-        index.set_credit("w", "a", "u", 0.125)
+        index = _index(
+            ("v", "a", "u", 0.5), ("v", "b", "w", 0.25), ("w", "a", "u", 0.125),
+            truncation=0.01,
+        )
         duplicate = index.copy()
-        assert duplicate.out == index.out
-        assert duplicate.inc == index.inc
+        assert list(duplicate.entries()) == list(index.entries())
+        assert list(duplicate.sources("u")) == list(index.sources("u"))
         assert duplicate.total_entries == index.total_entries
-        # Nested dicts must be fresh objects, not shared references.
-        duplicate.set_credit("v", "a", "z", 0.75)
-        assert index.credit("v", "a", "z") == 0.0
+        # The columns must be fresh buffers, not shared references.
+        duplicate.discount_through("w")
+        duplicate.remove_user("u")
+        assert index.credit("v", "a", "u") == 0.5
+        assert index.total_entries == 3
 
-    def test_bulk_set_credits_matches_set_credit(self):
-        loop = CreditIndex(truncation=0.01)
-        bulk = CreditIndex(truncation=0.01)
-        credits = {
-            "u": {"v": 0.5, "w": 0.25},
-            "t": {"v": 0.125},
-        }
-        for influenced, sources in credits.items():
-            for influencer, value in sources.items():
-                loop.set_credit(influencer, "a", influenced, value)
-        bulk.bulk_set_credits("a", credits)
-        assert bulk.out == loop.out
-        assert bulk.inc == loop.inc
-        assert bulk.total_entries == loop.total_entries
+    def test_add_entries_keeps_layout_order(self):
+        # Entries are appended as given, then sorted stably by
+        # influencer: rows follow user ids, each row keeps the order
+        # its entries were added in.
+        index = _index(
+            ("w", "a", "u", 0.5), ("v", "a", "u", 0.25),
+            ("w", "a", "t", 0.125), ("v", "b", "t", 0.75),
+        )
+        assert list(index.activity) == ["w", "u", "v", "t"]
+        assert list(index.entries()) == [
+            ("w", "a", "u", 0.5), ("w", "a", "t", 0.125),
+            ("v", "a", "u", 0.25), ("v", "b", "t", 0.75),
+        ]
+        assert list(index.sources("u")) == [("w", "a", 0.5), ("v", "a", 0.25)]
 
-    def test_bulk_set_credits_merges_into_existing_entries(self):
-        index = CreditIndex()
-        index.set_credit("v", "a", "u", 0.5)
-        index.bulk_set_credits("a", {"u": {"v": 0.75, "w": 0.25}})
-        assert index.credit("v", "a", "u") == 0.75  # overwritten, not doubled
-        assert index.credit("w", "a", "u") == 0.25
-        assert index.total_entries == 2
-        assert index.inc["u"]["a"] == {"v": 0.75, "w": 0.25}
+    def test_add_entries_appends_new_actions_to_rows(self):
+        index = _index(("v", "a", "u", 0.5), ("w", "a", "u", 0.25))
+        index.remove_user("w")
+        index.add_entries([("w", "b", "v", 0.75), ("v", "b", "u", 0.125)])
+        # Dead entries are compacted away; v's new action follows its old.
+        assert list(index.entries()) == [
+            ("v", "a", "u", 0.5), ("v", "b", "u", 0.125), ("w", "b", "v", 0.75),
+        ]
+        assert index.total_entries == len(index.val) == 3
+
+    def test_pickle_compacts_dead_entries(self):
+        index = _index(
+            ("v", "a", "x", 0.5), ("x", "a", "u", 0.4), ("v", "a", "u", 0.3),
+            ("u", "b", "v", 0.2),
+        )
+        index.remove_user("x")
+        restored = pickle.loads(pickle.dumps(index, protocol=4))
+        assert list(restored.entries()) == list(index.entries())
+        assert list(restored.sources("v")) == list(index.sources("v"))
+        assert list(restored.activity.items()) == list(index.activity.items())
+        assert len(restored.val) == restored.total_entries == 2
+        assert pickle.dumps(restored, protocol=4) == pickle.dumps(index, protocol=4)
 
     def test_negative_truncation_raises(self):
         with pytest.raises(ValueError):

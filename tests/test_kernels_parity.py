@@ -71,9 +71,7 @@ def dataset(request):
 def _entries(index):
     return {
         (influencer, action, influenced): value
-        for influencer, by_action in index.out.items()
-        for action, targets in by_action.items()
-        for influenced, value in targets.items()
+        for influencer, action, influenced, value in index.entries()
     }
 
 
@@ -85,9 +83,10 @@ def _assert_index_parity(python_index, numpy_index):
     assert python_index.activity == numpy_index.activity
     for key, value in python_entries.items():
         assert numpy_entries[key] == pytest.approx(value, abs=VALUE_TOLERANCE)
-    # Both mirrors must stay consistent after a bulk load.
-    for (influencer, action, influenced), value in numpy_entries.items():
-        assert numpy_index.inc[influenced][action][influencer] == value
+    # The inc order must index the handed-over columns consistently.
+    for influenced in numpy_index.users():
+        for influencer, action, value in numpy_index.sources(influenced):
+            assert numpy_entries[(influencer, action, influenced)] == value
 
 
 class TestEMParity:

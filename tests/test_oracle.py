@@ -121,3 +121,53 @@ class TestOneSeedSetOneAnswer:
             assert estimator.spread([a, a]) == alone
             assert estimator.spread([a, "nobody"]) == alone
             assert estimator.spread([b, a]) == estimator.spread([a, b])
+
+
+class TestOneEnginePerModelAndMethod:
+    """The per-trial oracles of one (model, method) share one engine.
+
+    Each trial's oracle differs only in its seed, and both engines take
+    the seed per call, so a multi-trial Monte-Carlo selector compiles
+    once and every trial keeps the seeds of its own fresh estimator.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_trials_compile_once_and_keep_their_seeds(
+        self, flixster_mini, backend, monkeypatch
+    ):
+        from repro.api import ExperimentConfig, run_experiment
+        from repro.maximization.celf import celf_maximize
+        from repro.runtime import estimator
+
+        if backend == "numpy":
+            from repro.kernels.mc_numpy import CompiledDiffusion as engine
+        else:
+            engine = estimator._Cascades
+        compiles = []
+        original = engine.__init__
+
+        def spy(self, *args, **kwargs):
+            compiles.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "__init__", spy)
+        config = ExperimentConfig(
+            dataset="flixster", scale="mini",
+            selectors=[{"name": "celf", "params": {"model": "ic", "method": "WC"}}],
+            ks=[2], trials=4, num_simulations=20, backend=backend,
+            evaluate_spread=False, executor="serial",
+        )
+        result = run_experiment(config, dataset=flixster_mini)
+        assert len(compiles) == 1
+
+        context = SelectionContext(
+            flixster_mini.graph, flixster_mini.log, seed=config.seed,
+            backend=backend,
+        )
+        probabilities = context.ic_probabilities("WC")
+        for trial, selection in enumerate(result.selections("celf")):
+            fresh = SpreadEstimator(
+                flixster_mini.graph, probabilities, "ic", 20,
+                seed=context.derive_seed("celf", trial), backend=backend,
+            )
+            assert selection.seeds == celf_maximize(fresh, 2).seeds

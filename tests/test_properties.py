@@ -25,7 +25,7 @@ from repro.api import SelectionContext
 
 from repro.core.credit import UniformCredit
 from repro.core.index import SeedCredits
-from repro.core.maximize import cd_maximize, marginal_gain
+from repro.core.maximize import _absorb_seed, cd_maximize, marginal_gain
 from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
@@ -34,7 +34,12 @@ from repro.graphs.digraph import SocialGraph
 from repro.runtime import SpreadEstimator
 from repro.utils.pqueue import LazyQueue
 
-from tests.helpers import brute_force_set_credit
+from tests.helpers import (
+    brute_force_set_credit,
+    flat_credits,
+    nested_credits,
+    reference_absorb_seed,
+)
 
 
 @st.composite
@@ -189,10 +194,8 @@ class TestCreditProperties:
         """Gamma_{v,u}(a) <= 1 for every pair (flow conservation)."""
         graph, log = data
         index = scan_action_log(graph, log, truncation=0.0)
-        for by_action in index.out.values():
-            for targets in by_action.values():
-                for value in targets.values():
-                    assert value <= 1.0 + 1e-9
+        for _, _, _, value in index.entries():
+            assert value <= 1.0 + 1e-9
 
 
 class TestLemmaProperties:
@@ -243,6 +246,44 @@ class TestLemmaProperties:
         result = cd_maximize(index, k=3)
         evaluator = CDSpreadEvaluator(graph, log)
         assert abs(result.spread - evaluator.spread(result.seeds)) < 1e-9
+
+
+class TestLemma2Properties:
+    """The columnar Lemma-2 update against the nested-dict oracle."""
+
+    @pytest.mark.parametrize(
+        "backend", ["python"] + (
+            ["numpy"] if "numpy" in kernels.available_backends() else []
+        ),
+    )
+    @given(
+        data=graph_and_log(),
+        order=st.lists(st.integers(min_value=0, max_value=7), max_size=8),
+        truncation=st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_live_entries_equal_the_oracle(self, backend, data, order, truncation):
+        """After any sequence of absorbed seeds, the index's live
+        entries (values and layout order) equal the oracle's."""
+        graph, log = data
+        index = scan_action_log(graph, log, truncation=truncation)
+        users = list(index.users())
+        if backend == "numpy":
+            from repro.kernels.cd_numpy import Lemma2Discount
+
+            discount = Lemma2Discount(index)
+        else:
+            discount = index.discount_through
+        oracle, oracle_credits = nested_credits(index), SeedCredits()
+        credits = SeedCredits()
+        for position in order:
+            seed = users[position % len(users)]
+            _absorb_seed(index, credits, seed, discount)
+            reference_absorb_seed(oracle, oracle_credits, seed)
+            assert list(index.entries()) == flat_credits(oracle)
+            assert list(credits._credits.items()) == list(
+                oracle_credits._credits.items()
+            )
 
 
 class TestLazyQueueProperties:

@@ -7,6 +7,8 @@ random instances.
 
 import pytest
 
+import repro.kernels as kernels
+
 from repro.core.credit import UniformCredit
 from repro.core.scan import scan_action_log
 from repro.data.propagation import PropagationGraph
@@ -40,8 +42,8 @@ class TestPaperExample:
 
     def test_initiators_receive_no_credit(self, toy):
         index = scan_action_log(toy.graph, toy.log, truncation=0.0)
-        assert "v" not in index.inc
-        assert "s" not in index.inc
+        assert list(index.sources("v")) == []
+        assert list(index.sources("s")) == []
 
     def test_activity_counts(self, toy):
         index = scan_action_log(toy.graph, toy.log, truncation=0.0)
@@ -83,10 +85,8 @@ class TestTruncation:
         tight = scan_action_log(
             flixster_mini.graph, flixster_mini.log, truncation=0.05
         )
-        for influencer, by_action in tight.out.items():
-            for action, targets in by_action.items():
-                for target, value in targets.items():
-                    assert value <= loose.credit(influencer, action, target) + 1e-12
+        for influencer, action, target, value in tight.entries():
+            assert value <= loose.credit(influencer, action, target) + 1e-12
 
     def test_negative_truncation_raises(self, toy):
         with pytest.raises(ValueError):
@@ -96,10 +96,13 @@ class TestTruncation:
         index = scan_action_log(
             flixster_mini.graph, flixster_mini.log, truncation=0.001
         )
-        for influencer, by_action in index.out.items():
-            for action, targets in by_action.items():
-                for target, value in targets.items():
-                    assert index.inc[target][action][influencer] == value
+        by_influenced = {}
+        for influencer, action, target, value in index.entries():
+            by_influenced.setdefault(target, []).append(
+                (influencer, action, value)
+            )
+        for target, sources in by_influenced.items():
+            assert list(index.sources(target)) == sources
 
 
 class TestIncrementalScan:
@@ -119,12 +122,10 @@ class TestIncrementalScan:
         full = scan_action_log(flixster_mini.graph, flixster_mini.log)
         assert incremental.total_entries == full.total_entries
         assert incremental.activity == full.activity
-        for influencer, by_action in full.out.items():
-            for action, targets in by_action.items():
-                for target, value in targets.items():
-                    assert incremental.credit(
-                        influencer, action, target
-                    ) == pytest.approx(value)
+        for influencer, action, target, value in full.entries():
+            assert incremental.credit(
+                influencer, action, target
+            ) == pytest.approx(value)
 
     def test_incremental_index_gives_same_seeds(self, flixster_mini):
         from repro.core.maximize import cd_maximize
@@ -157,11 +158,7 @@ class TestActionSubset:
         index = scan_action_log(
             flixster_mini.graph, flixster_mini.log, actions=actions
         )
-        seen_actions = {
-            action
-            for by_action in index.out.values()
-            for action in by_action
-        }
+        seen_actions = {action for _, action, _, _ in index.entries()}
         assert seen_actions <= set(actions)
 
     def test_activity_restricted_to_subset(self, flixster_mini):
@@ -171,3 +168,34 @@ class TestActionSubset:
         )
         expected = sum(flixster_mini.log.trace_size(action) for action in actions)
         assert sum(index.activity.values()) == expected
+
+
+class TestIndexSize:
+    """The index's exact size on flixster_mini, on both backends.
+
+    Each entry takes 25 bytes (three int32 ids, a float64 value, an
+    int32 ``inc`` slot and a mask byte) and each user 20 (two int64 row
+    bounds and an int32 activity count), plus one row bound per table.
+    """
+
+    @pytest.mark.parametrize(
+        "backend", ["python"] + (
+            ["numpy"] if "numpy" in kernels.available_backends() else []
+        ),
+    )
+    @pytest.mark.parametrize(
+        "scheme, entries, nbytes",
+        [("uniform", 837, 23741), ("timedecay", 770, 22066)],
+    )
+    def test_exact_entries_and_nbytes(
+        self, flixster_mini, backend, scheme, entries, nbytes
+    ):
+        from repro.api import SelectionContext
+
+        index = SelectionContext(
+            flixster_mini.graph, flixster_mini.log, credit_scheme=scheme,
+            backend=backend,
+        ).credit_index()
+        assert index.total_entries == entries
+        assert len(index.user_of) == 140
+        assert index.nbytes == nbytes == 25 * entries + 20 * 140 + 16

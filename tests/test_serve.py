@@ -73,6 +73,23 @@ class TestServingContext:
         assert "credit_index" in context.artifact_names()
         assert "cd_evaluator" in context.artifact_names()
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_run_experiment_reads_the_held_slots(self, populated_store, executor):
+        # A context without a log serves what it holds: cd reads the
+        # stored credit index and evaluate_spread the stored evaluator,
+        # and the run equals the cold one that stored them.
+        root, cold = populated_store
+        record = load_context_record(ArtifactStore(root))
+        serving = load_serving_context(ArtifactStore(root), record)
+        config = ExperimentConfig(
+            dataset="flixster", scale="mini", selectors=["cd"], ks=[3],
+            seed=11, executor=executor, max_workers=2,
+        )
+        warm = run_experiment(config, context=serving)
+        assert warm.selections("cd")[0].seeds == cold.selections("cd")[0].seeds
+        assert warm.runs[0].curve == cold.runs[0].curve
+        assert serving.train_log is None
+
     def test_record_lists_artifacts(self, populated_store):
         root, _ = populated_store
         record = load_context_record(ArtifactStore(root))
@@ -652,3 +669,48 @@ class TestIngestWaitSemantics:
         status = service.ingest_status()["ingests"][-1]
         assert status["status"] == "failed"
         assert "derive aborted by test" in status["error"]
+
+
+class TestBindingChecksMethodAndModel:
+    """An unknown ``method`` or ``model`` is rejected where a selector is
+    bound, with one message on every surface — not after other cells
+    ran, and not as an artifact the store lacks."""
+
+    @pytest.mark.parametrize("surface", ["config", "select", "prefix"])
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("celf", {"model": "ic", "method": "XX"},
+             "selector 'celf' got method 'XX'; method must be one of"),
+            ("ris", {"method": "XX"},
+             "selector 'ris' got method 'XX'; method must be one of"),
+            ("celf", {"model": "percolation"},
+             "selector 'celf' got model 'percolation'; model must be one of"),
+        ],
+    )
+    def test_one_message_on_every_surface(
+        self, surface, name, params, message, service, populated_store, capsys
+    ):
+        if surface == "config":
+            with pytest.raises(ValueError) as error:
+                ExperimentConfig(
+                    dataset="toy", selectors=[{"name": name, "params": params}]
+                )
+            text = str(error.value)
+        elif surface == "select":
+            with pytest.raises(ServiceError) as error:
+                service.select({"selector": name, "k": 2, "params": params})
+            assert error.value.status == 400
+            text = str(error.value)
+        else:
+            from repro.cli import main
+
+            root, _ = populated_store
+            code = main([
+                "prefix", "--store", root, "--selector", name,
+                "--k-max", "2", "--params", json.dumps(params),
+            ])
+            assert code == 2
+            text = capsys.readouterr().err
+        assert message in text
+        assert "cannot be served" not in text

@@ -100,12 +100,10 @@ class TestBatchEquivalence:
 
         assert stream.index.total_entries == batch_index.total_entries
         assert stream.index.activity == batch_index.activity
-        for influencer, by_action in batch_index.out.items():
-            for action, targets in by_action.items():
-                for influenced, value in targets.items():
-                    assert stream.index.credit(
-                        influencer, action, influenced
-                    ) == pytest.approx(value)
+        for influencer, action, influenced, value in batch_index.entries():
+            assert stream.index.credit(
+                influencer, action, influenced
+            ) == pytest.approx(value)
 
     def test_equivalence_seed_0(self):
         self._random_stream_equals_batch(0)

@@ -32,12 +32,10 @@ def _topic_of(action) -> str:
 def _assert_indices_equal(left: CreditIndex, right: CreditIndex) -> None:
     assert left.activity == right.activity
     assert left.total_entries == right.total_entries
-    for influencer, by_action in left.out.items():
-        for action, targets in by_action.items():
-            for influenced, value in targets.items():
-                assert right.credit(influencer, action, influenced) == pytest.approx(
-                    value, abs=1e-12
-                )
+    for influencer, action, influenced, value in left.entries():
+        assert right.credit(influencer, action, influenced) == pytest.approx(
+            value, abs=1e-12
+        )
 
 
 class TestPartitionActions:
