@@ -10,7 +10,8 @@ Expected shape: sigma(S, T) rises monotonically to the discrete-IC
 value as T grows; heavy-tailed (lognormal) delays shift spread past any
 fixed deadline relative to exponential delays with the same typical
 scale — the same heavy-tail phenomenon the dataset generators model
-(DESIGN.md §2) and the reason Eq. 9 learns per-pair tau.
+(``delay_sigma`` in ``repro.data.datasets``) and the reason Eq. 9 learns
+per-pair tau.
 """
 
 import math

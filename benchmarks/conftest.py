@@ -6,7 +6,7 @@ applicable) through the ``report`` fixture, which bypasses pytest's
 output capture.  Datasets and learned artifacts are session-scoped so
 the whole suite builds each of them once.
 
-Scale note (see DESIGN.md): the synthetic datasets are 10-100x smaller
+Scale note: the synthetic datasets are 10-100x smaller
 than the paper's crawls and Monte Carlo simulation counts are reduced
 from 10,000 accordingly; all comparisons are relative, so the shapes —
 who wins, by what order of magnitude, where curves saturate — are the

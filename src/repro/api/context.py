@@ -274,11 +274,12 @@ class SelectionContext:
                 lambda: self._probabilities.get(method),
                 lambda value: self._probabilities.__setitem__(method, value),
             )
+        if name == "cd_evaluator":
+            return lambda: self._cd_evaluator, self._hold_cd_evaluator
         attr = {
             "lt_weights": "_lt_weights",
             "influence_params": "_params",
             "credit_index": "_credit_index",
-            "cd_evaluator": "_cd_evaluator",
             "compiled_log": "_compiled_log",
             "sketches": "_sketches",
         }[name]
@@ -592,7 +593,9 @@ class SelectionContext:
 
         Under the ``numpy`` backend it is built from the cached
         :meth:`compiled_log` by :mod:`repro.kernels.cd_numpy`, byte for
-        byte the reference construction.
+        byte the reference construction.  Built, stored or injected, the
+        evaluator in this slot answers with this context's backend's
+        kernel.
         """
         if self._cd_evaluator is None and self._stored("cd_evaluator") is None:
             log = self._require_log("sigma_cd evaluation")
@@ -613,6 +616,13 @@ class SelectionContext:
                     propagations=self.propagation,
                 )
         return self._cd_evaluator
+
+    def _hold_cd_evaluator(self, evaluator: CDSpreadEvaluator | None) -> None:
+        """Fill the ``cd_evaluator`` slot with a stored or injected value."""
+        if hasattr(evaluator, "_kernel"):
+            # It answers with this context's kernel from now on.
+            evaluator._kernel = self.backend
+        self._cd_evaluator = evaluator
 
     # ------------------------------------------------------------------
     # Oracles and heuristic models

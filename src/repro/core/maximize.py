@@ -13,7 +13,7 @@ Lemma 2 re-roots every remaining credit on paths avoiding it — both in
 time proportional to the credits touching the new seed, never by
 re-scanning the log.
 
-One deliberate correction to the paper's pseudocode (see DESIGN.md):
+One deliberate correction to the paper's pseudocode:
 Algorithm 4 as printed adds the self-credit term ``1/A_x`` only for
 actions where ``x`` has outgoing credit; consistency with Theorem 3 and
 with ``kappa_{S,u} = 1`` for seeds (used by the NP-hardness proof)

@@ -20,22 +20,27 @@ Two roles in the reproduction:
   spread of arbitrary seed sets, so it uses the CD estimate — the most
   accurate available model — as the yardstick for every method's seeds.
 
-Conventions for degenerate cases (chosen for consistency with the
-index-based maximizer, see DESIGN.md):
+Conventions for degenerate cases, chosen so that this evaluator and the
+index-based maximizer agree on every seed set (the Theorem-3 gain of
+:func:`repro.core.maximize.marginal_gain` is 0 for a user without
+activity):
 
 * a seed that performs no action in the log contributes 0, not 1 — the
-  data shows no evidence of it influencing anyone, and the incremental
-  algorithm's Theorem-3 gains agree;
+  data shows no evidence of it influencing anyone;
 * a seed with activity contributes exactly 1 (``kappa_{S,u} = 1`` for
-  ``u in S``, as in the NP-hardness proof).
+  ``u in S``, as in the NP-hardness proof);
+* ``sigma_cd`` of a seed set without activity is the float ``0.0``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from array import array
+from bisect import bisect_right
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Hashable, Iterable
 
 from repro.core.credit import DirectCredit, UniformCredit
+from repro.core.index import _column
 from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
@@ -44,19 +49,43 @@ __all__ = ["CDSpreadEvaluator", "sigma_cd"]
 
 User = Hashable
 
+# The columns and their array typecodes: int32 counts, user ids and
+# parent positions, int64 bounds, float64 gammas.
+_COLUMNS = {
+    "counts": "i", "offsets": "q", "position_user": "i",
+    "link_start": "q", "link_parent": "i", "link_gamma": "d",
+}
+
 
 class CDSpreadEvaluator:
     """Pre-compiled sigma_cd evaluator (a ``SpreadOracle``).
 
-    Construction walks the log once, caching per action the chronological
-    list of ``(user, [(influencer, gamma), ...])``.  A seed set earns
-    credit only inside actions one of its members performed, and only
-    from that member's adoption onward, so each ``spread`` call walks
-    just those actions, each from its earliest seed's position: the cost
-    grows with the seeds' own actions, not with the log, and is
-    independent of the social graph.  The user -> ``[(action index,
-    position), ...]`` map that finds them is built on the first query
-    and never pickled, so stored payloads do not depend on queries.
+    The evaluated log is one columnar table on stdlib
+    :class:`array.array`, over the global *positions* of every action's
+    chronological trace (an action's offset plus the trace index):
+
+    * ``users`` — every user with activity, first-seen first;
+      ``counts[i]`` is user ``i``'s ``A_u``;
+    * ``offsets`` — action ``j`` (in compile order) owns positions
+      ``offsets[j]:offsets[j + 1]``; ``position_user`` is the user id
+      at each position;
+    * ``link_start`` — the in-link CSR: position ``p``'s potential
+      influencers are the links ``link_start[p]:link_start[p + 1]``,
+      each an earlier ``link_parent`` position of the same action with
+      its ``link_gamma``, in :meth:`PropagationGraph.parents` order.
+
+    Two query kernels answer over the same columns, bit for bit alike:
+    the pure-Python walk below, which visits only the actions a seed
+    performed, each from its earliest seed's position, and the NumPy
+    :func:`repro.kernels.cd_numpy.cd_kappa_numpy`, level by level over
+    the whole link table.  An evaluator answers with the kernel of the
+    build that made it (the constructor: Python;
+    :func:`~repro.kernels.cd_numpy.cd_evaluator_numpy`: NumPy) or of
+    the :class:`~repro.api.context.SelectionContext` that holds it, and
+    keeps it inside process-executor workers.  The choice, the
+    user -> positions map and the NumPy kernel's depth order are never
+    part of the pickle, so stored payloads depend on neither queries
+    nor backend.
 
     Example
     -------
@@ -67,6 +96,9 @@ class CDSpreadEvaluator:
     3.75
     """
 
+    # "python" or "numpy"; instances that differ hold their own.
+    _kernel = "python"
+
     def __init__(
         self,
         graph: SocialGraph,
@@ -75,31 +107,14 @@ class CDSpreadEvaluator:
         actions: Iterable[Hashable] | None = None,
         propagations: Callable[[Hashable], PropagationGraph] | None = None,
     ) -> None:
-        self._activity: dict[User, int] = {}
-        # One entry per action: [(user, [(influencer, gamma), ...]), ...]
-        # in chronological order.
-        self._compiled: list[list[tuple[User, list[tuple[User, float]]]]] = []
-        self._compile_into(graph, log, credit, actions, propagations)
+        self.users: list[User] = []
+        for name, code in _COLUMNS.items():
+            setattr(self, name, array(code))
+        self.offsets.append(0)
+        self.link_start.append(0)
+        self._append(graph, log, credit, actions, propagations)
 
-    @classmethod
-    def from_compiled(
-        cls,
-        activity: dict[User, int],
-        compiled: list[list[tuple[User, list[tuple[User, float]]]]],
-    ) -> "CDSpreadEvaluator":
-        """An evaluator over already compiled traces, adopted as given.
-
-        ``activity`` and ``compiled`` take the shapes construction builds
-        (see ``__init__``); the NumPy kernel
-        :func:`repro.kernels.cd_numpy.cd_evaluator_numpy` builds them
-        from a :class:`~repro.kernels.interning.CompiledLog`.
-        """
-        evaluator = cls.__new__(cls)
-        evaluator._activity = activity
-        evaluator._compiled = compiled
-        return evaluator
-
-    def _compile_into(
+    def _append(
         self,
         graph: SocialGraph,
         log: ActionLog,
@@ -107,21 +122,51 @@ class CDSpreadEvaluator:
         actions: Iterable[Hashable] | None,
         propagations: Callable[[Hashable], PropagationGraph] | None,
     ) -> None:
+        """Compile ``actions`` (default: every action of ``log``) onto
+        the end of the columns."""
         credit_fn = UniformCredit() if credit is None else credit
         if propagations is None:
             propagations = lambda action: PropagationGraph.build(graph, log, action)  # noqa: E731
         wanted = list(log.actions()) if actions is None else list(actions)
+        users, counts = self.users, self.counts
+        position_user, link_start = self.position_user, self.link_start
+        link_parent, link_gamma = self.link_parent, self.link_gamma
+        ids = dict(zip(users, range(len(users))))
         for action in wanted:
             propagation = propagations(action)
-            compiled_action = []
-            for user in propagation.nodes():
-                self._activity[user] = self._activity.get(user, 0) + 1
-                incoming = [
-                    (parent, credit_fn(propagation, parent, user))
-                    for parent in propagation.parents(user)
-                ]
-                compiled_action.append((user, incoming))
-            self._compiled.append(compiled_action)
+            nodes = list(propagation.nodes())
+            base = len(position_user)
+            position_of = dict(zip(nodes, range(base, base + len(nodes))))
+            for user in nodes:
+                user_id = ids.get(user)
+                if user_id is None:
+                    user_id = ids[user] = len(users)
+                    users.append(user)
+                    counts.append(1)
+                else:
+                    counts[user_id] += 1
+                position_user.append(user_id)
+                parents = propagation.parents(user)
+                if parents:
+                    link_parent.extend([position_of[parent] for parent in parents])
+                    link_gamma.extend(
+                        [credit_fn(propagation, parent, user) for parent in parents]
+                    )
+                link_start.append(len(link_parent))
+            self.offsets.append(len(position_user))
+
+    @classmethod
+    def from_columns(cls, users: list, **columns) -> "CDSpreadEvaluator":
+        """An evaluator over columns built elsewhere, adopted as given.
+
+        ``users`` is the id space (first-seen order) and ``columns``
+        holds every column of :data:`_COLUMNS` as a buffer of its type;
+        the NumPy build :func:`repro.kernels.cd_numpy.cd_evaluator_numpy`
+        hands its arrays over this way.
+        """
+        evaluator = cls.__new__(cls)
+        evaluator.__setstate__({"users": list(users), **columns})
+        return evaluator
 
     def extend(
         self,
@@ -134,39 +179,48 @@ class CDSpreadEvaluator:
         """A new evaluator covering this one's log plus ``log``'s traces.
 
         Per-action compilation is independent (Eq. 5 never crosses
-        actions), so appending the new actions' compiled traces yields
-        exactly the evaluator a from-scratch build over the union log
-        would produce — *provided* ``credit`` is per-propagation (the
-        uniform scheme).  Time-decay credits depend on globally learned
+        actions), so appending the new actions' columns yields exactly
+        the evaluator a from-scratch build over the union log would
+        produce — *provided* ``credit`` is per-propagation (the uniform
+        scheme).  Time-decay credits depend on globally learned
         influenceability and must be re-built over the union instead.
 
-        ``self`` is left untouched: the compiled structure and activity
-        counts are copied shallowly (entries are never mutated), so an
-        evaluator currently serving queries stays valid.
+        ``self`` is left untouched (its columns are copied), so an
+        evaluator currently serving queries stays valid; the new one
+        answers with the same kernel.
         """
-        extended = CDSpreadEvaluator.from_compiled(
-            dict(self._activity), list(self._compiled)
-        )
-        extended._compile_into(graph, log, credit, actions, propagations)
+        extended = CDSpreadEvaluator.from_columns(**self.__getstate__())
+        extended._kernel = self._kernel
+        extended._append(graph, log, credit, actions, propagations)
         return extended
 
     def candidates(self) -> list[User]:
         """Users with at least one action — the useful seed universe."""
-        return list(self._activity)
+        return list(self.users)
 
     def activity(self, user: User) -> int:
         """``A_u`` within the evaluated log."""
-        return self._activity.get(user, 0)
+        return len(self._user_positions().get(user, ()))
 
+    # ------------------------------------------------------------------
+    # Pickling: raw column bytes; the kernel and derived maps stay out
+    # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # The seed map is derived from ``_compiled``; leaving it out keeps
-        # stored payloads and worker pickles independent of past queries.
-        state = dict(self.__dict__)
-        state.pop("_positions", None)
-        return state
+        return {
+            "users": self.users,
+            **{name: getattr(self, name).tobytes() for name in _COLUMNS},
+        }
 
-    def _seed_positions(self) -> dict[User, list[tuple[int, int]]]:
-        """Every user's ``(action index, position)`` pairs, built once.
+    def __setstate__(self, state: dict) -> None:
+        self.users = state["users"]
+        for name, code in _COLUMNS.items():
+            setattr(self, name, _column(code, state[name]))
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def _user_positions(self) -> dict[User, list[int]]:
+        """Every user's positions in ascending order, built once.
 
         Published by a single attribute assignment, so a concurrent
         query sees either no map (and builds an identical one) or a
@@ -174,17 +228,27 @@ class CDSpreadEvaluator:
         """
         positions = self.__dict__.get("_positions")
         if positions is None:
-            positions = {}
-            for action_index, compiled_action in enumerate(self._compiled):
-                for position, (user, _) in enumerate(compiled_action):
-                    positions.setdefault(user, []).append(
-                        (action_index, position)
-                    )
+            lists: list[list[int]] = [[] for _ in self.users]
+            for position, user_id in enumerate(self.position_user):
+                lists[user_id].append(position)
+            positions = dict(zip(self.users, lists))
             self._positions = positions
         return positions
 
     def kappa(self, seeds: Iterable[User]) -> dict[User, float]:
-        """``kappa_{S,u}`` for every user ``u`` in the log.
+        """``kappa_{S,u}`` for every user ``u`` the seed set credits.
+
+        Users appear in the order of their first position with positive
+        credit; both kernels give the same values in the same order.
+        """
+        if self._kernel == "numpy":
+            from repro.kernels.cd_numpy import cd_kappa_numpy
+
+            return cd_kappa_numpy(self, seeds)
+        return self._kappa_python(seeds)
+
+    def _kappa_python(self, seeds: Iterable[User]) -> dict[User, float]:
+        """The seed-indexed walk.
 
         Only the actions some seed performed are walked, in log order,
         each from its earliest seed's position.  Until a walk reaches a
@@ -192,39 +256,66 @@ class CDSpreadEvaluator:
         and actions add nothing: the values, and the dict order, are
         those of a walk over every action.
         """
-        seed_set = set(seeds)
-        positions = self._seed_positions()
+        positions = self._user_positions()
+        offsets = self.offsets
+        pinned: set[int] = set()
         starts: dict[int, int] = {}
-        for seed in seed_set:
-            for action_index, position in positions.get(seed, ()):
-                start = starts.get(action_index)
-                if start is None or position < start:
-                    starts[action_index] = position
-        totals: dict[User, float] = {}
-        for action_index in sorted(starts):
-            # Only positive credits are kept: an influencer missing here
-            # is one whose zero credit the sum below would skip anyway.
-            gamma_s: dict[User, float] = {}
-            for user, incoming in islice(
-                self._compiled[action_index], starts[action_index], None
-            ):
-                if user in seed_set:
+        for seed in set(seeds):
+            for position in positions.get(seed, ()):
+                pinned.add(position)
+                action = bisect_right(offsets, position) - 1
+                if position < starts.get(action, position + 1):
+                    starts[action] = position
+        position_user, link_start = self.position_user, self.link_start
+        link_parent, link_gamma = self.link_parent, self.link_gamma
+        totals: dict[int, float] = {}
+        for action in sorted(starts):
+            # Only positive credits are kept: a parent missing here is
+            # one whose zero credit the sum below would skip anyway.
+            gamma_s: dict[int, float] = {}
+            for position in range(starts[action], offsets[action + 1]):
+                if position in pinned:
                     credit = 1.0
                 else:
                     credit = 0.0
-                    for influencer, gamma in incoming:
-                        if influencer in gamma_s and gamma > 0.0:
-                            credit += gamma_s[influencer] * gamma
+                    for link in range(
+                        link_start[position], link_start[position + 1]
+                    ):
+                        source = gamma_s.get(link_parent[link])
+                        if source is not None:
+                            gamma = link_gamma[link]
+                            if gamma > 0.0:
+                                credit += source * gamma
                 if credit > 0.0:
-                    gamma_s[user] = credit
-                    totals[user] = totals.get(user, 0.0) + credit
+                    gamma_s[position] = credit
+                    user_id = position_user[position]
+                    totals[user_id] = totals.get(user_id, 0.0) + credit
+        users, counts = self.users, self.counts
         return {
-            user: total / self._activity[user] for user, total in totals.items()
+            users[user_id]: total / counts[user_id]
+            for user_id, total in totals.items()
         }
 
     def spread(self, seeds: Iterable[User]) -> float:
         """``sigma_cd(seeds)``: the sum of ``kappa_{S,u}`` over all users."""
-        return sum(self.kappa(seeds).values())
+        return sum(self.kappa(seeds).values(), 0.0)
+
+
+def _reduce_for_worker(evaluator: CDSpreadEvaluator):
+    """The process-executor pickle: the payload state plus the kernel."""
+    return _rebuild_in_worker, (evaluator.__getstate__(), evaluator._kernel)
+
+
+def _rebuild_in_worker(state: dict, kernel: str) -> CDSpreadEvaluator:
+    evaluator = CDSpreadEvaluator.from_columns(**state)
+    evaluator._kernel = kernel
+    return evaluator
+
+
+# Worker processes receive their tasks through multiprocessing's
+# pickler; stored payloads go through plain pickle and never carry the
+# kernel.
+ForkingPickler.register(CDSpreadEvaluator, _reduce_for_worker)
 
 
 def sigma_cd(

@@ -78,7 +78,8 @@ def lognormal_delays(
 
     ``median`` is the distribution's median delay; ``sigma`` the shape
     (log-space standard deviation).  The dataset generators use
-    ``sigma = 2`` to reproduce bursty reaction times (DESIGN.md §2).
+    ``sigma = 2`` to reproduce bursty reaction times (``delay_sigma`` in
+    :mod:`repro.data.datasets`).
     """
     require(median > 0.0, f"median must be positive, got {median}")
     require(sigma > 0.0, f"sigma must be positive, got {sigma}")

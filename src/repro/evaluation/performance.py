@@ -8,8 +8,9 @@ for IC/LT/CD) is ``run_experiment(...).runtime_curves()`` of
 
 Memory is reported as the credit index's exact buffer size
 (:attr:`repro.core.index.CreditIndex.nbytes`) — the quantity the paper's
-Figure 8 (right) tracks, without OS-level RSS noise (a documented
-substitution, see DESIGN.md).
+Figure 8 (right) tracks.  It stands in for the process memory the paper
+measured: a Python process's RSS is mostly interpreter and allocator
+overhead and noise, which would hide how the index grows.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The reproduction's hot paths — learning (Eq.-9 influenceability, the
 Saito-EM fixed point), the Algorithm-2 credit scan, the sigma_cd
-evaluator build, the CD maximizer's cold start, Monte-Carlo IC/LT
-spread and reverse-reachability sketches — are array-shaped: frontier
+evaluator's build and queries, the CD maximizer's cold start,
+Monte-Carlo IC/LT spread and reverse-reachability sketches — are
+array-shaped: frontier
 expansion over CSR adjacency, segment reductions over flat episode
 arrays, batched Bernoulli trials over edge arrays.  This subpackage
 provides NumPy implementations of each, dispatched as a selectable
@@ -23,12 +24,14 @@ provides NumPy implementations of each, dispatched as a selectable
   episode/parent-edge arrays (bit-for-bit the estimator of
   :func:`repro.probabilities.em.learn_ic_probabilities_em`);
 * :mod:`repro.kernels.scan_numpy` — Algorithm 2, level by level over
-  the compiled log's link arrays, bulk-loaded into the
+  the compiled log's link arrays, handed over to the columnar
   :class:`~repro.core.index.CreditIndex`;
-* :mod:`repro.kernels.cd_numpy` — the sigma_cd evaluator built from the
-  compiled log (byte-for-byte
-  :class:`~repro.core.spread.CDSpreadEvaluator`) and the CD
-  maximizer's empty-seed-set gain sweep;
+* :mod:`repro.kernels.cd_numpy` — the sigma_cd evaluator's columns
+  taken from the compiled log (byte-for-byte
+  :class:`~repro.core.spread.CDSpreadEvaluator`), its query kernel
+  (one gather and one ``bincount`` per depth level of the whole link
+  table, bit-for-bit the Python walk), and the CD maximizer's
+  empty-seed-set gain sweep and Lemma-2 update;
 * :mod:`repro.kernels.mc_numpy` — batched Monte-Carlo IC/LT spread
   estimation over the positive-edge out-CSR;
 * :mod:`repro.kernels.sketch_numpy` — batched reverse-reachability

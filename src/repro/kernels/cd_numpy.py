@@ -1,5 +1,5 @@
 """CD-model kernels (NumPy): the maximizer's initial gain sweep, its
-Lemma-2 update, and the sigma_cd evaluator build.
+Lemma-2 update, and the sigma_cd evaluator's build and query kernel.
 
 Algorithm 3's cold start evaluates the Theorem-3 marginal gain of
 *every* user against the empty seed set — by far the hottest part of
@@ -19,18 +19,19 @@ IEEE arithmetic, so even the per-action accumulation order matches.
 :func:`cd_evaluator_numpy` builds the exact sigma_cd evaluator (Eq. 8)
 from the context's cached :class:`~repro.kernels.interning.CompiledLog`
 instead of one :class:`~repro.data.propagation.PropagationGraph` per
-action.  Its state is pickled into stored payloads, so it equals the
-reference construction byte for byte: the users come from
-``log.trace(action)`` and each parent from ``graph.in_neighbors(child)``
-(the very objects :meth:`PropagationGraph.build` holds, which matters to
-the pickle memo when ids are equal but distinct strings), and the gammas
-from :meth:`~repro.kernels.scan_numpy.CompiledCredit.exact_gammas`.
+action: the compiled log's positions and links are already the
+evaluator's columns, the users are the objects ``log.trace(action)``
+holds, and the gammas come from
+:meth:`~repro.kernels.scan_numpy.CompiledCredit.exact_gammas`.  Its
+pickle equals the reference construction's byte for byte.
+:func:`cd_kappa_numpy` answers its queries level by level over the
+whole link table, bit-identical to the reference walk.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Hashable
+from itertools import chain
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -40,9 +41,11 @@ from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
 from repro.kernels.interning import CompiledGraph, CompiledLog
-from repro.kernels.scan_numpy import CompiledCredit
+from repro.kernels.scan_numpy import CompiledCredit, _compute_depths
 
-__all__ = ["cd_initial_gains", "Lemma2Discount", "cd_evaluator_numpy"]
+__all__ = [
+    "cd_initial_gains", "Lemma2Discount", "cd_evaluator_numpy", "cd_kappa_numpy",
+]
 
 User = Hashable
 
@@ -152,58 +155,140 @@ def cd_evaluator_numpy(
     """``CDSpreadEvaluator(graph, log, credit)``, built from a CompiledLog.
 
     ``compiled`` reuses a cached :class:`CompiledLog` of every action of
-    ``log`` (compiled on the fly otherwise).  Raises
+    ``log`` (compiled on the fly otherwise).  The evaluator answers with
+    :func:`cd_kappa_numpy`.  Raises
     :class:`~repro.kernels.scan_numpy.UnsupportedCreditScheme` for
     credit schemes other than uniform and time-decay.
     """
     if compiled is None:
         compiled = CompiledLog(CompiledGraph(graph, log.users()), log)
-    compiled_graph = compiled.graph
-    idmap = compiled_graph.idmap
     node_ids = compiled.node_ids_flat
     link_child = compiled.link_child
     # Links are grouped by child position, so a bincount is the CSR.
     total = len(node_ids)
-    link_indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(np.bincount(link_child, minlength=total), out=link_indptr[1:])
-    gammas = CompiledCredit(credit, compiled_graph).exact_gammas(
+    link_start = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(link_child, minlength=total), out=link_start[1:])
+    gammas = CompiledCredit(credit, compiled.graph).exact_gammas(
         link_child,
         compiled.link_parent,
         compiled.link_edge_ids,
         node_ids,
         compiled.times_flat,
-        np.diff(link_indptr)[link_child],
+        np.diff(link_start)[link_child],
     )
-    # Every in-neighbour object of every child, filed under the global
-    # id of its social edge to that child; the links then gather theirs.
-    children = np.unique(node_ids[link_child]).astype(np.int64)
-    in_indptr = compiled_graph.in_indptr
-    degrees = in_indptr[children + 1] - in_indptr[children]
-    neighbors = np.empty(int(degrees.sum()), dtype=object)
-    neighbors[:] = [
-        neighbor
-        for child in children.tolist()
-        for neighbor in graph.in_neighbors(idmap.value_of(child))
-    ]
-    edge_ids, _ = compiled_graph.edge_ids(
-        idmap.intern(neighbors), np.repeat(children, degrees)
+    # User ids in first-seen order: every graph id ranked by its first
+    # position, as the reference's append loop numbers them.
+    node_set, first, inverse = np.unique(
+        node_ids, return_index=True, return_inverse=True
     )
-    by_edge = np.empty(compiled_graph.num_edges, dtype=object)
-    by_edge[edge_ids] = neighbors
-    pairs = list(
-        zip(by_edge[compiled.link_edge_ids].tolist(), gammas.tolist())
-    )
-    bounds = link_indptr.tolist()
+    by_first = np.argsort(first)
+    rank = np.empty(len(node_set), dtype=np.int32)
+    rank[by_first] = np.arange(len(node_set), dtype=np.int32)
+    position_user = rank[inverse]
+    # Each user is the object log.trace holds at its first position.
+    first = first[by_first]
+    offsets = compiled.offsets
+    action_index = np.searchsorted(offsets, first, side="right") - 1
+    actions, starts = compiled.actions, offsets.tolist()
     users = [
-        user for action in compiled.actions for user, _ in log.trace(action)
+        log.trace(actions[action])[position - starts[action]][0]
+        for action, position in zip(action_index.tolist(), first.tolist())
     ]
-    entries = list(
-        zip(users, [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    evaluator = CDSpreadEvaluator.from_columns(
+        users,
+        counts=np.bincount(position_user, minlength=len(users)).astype(
+            np.int32
+        ),
+        offsets=offsets,
+        position_user=position_user,
+        link_start=link_start,
+        link_parent=compiled.link_parent.astype(np.int32),
+        link_gamma=gammas,
     )
-    offsets = compiled.offsets.tolist()
-    # Counter keeps each user's first object and first-seen order, as
-    # the reference's get-and-increment loop does.
-    return CDSpreadEvaluator.from_compiled(
-        dict(Counter(users)),
-        [entries[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
+    evaluator._kernel = "numpy"
+    return evaluator
+
+
+def _depth_order(
+    evaluator: CDSpreadEvaluator,
+) -> list[tuple[np.ndarray, ...]]:
+    """The evaluator's links grouped by their child's depth, built once.
+
+    One ``(parents, gammas, ranks, children)`` tuple per depth level
+    ``1, 2, ...``: the level's links in link order (a stable sort by
+    depth keeps every child's links together and in
+    :meth:`PropagationGraph.parents` order), each link's child as a rank
+    into ``children``, the level's child positions ascending.  A
+    position's parents all sit at smaller depths.  Published by a
+    single attribute assignment and never pickled, like the
+    evaluator's user -> positions map.
+    """
+    levels = evaluator.__dict__.get("_levels")
+    if levels is None:
+        link_start = np.frombuffer(evaluator.link_start, dtype=np.int64)
+        total = len(link_start) - 1
+        parent = np.frombuffer(evaluator.link_parent, dtype=np.int32)
+        parent = parent.astype(np.int64)
+        child = np.repeat(np.arange(total, dtype=np.int64), np.diff(link_start))
+        depth = _compute_depths(total, child, parent)[child]
+        order = np.argsort(depth, kind="stable")
+        child, parent, depth = child[order], parent[order], depth[order]
+        gamma = np.frombuffer(evaluator.link_gamma, dtype=np.float64)[order]
+        # The walk skips a link whose gamma is not positive.
+        gamma[~(gamma > 0.0)] = 0.0
+        first = np.ones(len(child), dtype=bool)
+        first[1:] = child[1:] != child[:-1]
+        rank = np.cumsum(first) - 1
+        bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(child)]
+        levels = [
+            (
+                parent[lo:hi],
+                gamma[lo:hi],
+                rank[lo:hi] - rank[lo],
+                child[lo:hi][first[lo:hi]],
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo
+        ]
+        evaluator._levels = levels
+    return levels
+
+
+def cd_kappa_numpy(
+    evaluator: CDSpreadEvaluator, seeds: Iterable[User]
+) -> dict[User, float]:
+    """``evaluator.kappa(seeds)``, level-synchronous over every link.
+
+    Each depth level is one gather of the parents' credits times the
+    gammas and one ``np.bincount`` into the level's children; seeds stay
+    pinned at 1.0.  ``bincount`` adds a child's links one by one in
+    link order, starting from 0.0, which is the walk's own sum: a link
+    the walk skips (a parent without credit, a gamma that is not
+    positive) adds an exact ``+0.0`` here.  Per-user totals are added in position order
+    the same way, and users come in the order of their first credited
+    position, so values and dict order equal the Python walk's bit for
+    bit.
+    """
+    positions = evaluator._user_positions()
+    pinned = np.fromiter(
+        chain.from_iterable(positions.get(seed, ()) for seed in set(seeds)),
+        dtype=np.int64,
     )
+    if not len(pinned):
+        return {}
+    levels = _depth_order(evaluator)
+    credit = np.zeros(len(evaluator.position_user))
+    credit[pinned] = 1.0
+    for parents, gammas, ranks, children in levels:
+        credit[children] = np.bincount(
+            ranks, weights=credit[parents] * gammas, minlength=len(children)
+        )
+        credit[pinned] = 1.0
+    credited = np.flatnonzero(credit > 0.0)
+    owners = np.frombuffer(evaluator.position_user, dtype=np.int32)[credited]
+    totals = np.bincount(owners, weights=credit[credited])
+    ids, first = np.unique(owners, return_index=True)
+    ids = ids[np.argsort(first)]
+    values = totals[ids] / np.frombuffer(evaluator.counts, dtype=np.int32)[ids]
+    users = evaluator.users
+    return dict(zip([users[i] for i in ids.tolist()], values.tolist()))

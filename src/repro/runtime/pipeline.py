@@ -98,12 +98,9 @@ def _evaluate_chunk(payload: tuple) -> list[list[float]]:
 
 
 def _predict_chunk(payload: tuple) -> list[float]:
-    """One predictor over a chunk of test-trace seed sets.
-
-    ``float`` keeps the CD evaluator's empty-sum ``0`` a ``0.0``.
-    """
+    """One predictor over a chunk of test-trace seed sets."""
     predictor, seed_sets = payload
-    return [float(predictor.spread(list(seeds))) for seeds in seed_sets]
+    return [predictor.spread(list(seeds)) for seeds in seed_sets]
 
 
 # ----------------------------------------------------------------------

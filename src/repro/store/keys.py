@@ -41,7 +41,9 @@ __all__ = [
 # stored celf/celfpp/greedy prefixes over IC/LT oracles changed meaning.
 # Version 3: the credit index (and a cd prefix's resume state) pickles
 # as raw column bytes; stored bytes changed, results did not.
-FORMAT_VERSION = 3
+# Version 4: the sigma_cd evaluator pickles as raw column bytes; stored
+# bytes changed, results did not.
+FORMAT_VERSION = 4
 
 _DIGEST_SIZE = 16  # 128-bit hex keys: 32 characters
 

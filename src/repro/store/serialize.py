@@ -11,8 +11,9 @@ and JSON/TSV would be wrong — because the warm-start contract is
 * floats round-trip bit-exactly, with no decimal formatting layer;
 * node/action identifiers are arbitrary hashables (ints, strings,
   tuples), which a textual format would have to re-parse heuristically;
-* the compiled CSR forms of :mod:`repro.kernels.interning` and the
-  columnar :class:`~repro.core.index.CreditIndex` pickle as raw array
+* the compiled CSR forms of :mod:`repro.kernels.interning`, the
+  columnar :class:`~repro.core.index.CreditIndex` and the columnar
+  :class:`~repro.core.spread.CDSpreadEvaluator` pickle as raw array
   bytes, state already shared with the process executor.
 
 The safety considerations that usually argue against pickle do not

@@ -113,6 +113,8 @@ from repro.utils.retry import RetryPolicy, with_retry
 __all__ = ["QueryService", "ServiceError", "make_server", "serve"]
 
 PREDICT_METHODS = ("CD", "IC", "LT")
+# The metrics' endpoint label of every path the service does not route.
+UNKNOWN_ENDPOINT = "unknown"
 
 logger = logging.getLogger("repro.serve")
 
@@ -844,8 +846,6 @@ class QueryService:
         seeds = self._seeds(payload)
         try:
             predicted = self._coalescer.submit(slot, method, seeds)
-            if method == "CD":
-                predicted = float(predicted)
         except ServiceError:
             raise  # queue backpressure / timeout (503) passes through
         except ValueError as error:
@@ -1122,7 +1122,13 @@ class _Handler(BaseHTTPRequestHandler):
             # request thread with a traceback on stderr.
             self.close_connection = True
 
-    def _run(self, fn, *args) -> None:
+    def _run(self, endpoint: str, fn, *args) -> None:
+        """Answer with ``fn(*args)``, counting the answer under ``endpoint``.
+
+        A :class:`ServiceError` becomes its 4xx/503 answer; every
+        answer is counted, in ``repro_requests_total`` and
+        ``repro_request_seconds``.
+        """
         service = self.service
         trace = obs_trace.current_trace()
         request_id = trace.trace_id if trace is not None else uuid.uuid4().hex[:12]
@@ -1135,14 +1141,18 @@ class _Handler(BaseHTTPRequestHandler):
             body = {"error": str(error)}
             if error.retry_after is not None:
                 headers = {"Retry-After": str(int(error.retry_after))}
+        except TimeoutError:
+            # The client stalled mid-body until the socket timeout:
+            # the connection is dropped unanswered.
+            raise
         except Exception as error:  # pragma: no cover - defensive
             status, body = 500, {"error": f"internal error: {error}"}
         self._respond(status, body, headers)
         duration_s = monotonic() - started
         # Out-of-band by construction: recorded after the response
         # bytes are already on the wire.
-        service._requests.inc(endpoint=self.path, status=status)
-        service._request_seconds.observe(duration_s, endpoint=self.path)
+        service._requests.inc(endpoint=endpoint, status=status)
+        service._request_seconds.observe(duration_s, endpoint=endpoint)
         if self.access_log:
             logger.info(
                 '%s "%s %s" %d %.1fms id=%s',
@@ -1153,6 +1163,9 @@ class _Handler(BaseHTTPRequestHandler):
                 duration_s * 1000.0,
                 request_id,
             )
+
+    def _unknown_path(self) -> dict[str, Any]:
+        raise ServiceError(f"unknown path {self.path!r}", status=404)
 
     def _metrics(self) -> None:
         page = render_exposition(self.service.metrics, default_registry())
@@ -1172,9 +1185,11 @@ class _Handler(BaseHTTPRequestHandler):
         }
         handler = routes.get(self.path)
         if handler is None:
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
+            # One label for every unknown path: a path scan cannot
+            # grow the metrics' label set.
+            self._run(UNKNOWN_ENDPOINT, self._unknown_path)
             return
-        self._run(handler)
+        self._run(self.path, handler)
 
     def do_POST(self) -> None:  # noqa: N802
         routes = {
@@ -1185,31 +1200,34 @@ class _Handler(BaseHTTPRequestHandler):
         }
         handler = routes.get(self.path)
         if handler is None:
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
+            self._run(UNKNOWN_ENDPOINT, self._unknown_path)
             return
+        self._run(self.path, lambda: handler(self._read_body()))
+
+    def _read_body(self) -> dict[str, Any]:
+        """The request body's JSON object; a 400 or 413 otherwise."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
                 # rfile.read(-1) would block until the client hangs up.
                 raise ValueError(f"negative Content-Length {length}")
-            if length > self.max_body_bytes:
-                # The unread body must not be parsed as a next request.
-                self.close_connection = True
-                self._respond(
-                    413,
-                    {
-                        "error": f"request body of {length} bytes exceeds "
-                        f"the {self.max_body_bytes}-byte limit"
-                    },
-                )
-                return
+        except ValueError as error:
+            raise ServiceError(f"bad request body: {error}") from None
+        if length > self.max_body_bytes:
+            # The unread body must not be parsed as a next request.
+            self.close_connection = True
+            raise ServiceError(
+                f"request body of {length} bytes exceeds "
+                f"the {self.max_body_bytes}-byte limit",
+                status=413,
+            )
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
         except (ValueError, TypeError) as error:
-            self._respond(400, {"error": f"bad request body: {error}"})
-            return
-        self._run(handler, payload)
+            raise ServiceError(f"bad request body: {error}") from None
+        return payload
 
 
 def make_server(

@@ -12,7 +12,7 @@ artifact                  route
 ``credit_index``          exact trace-folding via
                           :class:`~repro.core.streaming.StreamingCreditIndex`
                           (uniform credits; time-decay re-learns)
-``cd_evaluator``          per-action compile-and-append via
+``cd_evaluator``          per-action compile, columns appended via
                           :meth:`~repro.core.spread.CDSpreadEvaluator.extend`
                           (uniform credits; time-decay re-learns)
 ``lt_weights``            recount from stored sufficient statistics

@@ -13,7 +13,6 @@ from typing import Hashable, Iterable, Mapping
 
 from repro.core.credit import DirectCredit, UniformCredit
 from repro.core.index import CreditIndex, SeedCredits
-from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
@@ -148,34 +147,48 @@ def naive_sigma_cd(
     return total
 
 
-def full_walk_kappa(
-    evaluator: CDSpreadEvaluator, seeds: Iterable[User]
+def reference_kappa(
+    graph: SocialGraph,
+    log: ActionLog,
+    seeds: Iterable[User],
+    credit: DirectCredit | None = None,
+    actions: Iterable[Hashable] | None = None,
 ) -> dict[User, float]:
-    """``kappa_{S,u}`` by walking *every* compiled action of ``evaluator``.
+    """``kappa_{S,u}`` by the set-credit recursion over fresh propagation DAGs.
 
-    The evaluator itself walks only the actions its seeds performed;
-    this full forward pass is the reference it must match exactly, in
-    values and in dict order.
+    Independent of the evaluator's columns: each action's
+    :class:`PropagationGraph` is built anew and walked in chronological
+    order, every gamma comes from the credit function, and ``A_u``
+    counts the evaluated actions (``actions``, default all of the log's).
+    A seed earns 1.0; any other user the sum, in
+    :meth:`PropagationGraph.parents` order, of a parent's positive credit
+    times a positive gamma.  Users come in the order of their first
+    positive credit, so the evaluator must match values, dict order and
+    floats bit for bit.
     """
+    credit_fn = UniformCredit() if credit is None else credit
     seed_set = set(seeds)
+    wanted = list(log.actions()) if actions is None else list(actions)
+    activity: dict[User, int] = {}
     totals: dict[User, float] = {}
-    for compiled_action in evaluator._compiled:
+    for action in wanted:
+        propagation = PropagationGraph.build(graph, log, action)
         gamma_s: dict[User, float] = {}
-        for user, incoming in compiled_action:
+        for user in propagation.nodes():
+            activity[user] = activity.get(user, 0) + 1
             if user in seed_set:
-                credit = 1.0
+                value = 1.0
             else:
-                credit = 0.0
-                for influencer, gamma in incoming:
-                    source = gamma_s.get(influencer, 0.0)
+                value = 0.0
+                for parent in propagation.parents(user):
+                    source = gamma_s[parent]
+                    gamma = credit_fn(propagation, parent, user)
                     if source > 0.0 and gamma > 0.0:
-                        credit += source * gamma
-            gamma_s[user] = credit
-            if credit > 0.0:
-                totals[user] = totals.get(user, 0.0) + credit
-    return {
-        user: total / evaluator.activity(user) for user, total in totals.items()
-    }
+                        value += source * gamma
+            gamma_s[user] = value
+            if value > 0.0:
+                totals[user] = totals.get(user, 0.0) + value
+    return {user: total / activity[user] for user, total in totals.items()}
 
 
 def nested_credits(index: CreditIndex) -> dict:

@@ -1,11 +1,13 @@
 """Calibration tests: the synthetic datasets behave like the crawls.
 
-DESIGN.md §2 claims four properties of the generators that make the
-Flixster/Flickr substitution faithful.  These tests pin them down with
-the structural metrics of :mod:`repro.graphs.metrics` and action-log
-statistics, so a generator regression that silently breaks a paper
-shape fails here first, with a named property, rather than in a slow
-benchmark.
+The generators of :mod:`repro.data.generator` stand in for the paper's
+Flixster and Flickr crawls.  Four properties make that substitution
+faithful: more initiators anchor larger traces, delays are heavy-tailed,
+per-edge evidence is sparse, and the graphs keep Table 1's relative
+geometry.  These tests pin them down with the structural metrics of
+:mod:`repro.graphs.metrics` and action-log statistics, so a generator
+regression that silently breaks a paper shape fails here first, with a
+named property, rather than in a slow benchmark.
 """
 
 import pytest
@@ -65,7 +67,7 @@ class TestActionLogShape:
         assert sizes[-1] >= 4 * max(1, median)
 
     def test_initiators_anchor_trace_size(self, flixster_mini):
-        """DESIGN §2 property 1: more initiators => larger traces.
+        """More initiators => larger traces.
 
         Checked as a rank correlation sign, not a fit: the mean trace
         size of the top initiator-count quartile exceeds that of the
@@ -86,7 +88,7 @@ class TestActionLogShape:
         assert sum(top) / len(top) > sum(bottom) / len(bottom)
 
     def test_evidence_sparsity_regime(self, flixster_mini):
-        """DESIGN §2: far fewer per-edge observations than social edges.
+        """Far fewer per-edge observations than social edges.
 
         This is the regime where EM's per-edge estimates get noisy
         (support-1 edges) while CD's per-node aggregation stays robust
@@ -109,7 +111,7 @@ class TestActionLogShape:
                 assert user in dataset.graph
 
     def test_delays_bursty(self, flixster_mini):
-        """DESIGN §2 property 2: heavy-tailed delays — most reactions
+        """Heavy-tailed delays — most reactions
         much faster than the mean (stragglers inflate it)."""
         graph = flixster_mini.graph
         log = flixster_mini.log

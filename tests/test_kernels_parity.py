@@ -214,12 +214,25 @@ def _evaluator_credit(scheme: str, graph, log):
     return TimeDecayCredit(params)
 
 
+EVALUATOR_COLUMNS = (
+    "counts", "offsets", "position_user", "link_start", "link_parent",
+    "link_gamma",
+)
+
+
 def _assert_evaluator_parity(graph, log, scheme: str) -> None:
     credit = _evaluator_credit(scheme, graph, log)
     reference = CDSpreadEvaluator(graph, log, credit=credit)
     kernel = cd_evaluator_numpy(graph, log, credit=credit)
-    assert kernel._compiled == reference._compiled
-    assert list(kernel._activity.items()) == list(reference._activity.items())
+    # The same user objects (those log.trace holds), in first-seen order.
+    assert len(kernel.users) == len(reference.users)
+    assert all(
+        mine is theirs for mine, theirs in zip(kernel.users, reference.users)
+    )
+    for name in EVALUATOR_COLUMNS:
+        column, expected = getattr(kernel, name), getattr(reference, name)
+        assert column.typecode == expected.typecode, name
+        assert column.tobytes() == expected.tobytes(), name
     assert dump_payload(kernel) == dump_payload(reference)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import socket
 import statistics
 import threading
 import time
@@ -471,6 +472,62 @@ class TestMetricsEndpoint:
         lines = access_lines()
         assert len(lines) == 3
         assert all("id=" in line and " 200 " in line for line in lines)
+
+    def _request_rows(self, port) -> dict[str, float]:
+        """``repro_requests_total`` samples by label set."""
+        _, _, data = self._request(port, "GET", "/metrics")
+        rows = {}
+        for line in data.decode("utf-8").splitlines():
+            if line.startswith("repro_requests_total{"):
+                name, _, value = line.rpartition(" ")
+                rows[name[len("repro_requests_total"):]] = float(value)
+        return rows
+
+    def test_every_answer_is_counted(self, server):
+        from repro.store.service import UNKNOWN_ENDPOINT
+
+        before = self._request_rows(server)
+        assert self._request(server, "GET", "/nope")[0] == 404
+        assert self._request(server, "POST", "/nope", {})[0] == 404
+        connection = http.client.HTTPConnection("127.0.0.1", server, timeout=60)
+        connection.request("POST", "/select", body="{not json")
+        response = connection.getresponse()
+        response.read()
+        connection.close()
+        assert response.status == 400
+        # A Content-Length over the cap is refused unread, with a 413.
+        with socket.create_connection(("127.0.0.1", server), timeout=30) as sock:
+            sock.sendall(
+                b"POST /select HTTP/1.0\r\nContent-Length: 10000000000000\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.split(b" ", 2)[1] == b"413", reply
+        after = self._request_rows(server)
+        unknown = f'{{endpoint="{UNKNOWN_ENDPOINT}",status="404"}}'
+        gained = {
+            row: after[row] - before.get(row, 0.0)
+            for row in after if after[row] != before.get(row, 0.0)
+        }
+        assert gained == {
+            unknown: 2.0,
+            '{endpoint="/select",status="400"}': 1.0,
+            '{endpoint="/select",status="413"}': 1.0,
+        }
+        # A path scan adds one label row, not one per path.
+        for index in range(50):
+            assert self._request(server, "GET", f"/scan/{index}")[0] == 404
+        scanned = self._request_rows(server)
+        assert set(scanned) == set(after)
+        assert scanned[unknown] == after[unknown] + 50
+        assert not any("/metrics" in row for row in scanned)
+        # The latency histogram counts the same answers.
+        _, _, data = self._request(server, "GET", "/metrics")
+        assert (
+            f'repro_request_seconds_count{{endpoint="{UNKNOWN_ENDPOINT}"}}'
+            in data.decode("utf-8")
+        )
 
     def test_metrics_route_is_not_json(self, server):
         status, headers, data = self._request(server, "GET", "/metrics")

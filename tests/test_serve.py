@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import ExperimentConfig, SelectionContext, run_experiment
 from repro.data.split import train_test_split
+from repro.kernels import available_backends
 from repro.evaluation.prediction import held_out_traces
 from repro.store import ArtifactStore
 from repro.store.service import (
@@ -406,6 +407,51 @@ class TestHTTP:
         assert reply == b""
         assert time.monotonic() - started < 4
         assert self._call(server, "GET", "/healthz")[0] == 200
+
+
+class TestSpreadWithoutActivity:
+    """A seed set without activity spreads to the float 0.0."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["python"] + (["numpy"] if "numpy" in available_backends() else []),
+    )
+    def test_spread_and_cd_predict_answer_zero_point_zero(
+        self, tmp_path, flixster_mini, backend
+    ):
+        root = str(tmp_path / "store")
+        run_experiment(
+            ExperimentConfig(
+                dataset="flixster", scale="mini", selectors=["cd"], ks=[1],
+                backend=backend, store=root,
+            ),
+            dataset=flixster_mini,
+        )
+        server = make_server(root, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            for path, body, field in (
+                ("/spread", {"seeds": [10**9]}, "spread"),
+                ("/predict", {"seeds": [10**9], "method": "CD"},
+                 "predicted_spread"),
+            ):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=30
+                )
+                connection.request("POST", path, body=json.dumps(body))
+                response = connection.getresponse()
+                text = response.read().decode("utf-8")
+                connection.close()
+                assert response.status == 200, text
+                assert f'"{field}": 0.0' in text
+                assert json.loads(text)[field] == 0.0
+        finally:
+            server.shutdown()
+            server.server_close()
+        slot = QueryService(root).slot(None)
+        assert slot.context.cd_evaluator()._kernel == backend
 
 
 class TestPredictMatchesPipeline:
