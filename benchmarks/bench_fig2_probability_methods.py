@@ -97,7 +97,7 @@ def test_fig2c_rmse_flickr(benchmark, report, flickr_small):
             title="Figure 2(c) (flickr_small) — overall RMSE",
         )
     )
-    # Documented deviation (see EXPERIMENTS.md): at this miniature scale
+    # Documented deviation (docs/CLAIMS.md, row C2): at this miniature scale
     # the dense dataset's overall RMSE is dominated by a handful of very
     # large traces and does not separate the probability methods the way
     # the paper's full-size Flickr does; we assert only that EM stays in

@@ -32,6 +32,7 @@ def test_fig7_runtime_comparison(benchmark, report, flixster_small):
         ks=[K_RUNTIME],
         num_simulations=NUM_SIMULATIONS,
         evaluate_spread=False,  # pure-runtime experiment
+        executor="serial",  # parallel prefetch would drop CD's scan
     )
     curves = benchmark.pedantic(
         # A fresh context per run: each method pays for the artifacts

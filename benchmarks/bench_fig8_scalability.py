@@ -1,10 +1,12 @@
 """Figure 8: CD runtime (left) and memory (right) vs number of tuples.
 
-Sweeps the number of training tuples on the large datasets, timing the
-full CD pipeline (parameter learning + Algorithm-2 scan + seed
-selection) and recording the credit index's exact buffer size.  Expected
-shape: both curves grow roughly linearly in the tuple count, with the
-scan dominating runtime (the paper: 11.6 of 15 minutes spent scanning).
+Sweeps the number of training tuples on the large datasets: each point
+is one ``cd`` run through ``run_experiment`` over its own context, timed
+by its spans (the ``credit_index`` build, which learns the parameters
+and scans the log, and ``maximize.cd``), with the credit index's exact
+buffer size as memory.  Expected shape: both curves grow roughly
+linearly in the tuple count, with the scan dominating runtime (the
+paper: 11.6 of 15 minutes spent scanning).
 
 The sketch-path sweep extends the figure past where Monte-Carlo
 selection is runnable: synthetic WC graphs from 100k up to 1M nodes,
@@ -17,7 +19,7 @@ import time
 import pytest
 
 from bench_sketch import build_synthetic_csr
-from repro.evaluation.performance import scalability_experiment
+from benchmarks.conftest import tuple_sweep
 from repro.evaluation.reporting import format_table
 from repro.kernels import numpy_available
 
@@ -25,11 +27,8 @@ K = 25
 
 
 def _sweep(dataset, fractions=(0.25, 0.5, 0.75, 1.0)):
-    total = dataset.log.num_tuples
-    counts = [int(total * fraction) for fraction in fractions]
-    return scalability_experiment(
-        dataset.graph, dataset.log, tuple_counts=counts, k=K
-    )
+    rows, _ = tuple_sweep(dataset, fractions, K)
+    return rows
 
 
 def test_fig8_flixster_large(benchmark, report, flixster_large):

@@ -1,25 +1,28 @@
 """Figure 9: solution quality vs number of training tuples.
 
-For each tuple budget, the CD pipeline selects seeds from the sub-log;
-quality is (a) the spread of those seeds under the *full-log* CD model
-and (b) the overlap with the "true seeds" selected from the complete
-log.  Expected shape: both saturate well before the full log — a small
-sample of traces suffices, which is why the paper concludes memory "in
-reality ... is not that high".
+For each tuple budget, one ``cd`` run through ``run_experiment`` selects
+seeds from the sub-log; quality is (a) the spread of those seeds under
+the *full-log* CD model (the full-log point's ``cd_evaluator()``) and
+(b) the overlap with the "true seeds", the full-log point's own.
+Expected shape: both saturate well before the full log — a small sample
+of traces suffices, which is why the paper concludes memory "in reality
+... is not that high".
 """
 
-from repro.evaluation.performance import scalability_experiment
+from benchmarks.conftest import tuple_sweep
 from repro.evaluation.reporting import format_table
 
 K = 25
 
 
 def _sweep(dataset, fractions=(0.15, 0.3, 0.5, 0.75, 1.0)):
-    total = dataset.log.num_tuples
-    counts = [int(total * f) for f in fractions]
-    return scalability_experiment(
-        dataset.graph, dataset.log, tuple_counts=counts, k=K
-    )
+    rows, full = tuple_sweep(dataset, fractions, K)
+    evaluator = full.cd_evaluator()
+    true_seeds = set(rows[-1].seeds)
+    for row in rows:
+        row.spread = evaluator.spread(row.seeds)
+        row.true_seed_overlap = len(true_seeds & set(row.seeds))
+    return rows
 
 
 def _report_rows(report, rows, name):

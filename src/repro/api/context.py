@@ -13,10 +13,15 @@ property the registry's parity guarantees rest on.  That includes the
 models built over the artifacts: :meth:`SelectionContext.oracle` is the
 selectors' spread oracle and :meth:`SelectionContext.predictor` the
 prediction protocol's model, for the pipeline and ``/predict`` alike.
+
+Each slot the context builds records one ``context.build`` span
+(attribute ``artifact``) under an active :mod:`repro.obs` trace; a
+stored or injected slot records none.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.credit import TimeDecayCredit
@@ -27,6 +32,7 @@ from repro.data.propagation import PropagationGraph
 from repro.graphs.digraph import SocialGraph
 from repro.kernels import resolve_backend
 from repro.maximization.oracle import SpreadOracle
+from repro.obs import trace as obs_trace
 from repro.runtime.estimator import SpreadEstimator
 from repro.runtime.executor import Executor, as_executor
 from repro.utils.rng import derive_seed as _derive_seed
@@ -378,10 +384,11 @@ class SelectionContext:
         if self._compiled_log is None and self._stored("compiled_log") is None:
             from repro.kernels.interning import CompiledGraph, CompiledLog
 
-            log = self._require_log("log compilation")
-            self._compiled_log = CompiledLog(
-                CompiledGraph(self.graph, log.users()), log
-            )
+            with obs_trace.span("context.build", artifact="compiled_log"):
+                log = self._require_log("log compilation")
+                self._compiled_log = CompiledLog(
+                    CompiledGraph(self.graph, log.users()), log
+                )
         return self._compiled_log
 
     # ------------------------------------------------------------------
@@ -402,35 +409,36 @@ class SelectionContext:
             method in IC_PROBABILITY_METHODS,
             f"method must be one of {IC_PROBABILITY_METHODS}, got {method!r}",
         )
-        if (
-            method not in self._probabilities
-            and self._stored(_PROBABILITY_PREFIX + method) is None
-        ):
-            if method == "UN":
-                value = uniform_probabilities(self.graph)
-            elif method == "TV":
-                value = trivalency_probabilities(self.graph, seed=self.seed)
-            elif method == "WC":
-                value = weighted_cascade_probabilities(self.graph)
-            elif method == "EM":
-                log = self._require_log("EM probability learning")
-                if self.backend == "numpy":
-                    from repro.kernels.em_numpy import (
-                        learn_ic_probabilities_em_numpy,
+        name = _PROBABILITY_PREFIX + method
+        if method not in self._probabilities and self._stored(name) is None:
+            with obs_trace.span("context.build", artifact=name):
+                if method == "UN":
+                    value = uniform_probabilities(self.graph)
+                elif method == "TV":
+                    value = trivalency_probabilities(
+                        self.graph, seed=self.seed
                     )
+                elif method == "WC":
+                    value = weighted_cascade_probabilities(self.graph)
+                elif method == "EM":
+                    log = self._require_log("EM probability learning")
+                    if self.backend == "numpy":
+                        from repro.kernels.em_numpy import (
+                            learn_ic_probabilities_em_numpy,
+                        )
 
-                    value = learn_ic_probabilities_em_numpy(
-                        self.graph, log, compiled=self.compiled_log()
-                    ).probabilities
-                else:
-                    value = learn_ic_probabilities_em(
-                        self.graph, log, propagations=self.propagation
-                    ).probabilities
-            else:  # PT
-                value = perturb_probabilities(
-                    self.ic_probabilities("EM"), noise=0.2, seed=self.seed
-                )
-            self._probabilities[method] = value
+                        value = learn_ic_probabilities_em_numpy(
+                            self.graph, log, compiled=self.compiled_log()
+                        ).probabilities
+                    else:
+                        value = learn_ic_probabilities_em(
+                            self.graph, log, propagations=self.propagation
+                        ).probabilities
+                else:  # PT
+                    value = perturb_probabilities(
+                        self.ic_probabilities("EM"), noise=0.2, seed=self.seed
+                    )
+                self._probabilities[method] = value
         return self._probabilities[method]
 
     def lt_weights(self) -> dict[Edge, float]:
@@ -438,11 +446,12 @@ class SelectionContext:
         from repro.probabilities.lt_weights import learn_lt_weights
 
         if self._lt_weights is None and self._stored("lt_weights") is None:
-            self._lt_weights = learn_lt_weights(
-                self.graph,
-                self._require_log("LT weight learning"),
-                propagations=self.propagation,
-            )
+            with obs_trace.span("context.build", artifact="lt_weights"):
+                self._lt_weights = learn_lt_weights(
+                    self.graph,
+                    self._require_log("LT weight learning"),
+                    propagations=self.propagation,
+                )
         return self._lt_weights
 
     def influence_params(self):
@@ -456,21 +465,22 @@ class SelectionContext:
         from repro.core.params import learn_influenceability
 
         if self._params is None and self._stored("influence_params") is None:
-            log = self._require_log("influenceability learning")
-            if self.backend == "numpy":
-                from repro.kernels.params_numpy import (
-                    learn_influenceability_numpy,
-                )
+            with obs_trace.span("context.build", artifact="influence_params"):
+                log = self._require_log("influenceability learning")
+                if self.backend == "numpy":
+                    from repro.kernels.params_numpy import (
+                        learn_influenceability_numpy,
+                    )
 
-                self._params = learn_influenceability_numpy(
-                    self.graph, log, compiled=self.compiled_log()
-                )
-            else:
-                self._params = learn_influenceability(
-                    self.graph,
-                    log,
-                    propagations=self.propagation,
-                )
+                    self._params = learn_influenceability_numpy(
+                        self.graph, log, compiled=self.compiled_log()
+                    )
+                else:
+                    self._params = learn_influenceability(
+                        self.graph,
+                        log,
+                        propagations=self.propagation,
+                    )
         return self._params
 
     def sketches(
@@ -524,28 +534,35 @@ class SelectionContext:
         key = (method, count, hops, generation_seed)
         if not default and key in self._sketch_cache:
             return self._sketch_cache[key]
-        probabilities = self.ic_probabilities(method)
-        if self.backend == "numpy":
-            from repro.kernels.sketch_numpy import CompiledSketcher
+        # Only the default batch fills a slot, so only it is a slot build.
+        building = (
+            obs_trace.span("context.build", artifact="sketches")
+            if default
+            else nullcontext()
+        )
+        with building:
+            probabilities = self.ic_probabilities(method)
+            if self.backend == "numpy":
+                from repro.kernels.sketch_numpy import CompiledSketcher
 
-            sketcher = self._sketchers.get(method)
-            if sketcher is None:
-                sketcher = CompiledSketcher.from_graph(
-                    self.graph, probabilities
+                sketcher = self._sketchers.get(method)
+                if sketcher is None:
+                    sketcher = CompiledSketcher.from_graph(
+                        self.graph, probabilities
+                    )
+                    self._sketchers[method] = sketcher
+                value = sketcher.generate(
+                    count, hops=hops, seed=generation_seed, method=method
                 )
-                self._sketchers[method] = sketcher
-            value = sketcher.generate(
-                count, hops=hops, seed=generation_seed, method=method
-            )
-        else:
-            value = generate_sketches(
-                self.graph,
-                probabilities,
-                count,
-                hops=hops,
-                seed=generation_seed,
-                method=method,
-            )
+            else:
+                value = generate_sketches(
+                    self.graph,
+                    probabilities,
+                    count,
+                    hops=hops,
+                    seed=generation_seed,
+                    method=method,
+                )
         if default:
             self._sketches = value
         else:
@@ -566,26 +583,27 @@ class SelectionContext:
         context uses (uniform and time-decay).
         """
         if self._credit_index is None and self._stored("credit_index") is None:
-            log = self._require_log("the credit-index scan")
-            credit = self._credit()
-            if self.backend == "numpy":
-                from repro.kernels.scan_numpy import scan_action_log_numpy
+            with obs_trace.span("context.build", artifact="credit_index"):
+                log = self._require_log("the credit-index scan")
+                credit = self._credit()
+                if self.backend == "numpy":
+                    from repro.kernels.scan_numpy import scan_action_log_numpy
 
-                self._credit_index = scan_action_log_numpy(
-                    self.graph,
-                    log,
-                    credit=credit,
-                    truncation=self.truncation,
-                    compiled=self.compiled_log(),
-                )
-            else:
-                self._credit_index = scan_action_log(
-                    self.graph,
-                    log,
-                    credit=credit,
-                    truncation=self.truncation,
-                    propagations=self.propagation,
-                )
+                    self._credit_index = scan_action_log_numpy(
+                        self.graph,
+                        log,
+                        credit=credit,
+                        truncation=self.truncation,
+                        compiled=self.compiled_log(),
+                    )
+                else:
+                    self._credit_index = scan_action_log(
+                        self.graph,
+                        log,
+                        credit=credit,
+                        truncation=self.truncation,
+                        propagations=self.propagation,
+                    )
         return self._credit_index
 
     def cd_evaluator(self) -> CDSpreadEvaluator:
@@ -598,23 +616,24 @@ class SelectionContext:
         kernel.
         """
         if self._cd_evaluator is None and self._stored("cd_evaluator") is None:
-            log = self._require_log("sigma_cd evaluation")
-            if self.backend == "numpy":
-                from repro.kernels.cd_numpy import cd_evaluator_numpy
+            with obs_trace.span("context.build", artifact="cd_evaluator"):
+                log = self._require_log("sigma_cd evaluation")
+                if self.backend == "numpy":
+                    from repro.kernels.cd_numpy import cd_evaluator_numpy
 
-                self._cd_evaluator = cd_evaluator_numpy(
-                    self.graph,
-                    log,
-                    credit=self._credit(),
-                    compiled=self.compiled_log(),
-                )
-            else:
-                self._cd_evaluator = CDSpreadEvaluator(
-                    self.graph,
-                    log,
-                    credit=self._credit(),
-                    propagations=self.propagation,
-                )
+                    self._cd_evaluator = cd_evaluator_numpy(
+                        self.graph,
+                        log,
+                        credit=self._credit(),
+                        compiled=self.compiled_log(),
+                    )
+                else:
+                    self._cd_evaluator = CDSpreadEvaluator(
+                        self.graph,
+                        log,
+                        credit=self._credit(),
+                        propagations=self.propagation,
+                    )
         return self._cd_evaluator
 
     def _hold_cd_evaluator(self, evaluator: CDSpreadEvaluator | None) -> None:

@@ -512,7 +512,11 @@ class ExperimentResult:
         """Per-label cumulative runtime-vs-k curves (first trial).
 
         Only selectors whose adapter supports ``time_log`` appear;
-        entries include lazily triggered artifact-building time.
+        entries include lazily triggered artifact-building time.  Under
+        a parallel executor the learn stage prefetches the shared
+        artifacts, so their builds are counted in ``timings["learn_s"]``,
+        not in the curves; run serially to charge each selector with
+        the builds it triggers.
         """
         curves: dict[str, list[tuple[int, float]]] = {}
         for label in self.labels():

@@ -34,6 +34,7 @@ from typing import Any, Callable, Hashable
 from repro.core.index import CreditIndex, SeedCredits
 from repro.kernels import resolve_backend
 from repro.maximization.greedy import GreedyResult
+from repro.obs import trace as obs_trace
 from repro.utils.pqueue import LazyQueue
 from repro.utils.validation import require
 
@@ -167,62 +168,64 @@ def cd_maximize(
     marginal-gain evaluations (the CELF efficiency metric).
     """
     require(k >= 0, f"k must be non-negative, got {k}")
-    started = time.perf_counter()
-    result = GreedyResult()
-    vectorized = resolve_backend(backend) == "numpy"
-    if state is not None:
-        working = state.index.copy()
-        seed_credits = state.seed_credits.copy()
-        queue = LazyQueue.restore(state.queue)
-        result.seeds = list(state.seeds)
-        result.gains = list(state.gains)
-        result.spread = state.spread
-        result.oracle_calls = state.oracle_calls
-    else:
-        working = index if mutate else index.copy()
-        seed_credits = SeedCredits()
-        queue = LazyQueue()
+    with obs_trace.span("maximize.cd", k=k) as span:
+        started = time.perf_counter()
+        result = GreedyResult()
+        vectorized = resolve_backend(backend) == "numpy"
+        if state is not None:
+            working = state.index.copy()
+            seed_credits = state.seed_credits.copy()
+            queue = LazyQueue.restore(state.queue)
+            result.seeds = list(state.seeds)
+            result.gains = list(state.gains)
+            result.spread = state.spread
+            result.oracle_calls = state.oracle_calls
+        else:
+            working = index if mutate else index.copy()
+            seed_credits = SeedCredits()
+            queue = LazyQueue()
+            if vectorized:
+                from repro.kernels.cd_numpy import cd_initial_gains
+
+                for user, gain in cd_initial_gains(working):
+                    result.oracle_calls += 1
+                    queue.push(user, gain, iteration=0)
+            else:
+                for user in list(working.users()):
+                    gain = marginal_gain(working, seed_credits, user)
+                    result.oracle_calls += 1
+                    queue.push(user, gain, iteration=0)
+        discount = working.discount_through
         if vectorized:
-            from repro.kernels.cd_numpy import cd_initial_gains
+            from repro.kernels.cd_numpy import Lemma2Discount
 
-            for user, gain in cd_initial_gains(working):
+            discount = Lemma2Discount(working)
+        while len(result.seeds) < k and queue:
+            entry = queue.pop()
+            if entry.iteration == len(result.seeds):
+                result.seeds.append(entry.item)
+                result.gains.append(entry.gain)
+                result.spread += entry.gain
+                _absorb_seed(working, seed_credits, entry.item, discount)
+                if time_log is not None:
+                    time_log.append((len(result.seeds), time.perf_counter() - started))
+                if checkpoints is not None:
+                    checkpoints.append((result.oracle_calls, result.spread))
+            else:
+                gain = marginal_gain(working, seed_credits, entry.item)
                 result.oracle_calls += 1
-                queue.push(user, gain, iteration=0)
-        else:
-            for user in list(working.users()):
-                gain = marginal_gain(working, seed_credits, user)
-                result.oracle_calls += 1
-                queue.push(user, gain, iteration=0)
-    discount = working.discount_through
-    if vectorized:
-        from repro.kernels.cd_numpy import Lemma2Discount
-
-        discount = Lemma2Discount(working)
-    while len(result.seeds) < k and queue:
-        entry = queue.pop()
-        if entry.iteration == len(result.seeds):
-            result.seeds.append(entry.item)
-            result.gains.append(entry.gain)
-            result.spread += entry.gain
-            _absorb_seed(working, seed_credits, entry.item, discount)
-            if time_log is not None:
-                time_log.append((len(result.seeds), time.perf_counter() - started))
-            if checkpoints is not None:
-                checkpoints.append((result.oracle_calls, result.spread))
-        else:
-            gain = marginal_gain(working, seed_credits, entry.item)
-            result.oracle_calls += 1
-            queue.push(entry.item, gain, iteration=len(result.seeds))
-    if state_out is not None:
-        state_out.append(
-            CDState(
-                index=working,
-                seed_credits=seed_credits,
-                queue=queue.snapshot(),
-                seeds=list(result.seeds),
-                gains=list(result.gains),
-                spread=result.spread,
-                oracle_calls=result.oracle_calls,
+                queue.push(entry.item, gain, iteration=len(result.seeds))
+        if state_out is not None:
+            state_out.append(
+                CDState(
+                    index=working,
+                    seed_credits=seed_credits,
+                    queue=queue.snapshot(),
+                    seeds=list(result.seeds),
+                    gains=list(result.gains),
+                    spread=result.spread,
+                    oracle_calls=result.oracle_calls,
+                )
             )
-        )
-    return result
+        span.set(oracle_calls=result.oracle_calls, seeds=len(result.seeds))
+        return result

@@ -176,13 +176,15 @@ class ActionLog:
         return sublog
 
     def head_tuples(self, limit: int) -> "ActionLog":
-        """Return a new log with whole traces until ``limit`` tuples are reached.
+        """Return a new log of whole traces holding at most ``limit`` tuples.
 
         Used by the scalability experiments (Figures 8-9), which sweep the
         number of training tuples by sampling whole propagation traces.
-        Traces are taken in insertion order; the first trace that would
-        exceed ``limit`` is excluded (so the result has at most ``limit``
-        tuples).
+        Traces are visited in insertion order; each one that still fits
+        in ``limit`` is kept, and each one that would overflow it is
+        skipped while later, smaller traces are still added.  Over traces
+        of 2, 5 and 1 tuples, ``head_tuples(3)`` keeps the first and the
+        third.
         """
         sublog = ActionLog()
         total = 0

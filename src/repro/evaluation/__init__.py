@@ -2,8 +2,13 @@
 
 The paper's two evaluation protocols — held-out spread prediction
 (Figures 2-4) and seed selection scored under the CD proxy (Table 2,
-Figures 5-9) — run only through :func:`repro.api.run_experiment`.  This
-package measures and reports what they produce:
+Figures 5-9) — run only through :func:`repro.api.run_experiment`.  The
+tuple-count and truncation sweeps (Figures 8-9, Table 4) are one
+:class:`~repro.api.SelectionContext` per point through it, timed by
+the ``context.build`` and ``maximize.cd`` spans of :mod:`repro.obs`.
+``docs/CLAIMS.md`` names the benchmark assertion that checks each of
+the paper's claims.  This package measures and reports what the
+protocols produce:
 
 * :mod:`~repro.evaluation.metrics` — binned RMSE (Figures 2-3), the
   absolute-error capture curve (Figure 4), seed-set intersection
@@ -14,8 +19,6 @@ package measures and reports what they produce:
   registry selectors;
 * :mod:`~repro.evaluation.comparison` — bootstrap model comparison and
   the selector head-to-head;
-* :mod:`~repro.evaluation.performance` — scalability, training-size and
-  truncation sweeps (Figures 8-9, Table 4);
 * :mod:`~repro.evaluation.reporting` — ASCII rendering shared by the
   benchmark suite.
 """
@@ -33,10 +36,6 @@ from repro.evaluation.metrics import (
     seed_set_intersections,
 )
 from repro.evaluation.prediction import PredictionExperiment, held_out_traces
-from repro.evaluation.performance import (
-    scalability_experiment,
-    truncation_experiment,
-)
 from repro.evaluation.comparison import (
     ComparisonResult,
     ModelReport,
@@ -71,8 +70,6 @@ __all__ = [
     "seed_set_intersections",
     "PredictionExperiment",
     "held_out_traces",
-    "scalability_experiment",
-    "truncation_experiment",
     "format_table",
     "format_series",
     "format_matrix",

@@ -130,5 +130,17 @@ class TestRestriction:
     def test_head_tuples_large_limit_keeps_everything(self, log):
         assert log.head_tuples(100).num_tuples == log.num_tuples
 
+    def test_head_tuples_skips_an_overflowing_trace_not_the_rest(self):
+        # Traces of 2, 5 and 1 tuples: the 5-tuple trace would overflow
+        # the limit, and the 1-tuple trace after it still fits.
+        log = ActionLog.from_tuples(
+            [(user, "a", float(user)) for user in range(2)]
+            + [(user, "b", float(user)) for user in range(5)]
+            + [(0, "c", 0.0)]
+        )
+        sub = log.head_tuples(3)
+        assert list(sub.actions()) == ["a", "c"]
+        assert sub.num_tuples == 3
+
     def test_repr(self, log):
         assert "num_tuples=4" in repr(log)

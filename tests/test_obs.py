@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.api import ExperimentConfig, run_experiment
+from repro.api import ExperimentConfig, SelectionContext, run_experiment
 from repro.obs.metrics import (
     EXPOSITION_CONTENT_TYPE,
     Registry,
@@ -335,6 +335,87 @@ class TestTraceParity:
         assert gauge.value(stage="select") >= 0.0
         rendered = default_registry().render()
         assert 'repro_stage_seconds{stage="select"}' in rendered
+
+
+# ---------------------------------------------------------------------------
+# Build and maximize spans: what the Figure 8-9 and Table 4 sweeps read
+# ---------------------------------------------------------------------------
+def _traced_cd_run(context, **config):
+    with Trace(trace_id="build-spans").activate() as trace:
+        result = run_experiment(
+            ExperimentConfig(selectors=["cd"], ks=[3], **config),
+            context=context,
+        )
+    return result, trace.spans
+
+
+def _named(spans, name):
+    return [recorded for recorded in spans if recorded.name == name]
+
+
+class TestBuildSpans:
+    def test_cd_run_records_one_maximize_span(self, flixster_mini):
+        context = SelectionContext(flixster_mini.graph, flixster_mini.log)
+        result, spans = _traced_cd_run(context)
+        (maximize,) = _named(spans, "maximize.cd")
+        selection = result.runs[0].selection
+        assert maximize.attrs == {
+            "k": 3,
+            "oracle_calls": selection.oracle_calls,
+            "seeds": len(selection.seeds),
+        }
+
+    def test_one_build_span_per_slot_built(self, flixster_mini):
+        context = SelectionContext(flixster_mini.graph, flixster_mini.log)
+        _, spans = _traced_cd_run(context)
+        builds = {
+            recorded.attrs["artifact"]: recorded
+            for recorded in _named(spans, "context.build")
+        }
+        assert len(builds) == len(_named(spans, "context.build"))
+        assert sorted(builds) == sorted(context.artifact_names())
+        # The scan builds the influence parameters it reads inside its
+        # own span: a sweep's scan seconds include them.
+        assert (
+            builds["influence_params"].parent_id
+            == builds["credit_index"].span_id
+        )
+
+    def test_only_the_default_sketch_batch_is_a_slot_build(
+        self, flixster_mini
+    ):
+        context = SelectionContext(
+            flixster_mini.graph, flixster_mini.log, num_sketches=50
+        )
+        with Trace(trace_id="sketches").activate() as trace:
+            context.sketches(seed=99)  # a per-trial batch fills no slot
+            context.sketches()
+        built = [
+            recorded.attrs["artifact"]
+            for recorded in _named(trace.spans, "context.build")
+        ]
+        assert built.count("sketches") == 1
+        assert sorted(built) == sorted(context.artifact_names())
+
+    def test_no_build_span_for_an_injected_or_stored_slot(
+        self, flixster_mini, tmp_path
+    ):
+        built = SelectionContext(flixster_mini.graph, flixster_mini.log)
+        built.credit_index()
+        built.cd_evaluator()
+        injected = SelectionContext(flixster_mini.graph, flixster_mini.log)
+        for name in built.artifact_names():
+            injected.set_artifact(name, built.get_artifact(name))
+        _, spans = _traced_cd_run(injected)
+        assert _named(spans, "maximize.cd")
+        assert _named(spans, "context.build") == []
+
+        config = ExperimentConfig(**_PARITY_CONFIG, store=str(tmp_path))
+        run_experiment(config)  # learns every slot and stores it
+        with Trace(trace_id="stored").activate() as trace:
+            warm = run_experiment(config)
+        assert warm.store_events["misses"] == []
+        assert _named(trace.spans, "context.build") == []
 
 
 # ---------------------------------------------------------------------------

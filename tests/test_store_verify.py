@@ -20,7 +20,7 @@ from repro.store import ArtifactStore
 from repro.store.keys import artifact_key
 from repro.store.serialize import checksum
 from repro.store.verify import verify_store
-from repro.store.warm import warm_start
+from repro.store.warm import CONTEXT_RECORD, warm_start
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,31 @@ def _entry_dir(store, key):
     return store.root / "objects" / key[:2] / key
 
 
+def _entry(store, artifact):
+    """The entry of ``artifact``, by name: the store's listing order
+    follows the keys, which depend on the backend."""
+    return next(
+        entry for entry in store.entries()
+        if entry.meta.get("artifact") == artifact
+    )
+
+
+def _damage_targets(bundle_template, tmp_path):
+    """(fresh store copy, entry) for an artifact payload, then the record."""
+    for artifact in ("credit_index", CONTEXT_RECORD):
+        root = tmp_path / artifact.strip("_")
+        shutil.copytree(bundle_template, root)
+        store = ArtifactStore(root)
+        yield store, _entry(store, artifact)
+
+
+# A damaged context record is skipped, with a warning, by the record
+# listing the cross-checks read.
+_SKIPPED_RECORD = pytest.mark.filterwarnings(
+    "ignore:skipping corrupt context record:RuntimeWarning"
+)
+
+
 def _kinds(report):
     return {problem.kind for problem in report.problems}
 
@@ -63,34 +88,36 @@ class TestVerifyStore:
         assert report.records == 1
         assert report.payload_bytes > 0
 
-    def test_torn_payload_is_an_error(self, store):
-        entry = store.entries()[0]
-        path = _entry_dir(store, entry.key) / entry.payload_name
-        path.write_bytes(b"torn")
-        report = verify_store(store)
-        assert not report.clean
-        assert "torn-payload" in _kinds(report)
-        assert any(p.key == entry.key for p in report.errors)
+    @_SKIPPED_RECORD
+    def test_torn_payload_is_an_error(self, bundle_template, tmp_path):
+        for store, entry in _damage_targets(bundle_template, tmp_path):
+            path = _entry_dir(store, entry.key) / entry.payload_name
+            path.write_bytes(b"torn")
+            report = verify_store(store)
+            assert not report.clean
+            assert "torn-payload" in _kinds(report)
+            assert any(p.key == entry.key for p in report.errors)
 
-    def test_corrupt_manifest_is_an_error(self, store):
-        entry = store.entries()[0]
-        (_entry_dir(store, entry.key) / "manifest.json").write_text("{not json")
-        report = verify_store(store)
-        assert not report.clean
-        assert "corrupt-manifest" in _kinds(report)
+    def test_corrupt_manifest_is_an_error(self, bundle_template, tmp_path):
+        for store, entry in _damage_targets(bundle_template, tmp_path):
+            manifest = _entry_dir(store, entry.key) / "manifest.json"
+            manifest.write_text("{not json")
+            report = verify_store(store)
+            assert not report.clean
+            assert "corrupt-manifest" in _kinds(report)
+            assert any(p.key == entry.key for p in report.errors)
 
-    def test_missing_payload_is_an_error(self, store):
-        entry = store.entries()[0]
-        (_entry_dir(store, entry.key) / entry.payload_name).unlink()
-        report = verify_store(store)
-        assert not report.clean
-        assert "missing-payload" in _kinds(report)
+    @_SKIPPED_RECORD
+    def test_missing_payload_is_an_error(self, bundle_template, tmp_path):
+        for store, entry in _damage_targets(bundle_template, tmp_path):
+            (_entry_dir(store, entry.key) / entry.payload_name).unlink()
+            report = verify_store(store)
+            assert not report.clean
+            assert "missing-payload" in _kinds(report)
+            assert any(p.key == entry.key for p in report.errors)
 
     def test_deleted_referenced_entry_is_a_dangling_reference(self, store):
-        record = next(
-            entry for entry in store.entries()
-            if entry.meta.get("artifact") == "credit_index"
-        )
+        record = _entry(store, "credit_index")
         store.delete(record.key)
         report = verify_store(store)
         assert not report.clean
@@ -107,10 +134,7 @@ class TestVerifyStore:
     def test_checksum_clean_but_undecodable_needs_deep(self, store):
         # An artifact entry, not the record: garbling the record would
         # orphan the artifacts and the shallow pass would see that.
-        entry = next(
-            entry for entry in store.entries()
-            if entry.meta.get("artifact") == "credit_index"
-        )
+        entry = _entry(store, "credit_index")
         directory = _entry_dir(store, entry.key)
         junk = b"not a pickle stream"
         (directory / entry.payload_name).write_bytes(junk)
@@ -145,13 +169,16 @@ class TestVerifyStore:
         assert report.clean
         assert "uncommitted" in _kinds(report)
 
-    def test_superseded_payload_generation_is_a_note(self, store):
-        entry = store.entries()[0]
-        directory = _entry_dir(store, entry.key)
-        (directory / "payload-0123456789ab.bin").write_bytes(b"old bytes")
-        report = verify_store(store)
-        assert report.clean
-        assert "stale-payload" in _kinds(report)
+    def test_superseded_payload_generation_is_a_note(
+        self, bundle_template, tmp_path
+    ):
+        for store, entry in _damage_targets(bundle_template, tmp_path):
+            directory = _entry_dir(store, entry.key)
+            (directory / "payload-0123456789ab.bin").write_bytes(b"old bytes")
+            report = verify_store(store)
+            assert report.clean
+            assert [p.key for p in report.notes] == [entry.key]
+            assert "stale-payload" in _kinds(report)
 
     def test_report_to_dict_counts(self, store):
         store.put(
@@ -174,7 +201,7 @@ class TestVerifyCli:
     def test_damaged_store_exits_one_and_renders_problems(
         self, store, capsys
     ):
-        entry = store.entries()[0]
+        entry = _entry(store, "credit_index")
         path = _entry_dir(store, entry.key) / entry.payload_name
         path.write_bytes(b"torn")
         code = main(["store", "verify", "--store", str(store.root)])
