@@ -19,8 +19,9 @@ every substrate its evaluation depends on:
   maximizer built on Theorem 3, and the campaign-planning extensions
   (seed minimization, budgeted selection, topic conditioning,
   streaming maintenance, influence analytics);
-* :mod:`repro.evaluation` — drivers and metrics for every table and
-  figure in the paper's evaluation section;
+* :mod:`repro.evaluation` — the metrics, statistics and reporting that
+  score what :func:`repro.api.run_experiment` produces for each table
+  and figure of the paper's evaluation section;
 * :mod:`repro.api` — the canonical programmatic surface: the selector
   registry (every algorithm above behind one name and calling
   convention), the unified :class:`SeedSelection` result model, and the

@@ -21,7 +21,6 @@ stored or injected slot records none.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.credit import TimeDecayCredit
@@ -56,7 +55,7 @@ CREDIT_SCHEMES = ("timedecay", "uniform")
 
 # The persistable learned-artifact slots (the vocabulary of
 # :mod:`repro.store`): per-method IC probabilities plus the singleton
-# caches, the interned CSR form and the default RR-sketch batch.
+# caches and the interned CSR form.
 _PROBABILITY_PREFIX = "ic_probabilities/"
 ARTIFACT_NAMES = tuple(
     f"{_PROBABILITY_PREFIX}{method}" for method in IC_PROBABILITY_METHODS
@@ -66,7 +65,6 @@ ARTIFACT_NAMES = tuple(
     "credit_index",
     "cd_evaluator",
     "compiled_log",
-    "sketches",
 )
 
 # The slots a context builds from the graph (and seed) alone: a run
@@ -91,10 +89,6 @@ PREDICTION_ARTIFACTS = {
     "LT": "lt_weights",
     "CD": "cd_evaluator",
 }
-
-# Distinguishes "use the context's sketch_hops" from an explicit
-# ``hops=None`` (unbounded reverse reachability).
-_UNSET = object()
 
 
 class SelectionContext:
@@ -139,12 +133,6 @@ class SelectionContext:
         sweeps of the oracle-backed selectors, the experiment runtime's
         fan-outs — dispatch their parallel units through.  ``None``
         (the default) keeps every code path exactly serial.
-    num_sketches:
-        Size of the context's default reverse-reachability sketch batch
-        (the ``sketches`` artifact slot; see :meth:`sketches`).
-    sketch_hops:
-        Hop limit of the default sketch batch (``None`` = unbounded
-        reverse reachability, classic RIS).
     """
 
     def __init__(
@@ -158,8 +146,6 @@ class SelectionContext:
         credit_scheme: str = "timedecay",
         backend: str | None = None,
         executor: Executor | str | None = None,
-        num_sketches: int = 10_000,
-        sketch_hops: int | None = None,
     ) -> None:
         require(
             probability_method in IC_PROBABILITY_METHODS,
@@ -176,14 +162,6 @@ class SelectionContext:
             f"credit_scheme must be one of {CREDIT_SCHEMES}, "
             f"got {credit_scheme!r}",
         )
-        require(
-            num_sketches >= 1,
-            f"num_sketches must be >= 1, got {num_sketches}",
-        )
-        require(
-            sketch_hops is None or sketch_hops >= 1,
-            f"sketch_hops must be >= 1 or None, got {sketch_hops}",
-        )
         self.graph = graph
         self.train_log = train_log
         self.probability_method = probability_method
@@ -191,8 +169,6 @@ class SelectionContext:
         self.truncation = truncation
         self.seed = seed
         self.credit_scheme = credit_scheme
-        self.num_sketches = num_sketches
-        self.sketch_hops = sketch_hops
         self.backend = resolve_backend(backend)
         self.executor = None if executor is None else as_executor(executor)
         self._probabilities: dict[str, dict[Edge, float]] = {}
@@ -213,12 +189,9 @@ class SelectionContext:
         self._propagations: dict[Hashable, PropagationGraph] = {}
         # Interned CSR representation the numpy kernels share (lazy).
         self._compiled_log = None
-        # The default sketch batch (the persistable slot) plus an
-        # ad-hoc cache for other (method, count, hops, seed) requests:
-        # the per-trial batches of the ris/hop cells land here, each
-        # built by the cell that reads it.
-        self._sketches = None
-        self._sketch_cache: dict[tuple, object] = {}
+        # The last sketch batch built, with its key: each ris/hop cell
+        # reads the batch it asked for right away, so one is enough.
+        self._last_sketches: tuple[tuple, object] | None = None
         self._sketchers: dict[str, object] = {}
         # Stored slots: artifact name -> the loader that fills the slot
         # on its first read (see set_artifact_loader).
@@ -264,8 +237,6 @@ class SelectionContext:
             "seed": self.seed,
             "credit_scheme": self.credit_scheme,
             "backend": self.backend,
-            "num_sketches": self.num_sketches,
-            "sketch_hops": self.sketch_hops,
         }
 
     def _artifact_slot(self, name: str):
@@ -287,7 +258,6 @@ class SelectionContext:
             "influence_params": "_params",
             "credit_index": "_credit_index",
             "compiled_log": "_compiled_log",
-            "sketches": "_sketches",
         }[name]
         return (
             lambda: getattr(self, attr),
@@ -359,7 +329,6 @@ class SelectionContext:
             "credit_index": self.credit_index,
             "cd_evaluator": self.cd_evaluator,
             "compiled_log": self.compiled_log,
-            "sketches": self.sketches,
         }[name]()
 
     # ------------------------------------------------------------------
@@ -486,21 +455,19 @@ class SelectionContext:
     def sketches(
         self,
         method: str | None = None,
-        num_sketches: int | None = None,
-        hops: int | None = _UNSET,  # type: ignore[assignment]
+        num_sketches: int = 10_000,
+        hops: int | None = None,
         seed: int | None = None,
     ):
-        """A deterministic reverse-reachability sketch batch (cached).
+        """A deterministic reverse-reachability sketch batch.
 
-        With no arguments this is the context's *default* batch — the
-        persistable ``sketches`` artifact slot (``num_sketches`` /
-        ``sketch_hops`` from the constructor, probabilities from the
-        default method, seed schedule from the context seed).  Only a
-        call that matches it exactly reads that slot.  Other arguments
-        (notably the per-trial ``seed`` :func:`~repro.api.bind_selector`
-        gives the ``ris``/``hop`` selectors) land in an ad-hoc cache
-        keyed by ``(method, count, hops, generation seed)``, filled by
-        the cell that reads the batch.
+        The batch is keyed by ``(method, count, hops, generation
+        seed)``: probabilities from ``method`` (default: the context's),
+        ``hops=None`` for unbounded reverse reachability.  The context
+        keeps the last batch it built, so building a batch and then
+        running the ``ris``/``hop`` selector bound to it generates it
+        once, and a long-lived serving context holds one batch however
+        many seeds its requests name.  No batch is an artifact slot.
 
         The generation seed is
         :func:`repro.core.sketch.sketch_generation_seed` of the base
@@ -510,9 +477,9 @@ class SelectionContext:
         generate byte-identical batches.
         """
         method = self.probability_method if method is None else method
-        count = self.num_sketches if num_sketches is None else num_sketches
-        require(count >= 1, f"num_sketches must be >= 1, got {count}")
-        hops = self.sketch_hops if hops is _UNSET else hops
+        require(
+            num_sketches >= 1, f"num_sketches must be >= 1, got {num_sketches}"
+        )
         require(
             hops is None or hops >= 1,
             f"hops must be >= 1 or None, got {hops}",
@@ -520,53 +487,34 @@ class SelectionContext:
         base = self.seed if seed is None else integer_seed(seed)
         from repro.core.sketch import generate_sketches, sketch_generation_seed
 
-        generation_seed = sketch_generation_seed(base, count, hops)
-        default = (
-            method == self.probability_method
-            and count == self.num_sketches
-            and hops == self.sketch_hops
-            and base == self.seed
-        )
-        if default and (
-            self._sketches is not None or self._stored("sketches") is not None
-        ):
-            return self._sketches
-        key = (method, count, hops, generation_seed)
-        if not default and key in self._sketch_cache:
-            return self._sketch_cache[key]
-        # Only the default batch fills a slot, so only it is a slot build.
-        building = (
-            obs_trace.span("context.build", artifact="sketches")
-            if default
-            else nullcontext()
-        )
-        with building:
-            probabilities = self.ic_probabilities(method)
-            if self.backend == "numpy":
-                from repro.kernels.sketch_numpy import CompiledSketcher
+        generation_seed = sketch_generation_seed(base, num_sketches, hops)
+        key = (method, num_sketches, hops, generation_seed)
+        last = self._last_sketches
+        if last is not None and last[0] == key:
+            return last[1]
+        probabilities = self.ic_probabilities(method)
+        if self.backend == "numpy":
+            from repro.kernels.sketch_numpy import CompiledSketcher
 
-                sketcher = self._sketchers.get(method)
-                if sketcher is None:
-                    sketcher = CompiledSketcher.from_graph(
-                        self.graph, probabilities
-                    )
-                    self._sketchers[method] = sketcher
-                value = sketcher.generate(
-                    count, hops=hops, seed=generation_seed, method=method
+            sketcher = self._sketchers.get(method)
+            if sketcher is None:
+                sketcher = CompiledSketcher.from_graph(
+                    self.graph, probabilities
                 )
-            else:
-                value = generate_sketches(
-                    self.graph,
-                    probabilities,
-                    count,
-                    hops=hops,
-                    seed=generation_seed,
-                    method=method,
-                )
-        if default:
-            self._sketches = value
+                self._sketchers[method] = sketcher
+            value = sketcher.generate(
+                num_sketches, hops=hops, seed=generation_seed, method=method
+            )
         else:
-            self._sketch_cache[key] = value
+            value = generate_sketches(
+                self.graph,
+                probabilities,
+                num_sketches,
+                hops=hops,
+                seed=generation_seed,
+                method=method,
+            )
+        self._last_sketches = (key, value)
         return value
 
     def _credit(self):

@@ -570,6 +570,20 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _uniform_context(args: argparse.Namespace) -> SelectionContext:
+    """The analytics commands' context: plain ``1/d_in`` credits.
+
+    No learned decay, so leaderboards, covers and budgets read as raw
+    credit mass.
+    """
+    return SelectionContext(
+        load_graph(args.graph),
+        load_action_log(args.log),
+        truncation=args.truncation,
+        credit_scheme="uniform",
+    )
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.queries import (
         explain_spread,
@@ -577,13 +591,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         top_influencers,
     )
 
-    graph = load_graph(args.graph)
-    log = load_action_log(args.log)
-    # Analytics use the plain 1/d_in credits (no learned decay), so the
-    # leaderboard stays interpretable as raw credit mass.
-    context = SelectionContext(
-        graph, log, truncation=args.truncation, credit_scheme="uniform"
-    )
+    context = _uniform_context(args)
     index = context.credit_index()
     print(format_table(
         ["rank", "user", "total credit"],
@@ -622,11 +630,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_cover(args: argparse.Namespace) -> int:
     from repro.core.coverage import cd_cover
     from repro.core.maximize import cd_maximize
-    from repro.core.scan import scan_action_log
 
-    graph = load_graph(args.graph)
-    log = load_action_log(args.log)
-    index = scan_action_log(graph, log, truncation=args.truncation)
+    index = _uniform_context(args).credit_index()
     if args.target is not None:
         target = args.target
     else:
@@ -651,28 +656,19 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    from repro.core.budget import cd_budget_maximize
-    from repro.core.scan import scan_action_log
-
-    graph = load_graph(args.graph)
-    log = load_action_log(args.log)
-    index = scan_action_log(graph, log, truncation=args.truncation)
-    costs = None
-    if args.cost_scale > 0.0:
-        costs = {
-            user: 1.0 + index.activity[user] / args.cost_scale
-            for user in index.users()
-        }
-    result = cd_budget_maximize(index, budget=args.budget, costs=costs)
+    result = get_selector(
+        "cd_budget", budget=args.budget, cost_scale=args.cost_scale
+    ).select(_uniform_context(args), 0)
+    meta = result.metadata
     print(format_table(
         ["rank", "seed", "cost", "marginal gain"],
         [[rank, seed, f"{cost:.2f}", f"{gain:.2f}"]
          for rank, (seed, cost, gain) in enumerate(
-             zip(result.seeds, result.costs, result.gains), start=1)],
+             zip(result.seeds, meta["costs"], result.gains), start=1)],
         title=(
-            f"budget {args.budget:.1f}: spent {result.spent:.1f} on "
+            f"budget {args.budget:.1f}: spent {meta['spent']:.1f} on "
             f"{len(result.seeds)} seeds, sigma_cd = {result.spread:.1f} "
-            f"(winning rule: {result.rule})"
+            f"(winning rule: {meta['rule']})"
         ),
     ))
     return 0
@@ -785,7 +781,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
                     if entry.meta.get("context") in depth
                     else "-"
                 ),
-                entry.meta.get("flags", "-") or "-",
                 entry.payload_bytes,
             ]
             for entry in sorted(
@@ -794,8 +789,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             )
         ]
         print(format_table(
-            ["key", "context", "artifact", "dataset", "lineage", "flags",
-             "bytes"],
+            ["key", "context", "artifact", "dataset", "lineage", "bytes"],
             rows,
             title=(
                 f"artifact store {store.root}: {len(entries)} entries, "

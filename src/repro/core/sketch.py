@@ -173,11 +173,6 @@ class SketchSet:
         )
         return self.num_nodes * covered / self.num_sketches
 
-    def describe(self) -> str:
-        """Audit string for ``repro store ls`` (hops / count / seed)."""
-        hops = "inf" if self.hops is None else str(self.hops)
-        return f"hops={hops} sketches={self.num_sketches} seed={self.seed}"
-
 
 def generate_sketches(
     graph: SocialGraph,

@@ -171,11 +171,13 @@ def _json_integer(payload: Mapping[str, Any], name: str) -> int:
     raise ServiceError(f"'{name}' must be a JSON integer")
 
 
-def _json_budget(value: Any) -> float:
-    """A request's ``budget``: a finite JSON number, else 400.
+def _json_finite(value: Any, message: str) -> float:
+    """A finite JSON number (not a bool, not a string), else 400 ``message``.
 
-    An infinite budget would select every seed with a positive gain and
-    put ``Infinity``, which is not JSON, in the response body.
+    A ``budget`` and each ingested tuple time are read this way.  A bool
+    or a numeric string would otherwise be coerced (``true`` to 1.0),
+    and an infinite budget would select every seed with a positive gain
+    and put ``Infinity``, which is not JSON, in the response body.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -184,7 +186,7 @@ def _json_budget(value: Any) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ServiceError("'budget' must be a finite JSON number")
+    raise ServiceError(message)
 
 
 def _context_ref(value: Any) -> str | None:
@@ -728,7 +730,9 @@ class QueryService:
             raise ServiceError("'params' must be a JSON object")
         budget = payload.get("budget")
         if budget is not None:
-            budget = _json_budget(budget)
+            budget = _json_finite(
+                budget, "'budget' must be a finite JSON number"
+            )
         trial = _json_integer(payload, "trial")
         slot = self.slot(payload.get("context"))
         try:
@@ -895,13 +899,11 @@ class QueryService:
                     "each tuple must be a [user, action, time] triple"
                 )
             user, action, time = item
-            user, action = _parse_id(user), _parse_id(action)
-            try:
-                delta.add(user, action, float(time))
-            except (TypeError, ValueError, OverflowError):
-                raise ServiceError(
-                    "tuple times must be finite numbers"
-                ) from None
+            delta.add(
+                _parse_id(user),
+                _parse_id(action),
+                _json_finite(time, "tuple times must be finite numbers"),
+            )
         closed = payload.get("closed")
         if closed is None:
             # The common case: the delta's traces are complete batches.

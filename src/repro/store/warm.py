@@ -290,15 +290,12 @@ def _warm_start(
             continue
         if store.contains(key) and not refresh:
             continue
-        value = context.get_artifact(name)
-        meta = {**meta_base, "artifact": name}
-        describe = getattr(value, "describe", None)
-        if callable(describe):
-            # Self-describing artifacts (the sketch batch reports its
-            # hops / sample count / generation seed) surface their
-            # parameters in `repro store ls`.
-            meta["flags"] = describe()
-        store.put(key, value, meta=meta, refresh=refresh)
+        store.put(
+            key,
+            context.get_artifact(name),
+            meta={**meta_base, "artifact": name},
+            refresh=refresh,
+        )
         events["saved"].append(name)
     # The graph is written for the serving layer but never *read* by
     # warm runs, so a corrupt payload would go unnoticed by the load
@@ -434,9 +431,14 @@ def context_from_record(
 ) -> SelectionContext:
     """The context ``record`` describes, over ``graph`` and ``train_log``.
 
-    Every parameter of the record's learn spec is bound, so the context
-    computes the record's own key; no artifact is loaded.  The serving
-    load passes ``train_log=None``, a derive the base bundle's log.
+    Each parameter of :meth:`SelectionContext.learn_spec` is taken from
+    the record's learn spec, and a field the spec no longer has is
+    ignored.  So the context computes the record's own key only if the
+    record was written under the current learn spec: a bundle from
+    before its two sketch fields were dropped keys differently, and a
+    derive from it lands on the key a cold learn computes today.  No
+    artifact is loaded.  The serving load passes ``train_log=None``, a
+    derive the base bundle's log.
     """
     learn = record["learn"]
     return SelectionContext(
@@ -448,12 +450,6 @@ def context_from_record(
         seed=int(learn["seed"]),
         credit_scheme=str(learn["credit_scheme"]),
         backend=str(learn["backend"]),
-        num_sketches=int(learn.get("num_sketches", 10_000)),
-        sketch_hops=(
-            None
-            if learn.get("sketch_hops") is None
-            else int(learn["sketch_hops"])
-        ),
     )
 
 

@@ -216,12 +216,11 @@ def _derive_bundle(
         if name in result.report.carried:
             sources[name] = artifact_source_key(record, name)
             continue
-        value = result.context.get_artifact(name)
-        meta = {**meta_base, "artifact": name}
-        describe = getattr(value, "describe", None)
-        if callable(describe):
-            meta["flags"] = describe()
-        store.put(artifact_key(new_ckey, name), value, meta=meta)
+        store.put(
+            artifact_key(new_ckey, name),
+            result.context.get_artifact(name),
+            meta={**meta_base, "artifact": name},
+        )
     store.put(
         artifact_key(new_ckey, TRAIN_LOG_ARTIFACT),
         union_log,

@@ -24,9 +24,6 @@ artifact                  route
 ``ic_probabilities/PT``   re-learn (perturbs the new EM)
 ``influence_params``      re-learn (tau/influenceability are global
                           means — any new trace moves them all)
-``sketches``              carried over when drawn over a graph-only
-                          probability method (UN/WC/TV); re-generated
-                          when the probabilities themselves re-learn
 ========================  ==========================================
 
 Why the uniform/time-decay split: uniform credits (``1/d_in``) depend
@@ -153,8 +150,6 @@ def clone_context(context: SelectionContext, log) -> SelectionContext:
         credit_scheme=context.credit_scheme,
         backend=context.backend,
         executor=context.executor,
-        num_sketches=context.num_sketches,
-        sketch_hops=context.sketch_hops,
     )
 
 
@@ -206,19 +201,6 @@ def fold_delta(
         if name in GRAPH_ONLY_ARTIFACTS:
             new_context.set_artifact(name, context.get_artifact(name))
             report.carried.append(name)
-        elif name == "sketches":
-            # A sketch batch is a pure function of (graph, probabilities,
-            # generation seed): it carries exactly when its probability
-            # method does, and re-generates when the probabilities
-            # re-learn over the union log.
-            value = context.get_artifact(name)
-            method = getattr(value, "method", None) or context.probability_method
-            if f"ic_probabilities/{method}" in GRAPH_ONLY_ARTIFACTS:
-                new_context.set_artifact(name, value)
-                report.carried.append(name)
-            else:
-                new_context.build_artifact(name)
-                report.relearned.append(name)
         elif name == "credit_index" and uniform:
             base_index = context.get_artifact("credit_index")
             stream = StreamingCreditIndex(

@@ -381,20 +381,17 @@ class TestBuildSpans:
             == builds["credit_index"].span_id
         )
 
-    def test_only_the_default_sketch_batch_is_a_slot_build(
-        self, flixster_mini
-    ):
-        context = SelectionContext(
-            flixster_mini.graph, flixster_mini.log, num_sketches=50
-        )
+    def test_no_sketch_batch_is_a_slot_build(self, flixster_mini):
+        context = SelectionContext(flixster_mini.graph, flixster_mini.log)
         with Trace(trace_id="sketches").activate() as trace:
-            context.sketches(seed=99)  # a per-trial batch fills no slot
-            context.sketches()
+            context.sketches(num_sketches=50, seed=99)
+            context.sketches(num_sketches=50)
         built = [
             recorded.attrs["artifact"]
             for recorded in _named(trace.spans, "context.build")
         ]
-        assert built.count("sketches") == 1
+        assert "sketches" not in built
+        # Only the probabilities the batches are drawn over were built.
         assert sorted(built) == sorted(context.artifact_names())
 
     def test_no_build_span_for_an_injected_or_stored_slot(

@@ -9,9 +9,9 @@ Four contracts, mirroring the kernel-parity suite's structure:
 * **selection** — ``ris``/``hop`` return identical seeds, gains and
   spreads under both backends and on every executor, with the library's
   standard per-trial seed derivation;
-* **persistence** — the ``sketches`` artifact slot round-trips through
-  the store byte-for-byte (warm == cold) and advertises its parameters
-  in the entry metadata ``repro store ls`` renders;
+* **persistence** — no batch is stored: the learn spec that keys a
+  bundle holds no sketch parameter, a warm ``hop`` run equals the cold
+  one, and a context keeps only the last batch it built;
 * **accuracy** — the RIS estimate tracks Monte Carlo closely and the
   1-hop/2-hop estimators are the expected lower bounds (exact on
   depth-limited trees).
@@ -23,10 +23,14 @@ simulates a NumPy-less machine by monkeypatching the probe, as in
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro.kernels as kernels
 from repro.api import ExperimentConfig, SelectionContext, get_selector, run_experiment
+from repro.api.context import ARTIFACT_NAMES
 from repro.core.maximize import cd_maximize, marginal_gain
 from repro.core.sketch import (
     coverage_maximize,
@@ -206,45 +210,33 @@ class TestSelectorDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Persistence: the sketches artifact slot
+# The context's batch and the store
 # ----------------------------------------------------------------------
+class TestContextBatch:
+    def test_keeps_only_the_last_batch(self, toy):
+        # A serving context answers ris/hop requests for any seed; it
+        # must not pin one batch per seed it was asked for.
+        context = SelectionContext(toy.graph, toy.log)
+        first = context.sketches(num_sketches=50, seed=1)
+        first_ref = weakref.ref(first)
+        del first
+        context.sketches(num_sketches=50, seed=2)
+        third = context.sketches(num_sketches=50, seed=3)
+        gc.collect()
+        assert first_ref() is None
+        assert context.sketches(num_sketches=50, seed=3) is third
+
+
 class TestStoreRoundTrip:
-    def test_warm_equals_cold_byte_for_byte(self, toy, tmp_path):
-        from repro.store.serialize import dump_payload
-        from repro.store.store import ArtifactStore
-        from repro.store.warm import warm_start
-
-        store = ArtifactStore(tmp_path / "store")
-        cold = SelectionContext(toy.graph, toy.log, num_sketches=300, seed=5)
-        events = warm_start(store, cold, ["sketches"])
-        assert "sketches" in events["misses"]
-        assert "sketches" in events["saved"]
-
-        warm = SelectionContext(toy.graph, toy.log, num_sketches=300, seed=5)
-        events = warm_start(store, warm, ["sketches"])
-        assert "sketches" in events["hits"]
-        assert dump_payload(warm.sketches()) == dump_payload(cold.sketches())
-        for context in (cold, warm):
-            selection = get_selector("ris", num_rr_sets=120, seed=4)(
-                context, 2
-            )
-            assert len(selection.seeds) == 2
-        # The stored entry advertises its parameters for `repro store ls`.
-        entry = next(
-            entry
-            for entry in store.entries()
-            if entry.meta.get("artifact") == "sketches"
-        )
-        batch = cold.sketches()
-        assert entry.meta["flags"] == batch.describe()
-        assert f"sketches={batch.num_sketches}" in entry.meta["flags"]
-
     def test_learn_spec_keys_sketch_parameters(self, toy):
-        a = SelectionContext(toy.graph, toy.log, num_sketches=100)
-        b = SelectionContext(toy.graph, toy.log, num_sketches=200)
-        assert a.learn_spec()["num_sketches"] == 100
-        assert a.learn_spec() != b.learn_spec()
-        assert "sketch_hops" in a.learn_spec()
+        # No sketch parameter keys a store bundle: no batch is stored.
+        context = SelectionContext(toy.graph, toy.log)
+        assert sorted(context.learn_spec()) == [
+            "backend", "credit_scheme", "seed", "truncation",
+        ]
+        assert "sketches" not in ARTIFACT_NAMES
+        with pytest.raises(TypeError):
+            SelectionContext(toy.graph, toy.log, num_sketches=5)
 
     def test_experiment_store_round_trip(self, tmp_path):
         config = ExperimentConfig(

@@ -335,8 +335,8 @@ class TestOnlyReadSlotsAreStored:
         assert "influence_params" not in saved  # uniform credits
 
     def test_sketch_run_stores_no_sketch_batch(self, tmp_path):
-        # Every hop cell draws its own per-trial batch; the context's
-        # default batch is read by none of them.
+        # Every hop cell draws its own per-trial batch, which is no
+        # artifact slot.
         config = dict(
             SELECTION,
             selectors=[{"name": "hop", "params": {"num_sketches": 200}}],

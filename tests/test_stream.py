@@ -45,6 +45,12 @@ from repro.stream import (
 from repro.stream.update import compute_stream_stats
 
 
+# The learn-spec fields a bundle held while the context kept a default
+# sketch batch.  Outside the removed-names table of docs/API.md, this
+# line is the only one allowed to name them (CI's "One sketch path").
+OLD_SKETCH_LEARN_FIELDS = {"num_sketches": 300, "sketch_hops": 2}
+
+
 def split_base_delta(log: ActionLog, holdout: int = 5):
     """Hold out the last ``holdout`` traces of ``log`` as a closed delta."""
     actions = list(log.actions())
@@ -445,37 +451,80 @@ class TestDerive:
         }
         assert result.base_key in surviving
 
-    def test_derive_keeps_the_bundle_sketch_parameters(
+    def test_bundle_with_the_old_sketch_fields_serves_and_derives(
         self, tmp_path, flixster_mini
     ):
-        # Regression: the base context was rebuilt without the record's
-        # num_sketches/sketch_hops, so the derive regenerated a default
-        # 10,000-sketch unbounded batch under a key no cold learn over
-        # the union computes.
-        from repro.store.warm import load_serving_context, warm_start
+        # The shape bundles had while the context kept a default sketch
+        # batch: two more learn fields (hence another key) and a stored
+        # `sketches` entry listed among the artifacts.
+        from repro.store.keys import (
+            artifact_key,
+            context_key,
+            fingerprint_dataset,
+        )
+        from repro.store.warm import warm_start
 
         base_log, delta = split_base_delta(flixster_mini.log)
-        params = dict(
-            seed=3, credit_scheme="uniform", num_sketches=300, sketch_hops=2,
+        spec = dict(seed=3, credit_scheme="uniform")
+        needed = ["credit_index", "cd_evaluator"]
+        learned_root, old_root = str(tmp_path / "new"), str(tmp_path / "old")
+        context = SelectionContext(flixster_mini.graph, base_log, **spec)
+        warm_start(ArtifactStore(learned_root), context, needed)
+        learned = ArtifactStore(learned_root)
+        record = load_context_record(learned)
+        learn = {**record["learn"], **OLD_SKETCH_LEARN_FIELDS}
+        old_key = context_key(
+            fingerprint_dataset(flixster_mini.graph, base_log),
+            {"split": "external"},
+            learn,
         )
-        root = str(tmp_path / "store")
-        warm_start(
-            ArtifactStore(root),
-            SelectionContext(flixster_mini.graph, base_log, **params),
-            ["credit_index", "sketches"],
+        old = ArtifactStore(old_root)
+        meta = {"context": old_key, "learn": learn}
+        for entry in learned.entries():
+            name = entry.meta["artifact"]
+            if name != CONTEXT_RECORD:
+                old.put(
+                    artifact_key(old_key, name),
+                    learned.get(entry.key),
+                    meta={**meta, "artifact": name},
+                )
+        old.put(
+            artifact_key(old_key, "sketches"),
+            context.sketches("WC", num_sketches=300, hops=2),
+            meta={**meta, "artifact": "sketches"},
         )
-        result = derive_bundle(ArtifactStore(root), delta)
+        old.put(
+            artifact_key(old_key, CONTEXT_RECORD),
+            {
+                **record,
+                "context_key": old_key,
+                "learn": learn,
+                "artifacts": sorted([*record["artifacts"], "sketches"]),
+            },
+            meta={**meta, "artifact": CONTEXT_RECORD},
+        )
+
+        fresh, stale = QueryService(learned_root), QueryService(old_root)
+        selected = stale.select({"selector": "cd", "k": 3})
+        assert selected["context"] == old_key
+        assert (
+            selected["selection"]
+            == fresh.select({"selector": "cd", "k": 3})["selection"]
+        )
+        seeds = {"seeds": selected["selection"]["seeds"]}
+        assert stale.spread(seeds)["spread"] == fresh.spread(seeds)["spread"]
+
+        result = derive_bundle(ArtifactStore(old_root), delta)
         cold = warm_start(
             ArtifactStore(str(tmp_path / "cold")),
             SelectionContext(
-                flixster_mini.graph, result.context.train_log, **params
+                flixster_mini.graph, result.context.train_log, **spec
             ),
-            ["credit_index", "sketches"],
+            needed,
         )
+        assert result.base_key == old_key
         assert result.derived_key == cold["context_key"]
-        served = load_serving_context(ArtifactStore(root), result.record)
-        sketches = served.get_artifact("sketches")
-        assert (sketches.num_sketches, sketches.hops) == (300, 2)
+        assert "sketches" not in result.record["artifacts"]
 
     def test_pending_only_delta_keeps_key(self, tmp_path, flixster_mini):
         root = str(tmp_path / "store")
@@ -638,6 +687,9 @@ class TestServiceIngest:
             ({"tuples": [[1, 2, float("nan")]]}, "finite numbers"),
             ({"tuples": [[1, 2, float("inf")]]}, "finite numbers"),
             ({"tuples": [[1, 2, 10**400]]}, "finite numbers"),
+            # JSON numbers only: a bool or a numeric string is no time.
+            ({"tuples": [[1, 2, True]]}, "finite numbers"),
+            ({"tuples": [[1, 2, "1.5"]]}, "finite numbers"),
             ({"tuples": [[1, {"a": 1}, 3]]}, "ids must be"),
             ({"tuples": [[True, 2, 3]]}, "ids must be"),
             ({"tuples": [[1, 2, 3]], "closed": [[2]]}, "ids must be"),
@@ -781,13 +833,11 @@ class TestIngestReads:
     ):
         root = str(tmp_path / "store")
         base_log, delta = split_base_delta(flixster_mini.log)
-        # Sketches drawn over WC carry over, like the WC/UN dicts.
         _learned_store(
             root, flixster_mini, base_log,
             ["credit_index", "cd_evaluator", "ic_probabilities/UN",
-             "ic_probabilities/WC", "sketches", "lt_weights"],
+             "ic_probabilities/WC", "lt_weights"],
             credit_scheme="uniform", probability_method="WC",
-            num_sketches=200,
         )
         service = QueryService(root)
         reads = _count_reads(monkeypatch)
@@ -796,10 +846,10 @@ class TestIngestReads:
         })
         assert job["status"] == "done", job["error"]
         assert sorted(job["report"]["carried"]) == [
-            "ic_probabilities/UN", "ic_probabilities/WC", "sketches",
+            "ic_probabilities/UN", "ic_probabilities/WC",
         ]
         for name in ("credit_index", "cd_evaluator", "ic_probabilities/UN",
-                     "ic_probabilities/WC", "sketches"):
+                     "ic_probabilities/WC"):
             assert reads[name] == 1, (name, dict(reads))
         assert reads["lt_weights"] == 0  # recounted from the statistics
 
