@@ -16,7 +16,8 @@ prediction protocol's model, for the pipeline and ``/predict`` alike.
 
 Each slot the context builds records one ``context.build`` span
 (attribute ``artifact``) under an active :mod:`repro.obs` trace; a
-stored or injected slot records none.
+stored or injected slot records none.  Each sketch batch it builds
+records one ``sketch.generate`` span.
 """
 
 from __future__ import annotations
@@ -467,7 +468,10 @@ class SelectionContext:
         keeps the last batch it built, so building a batch and then
         running the ``ris``/``hop`` selector bound to it generates it
         once, and a long-lived serving context holds one batch however
-        many seeds its requests name.  No batch is an artifact slot.
+        many seeds its requests name.  No batch is an artifact slot:
+        building one records a ``sketch.generate`` span (attributes
+        ``method``, ``num_sketches``, ``hops`` and ``members``) instead
+        of a ``context.build``, and reusing the last one records none.
 
         The generation seed is
         :func:`repro.core.sketch.sketch_generation_seed` of the base
@@ -492,28 +496,38 @@ class SelectionContext:
         last = self._last_sketches
         if last is not None and last[0] == key:
             return last[1]
-        probabilities = self.ic_probabilities(method)
-        if self.backend == "numpy":
-            from repro.kernels.sketch_numpy import CompiledSketcher
+        with obs_trace.span(
+            "sketch.generate",
+            method=method,
+            num_sketches=num_sketches,
+            hops=hops,
+        ) as span:
+            probabilities = self.ic_probabilities(method)
+            if self.backend == "numpy":
+                from repro.kernels.sketch_numpy import CompiledSketcher
 
-            sketcher = self._sketchers.get(method)
-            if sketcher is None:
-                sketcher = CompiledSketcher.from_graph(
-                    self.graph, probabilities
+                sketcher = self._sketchers.get(method)
+                if sketcher is None:
+                    sketcher = CompiledSketcher.from_graph(
+                        self.graph, probabilities
+                    )
+                    self._sketchers[method] = sketcher
+                value = sketcher.generate(
+                    num_sketches,
+                    hops=hops,
+                    seed=generation_seed,
+                    method=method,
                 )
-                self._sketchers[method] = sketcher
-            value = sketcher.generate(
-                num_sketches, hops=hops, seed=generation_seed, method=method
-            )
-        else:
-            value = generate_sketches(
-                self.graph,
-                probabilities,
-                num_sketches,
-                hops=hops,
-                seed=generation_seed,
-                method=method,
-            )
+            else:
+                value = generate_sketches(
+                    self.graph,
+                    probabilities,
+                    num_sketches,
+                    hops=hops,
+                    seed=generation_seed,
+                    method=method,
+                )
+            span.set(members=value.total_members)
         self._last_sketches = (key, value)
         return value
 

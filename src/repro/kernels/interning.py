@@ -199,6 +199,21 @@ def _gather_csr(
     return row_positions, indices[flat], flat
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-D array, through one sort.
+
+    Element for element equal to ``np.unique`` and of the same dtype.
+    NumPy >= 2.3 answers a bare ``np.unique`` through a hash table,
+    an order of magnitude slower than sorting on integer keys; this
+    sorts and keeps each value that differs from its predecessor.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 class CompiledGraph:
     """The social graph as CSR arrays over interned ids.
 

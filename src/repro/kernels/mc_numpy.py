@@ -41,7 +41,7 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import _gather_csr, positive_csr
+from repro.kernels.interning import _gather_csr, _sorted_unique, positive_csr
 from repro.kernels.sketch_numpy import (
     _bases_np,
     _edge_keys_np,
@@ -167,7 +167,7 @@ class CompiledDiffusion:
                 live = (self.lo[flat] <= coins) & (coins < self.hi[flat])
                 # Several frontier nodes can hit one IC target in the
                 # same level; one integer unique collapses them.
-                keys = np.unique(keys[live])
+                keys = _sorted_unique(keys[live])
                 active[keys] = True
                 total += len(keys)
                 rows = keys // n

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.params import InfluenceabilityParams
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import CompiledGraph, CompiledLog
+from repro.kernels.interning import CompiledGraph, CompiledLog, _sorted_unique
 
 __all__ = ["learn_influenceability_numpy"]
 
@@ -71,9 +71,9 @@ def learn_influenceability_numpy(
 
     # Pass 2: a trace entry counts as influenced when *any* parent's
     # delay is within tau — the reference's break-on-first-parent is
-    # "count each child position at most once", i.e. one np.unique.
+    # "count each child position at most once", i.e. one sorted unique.
     qualifying = delays <= tau_values[inverse]
-    influenced_positions = np.unique(child[qualifying])
+    influenced_positions = _sorted_unique(child[qualifying])
     influenced = np.bincount(
         compiled.node_ids_flat[influenced_positions], minlength=cgraph.n
     )

@@ -51,7 +51,12 @@ from repro.core.credit import DirectCredit, TimeDecayCredit, UniformCredit
 from repro.core.index import CreditIndex
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import CompiledGraph, CompiledLog, _gather_csr
+from repro.kernels.interning import (
+    CompiledGraph,
+    CompiledLog,
+    _gather_csr,
+    _sorted_unique,
+)
 from repro.utils.validation import require_non_negative
 
 __all__ = ["scan_action_log_numpy", "CompiledCredit", "UnsupportedCreditScheme"]
@@ -439,7 +444,7 @@ def _run_levels(
         parents = parent_g[segment]
         gammas = gamma_g[segment]
 
-        level_children = np.unique(children)
+        level_children = _sorted_unique(children)
         rank[level_children] = np.arange(len(level_children), dtype=np.int64)
         # Columns are strictly earlier local positions than their owner,
         # so the owners' largest local position bounds every column.
@@ -551,7 +556,7 @@ def _hand_over(
     owners = populated[row_pos]
     del row_pos
     action_pos = np.searchsorted(offsets, owners, side="right") - 1
-    present = np.unique(action_pos)
+    present = _sorted_unique(action_pos)
     new_actions = [compiled.actions[position] for position in present.tolist()]
     for action in new_actions:
         if action in index.action_ids:

@@ -15,6 +15,15 @@ keys (no dense ``(batch, n)`` buffers), so memory scales with sketch
 membership, not with graph size — that is what lets the million-node
 benchmark generate 10^5 sketches over 10^6 nodes in-core.
 
+Each BFS level dedups its candidate keys with one sort
+(:func:`~repro.kernels.interning._sorted_unique`: NumPy >= 2.3 answers
+a bare ``np.unique`` through a hash table, an order of magnitude
+slower on these int64 keys), drops the candidates that are members
+already through one ``searchsorted`` into the sorted member keys, and
+inserts the fresh ones at the points that search found.  The fresh
+keys are sorted and disjoint from the members, so the member keys stay
+sorted (each sketch's members ascending) without a re-sort per level.
+
 Greedy maximum coverage replaces the reference's per-set Python dicts
 with ``argmax``/``bincount`` over the CSR arrays: ``argmax`` returns
 the first maximal index, which is exactly the reference's smallest-id
@@ -29,7 +38,7 @@ import numpy as np
 
 from repro.core.sketch import _TARGET_SALT, SketchSet
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import _gather_csr, positive_csr
+from repro.kernels.interning import _gather_csr, _sorted_unique, positive_csr
 from repro.utils.rng import _C1, _C2, _C3, _mix64, keyed_seed
 from repro.utils.validation import require
 
@@ -177,18 +186,21 @@ class CompiledSketcher:
                 live = coins < self.probabilities[flat]
                 if not live.any():
                     break
-                candidates = np.unique(
+                candidates = _sorted_unique(
                     sketch_rows[live] * n + neighbors[live].astype(np.int64)
                 )
                 at = np.searchsorted(member_keys, candidates)
                 clipped = np.minimum(at, len(member_keys) - 1)
-                fresh = candidates[
-                    (at == len(member_keys))
-                    | (member_keys[clipped] != candidates)
-                ]
+                new = (at == len(member_keys)) | (
+                    member_keys[clipped] != candidates
+                )
+                fresh = candidates[new]
                 if len(fresh) == 0:
                     break
-                member_keys = np.union1d(member_keys, fresh)
+                # The fresh keys are sorted and disjoint from the
+                # members, so inserting each at its searchsorted point
+                # keeps the members sorted without re-sorting them.
+                member_keys = np.insert(member_keys, at[new], fresh)
                 frontier_rows = fresh // n
                 frontier_nodes = fresh % n
                 level += 1

@@ -394,6 +394,46 @@ class TestBuildSpans:
         # Only the probabilities the batches are drawn over were built.
         assert sorted(built) == sorted(context.artifact_names())
 
+    def test_one_generate_span_per_sketch_batch(
+        self, flixster_mini, monkeypatch
+    ):
+        calls, batches = [], []
+        build = SelectionContext.sketches
+
+        def recorded(self, *args, **kwargs):
+            batch = build(self, *args, **kwargs)
+            calls.append((args, kwargs))
+            batches.append(batch)
+            return batch
+
+        monkeypatch.setattr(SelectionContext, "sketches", recorded)
+        context = SelectionContext(flixster_mini.graph, flixster_mini.log)
+        config = ExperimentConfig(
+            selectors=[
+                {"name": "ris", "params": {"num_rr_sets": 300}},
+                {"name": "hop", "params": {"num_sketches": 300}},
+            ],
+            ks=[3],
+            executor="serial",
+        )
+        with Trace(trace_id="sketch-spans").activate() as trace:
+            run_experiment(config, context=context)
+            # The last batch again: reused, so no span.
+            args, kwargs = calls[-1]
+            context.sketches(*args, **kwargs)
+        generated = _named(trace.spans, "sketch.generate")
+        assert len(batches) == 3 and batches[-1] is batches[-2]
+        assert [recorded.attrs for recorded in generated] == [
+            {
+                "method": batch.method,
+                "num_sketches": batch.num_sketches,
+                "hops": batch.hops,
+                "members": batch.total_members,
+            }
+            for batch in batches[:2]
+        ]
+        assert [batch.hops for batch in batches[:2]] == [None, 2]
+
     def test_no_build_span_for_an_injected_or_stored_slot(
         self, flixster_mini, tmp_path
     ):
