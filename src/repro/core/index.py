@@ -221,7 +221,7 @@ class CreditIndex:
     # ------------------------------------------------------------------
     # Lemma 2 and seed removal
     # ------------------------------------------------------------------
-    def discount_through(self, seed: User) -> None:
+    def discount_through(self, seed: User) -> int:
         """Apply Lemma 2 for a new seed: remove the credit that flowed through it.
 
         ``Gamma^{W-x}_{v,u}(a) = Gamma^W_{v,u}(a) - Gamma^W_{v,x}(a) Gamma^W_{x,u}(a)``
@@ -235,16 +235,19 @@ class CreditIndex:
         entries, which stay live until :meth:`remove_user`, so the order
         the pairs are visited in cannot change any value.  Each source's
         ``(v, a)`` segment is found by bisection inside its row.
+
+        Returns the number of entries changed or deleted.
         """
         seed_id = self.user_ids.get(seed)
         if seed_id is None:
-            return
+            return 0
         act, dst, val, alive = self.act, self.dst, self.val, self.alive
         targets: dict[int, dict[int, float]] = {}
         for action, target, value in self.row_ids(seed_id):
             targets.setdefault(action, {})[target] = value
         if not targets:
-            return
+            return 0
+        updates = 0
         lo, hi = self.inc_start[seed_id], self.inc_start[seed_id + 1]
         for position in self.inc_order[lo:hi]:
             action = act[position]
@@ -264,6 +267,8 @@ class CreditIndex:
                     alive[entry] = 0
                 else:
                     val[entry] = remaining
+                updates += 1
+        return updates
 
     def remove_user(self, user: User) -> None:
         """Delete every credit entry to or from ``user`` (it became a seed).

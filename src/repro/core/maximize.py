@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.core.index import CreditIndex, SeedCredits
 from repro.kernels import resolve_backend
@@ -86,16 +86,14 @@ def marginal_gain(index: CreditIndex, seed_credits: SeedCredits, node: User) -> 
 
 
 def _absorb_seed(
-    index: CreditIndex,
-    seed_credits: SeedCredits,
-    seed: User,
-    discount: Callable[[User], None] | None = None,
-) -> None:
+    index: CreditIndex, seed_credits: SeedCredits, seed: User
+) -> tuple[int, int]:
     """Algorithm 5: fold ``seed`` into S, updating UC and SC in place.
 
-    ``discount`` applies Lemma 2 (default :meth:`CreditIndex.discount_through`;
-    the NumPy maximizer passes its vectorized equivalent).
+    Returns ``(lemma3_adds, lemma2_updates)``: the seed-credit
+    increments made and the entries Lemma 2 changed or deleted.
     """
+    adds = 0
     user = index.user_ids.get(seed)
     if user is not None:
         # Lemma 3 first — it needs the pre-update credit values:
@@ -107,12 +105,40 @@ def _absorb_seed(
                 continue
             for _, target, value in entries:
                 seed_credits.add(index.user_of[target], action, value * factor)
+                adds += 1
     # Lemma 2: remove, from every remaining pair, the credit that flowed
     # through the new seed.
-    (index.discount_through if discount is None else discount)(seed)
+    updates = index.discount_through(seed)
     # The seed leaves V - S: its remaining in/out credits are dead.
     index.remove_user(seed)
     seed_credits.drop_user(seed)
+    return adds, updates
+
+
+class _ReferenceEngine:
+    """``cd_maximize``'s python engine: :func:`marginal_gain` and
+    :func:`_absorb_seed` over the working index, with the numpy engine's
+    interface (:class:`repro.kernels.cd_numpy.CDEngine`)."""
+
+    def __init__(self, index: CreditIndex, seed_credits: SeedCredits) -> None:
+        self._index = index
+        self._seed_credits = seed_credits
+        self.lemma2_updates = 0
+        self.lemma3_adds = 0
+
+    def initial_gains(self) -> list[tuple[User, float]]:
+        return [(user, self.gain(user)) for user in list(self._index.users())]
+
+    def gain(self, node: User) -> float:
+        return marginal_gain(self._index, self._seed_credits, node)
+
+    def absorb(self, seed: User) -> None:
+        adds, updates = _absorb_seed(self._index, self._seed_credits, seed)
+        self.lemma3_adds += adds
+        self.lemma2_updates += updates
+
+    def seed_credits(self) -> SeedCredits:
+        return self._seed_credits
 
 
 def cd_maximize(
@@ -154,12 +180,13 @@ def cd_maximize(
         If given, the final :class:`CDState` is appended, ready to
         resume past this run's ``k``.
     backend:
-        Compute backend: under ``"numpy"`` the empty-seed-set gains
-        come from :func:`repro.kernels.cd_numpy.cd_initial_gains` and
-        Lemma 2 from :class:`repro.kernels.cd_numpy.Lemma2Discount`,
-        both bit-identical to the reference; the CELF re-evaluations
-        after each selection touch few users and stay pure Python
-        either way.
+        Compute backend.  One CELF loop drives an engine through
+        ``gain(user)`` and ``absorb(user)``: under ``"numpy"`` it is
+        :class:`repro.kernels.cd_numpy.CDEngine`, which runs the
+        initial sweep, every CELF re-evaluation, Lemma 3 and Lemma 2 as
+        array passes over the index columns; otherwise
+        :func:`marginal_gain` and :func:`_absorb_seed`.  Both are
+        bit-identical, exported ``CDState`` bytes included.
 
     Returns
     -------
@@ -168,13 +195,13 @@ def cd_maximize(
     marginal-gain evaluations (the CELF efficiency metric).
     """
     require(k >= 0, f"k must be non-negative, got {k}")
-    with obs_trace.span("maximize.cd", k=k) as span:
+    with obs_trace.span(
+        "maximize.cd", k=k, resumed=state is not None
+    ) as span:
         started = time.perf_counter()
         result = GreedyResult()
-        vectorized = resolve_backend(backend) == "numpy"
         if state is not None:
             working = state.index.copy()
-            seed_credits = state.seed_credits.copy()
             queue = LazyQueue.restore(state.queue)
             result.seeds = list(state.seeds)
             result.gains = list(state.gains)
@@ -182,44 +209,42 @@ def cd_maximize(
             result.oracle_calls = state.oracle_calls
         else:
             working = index if mutate else index.copy()
-            seed_credits = SeedCredits()
             queue = LazyQueue()
-            if vectorized:
-                from repro.kernels.cd_numpy import cd_initial_gains
+        if resolve_backend(backend) == "numpy":
+            from repro.kernels.cd_numpy import CDEngine
 
-                for user, gain in cd_initial_gains(working):
-                    result.oracle_calls += 1
-                    queue.push(user, gain, iteration=0)
-            else:
-                for user in list(working.users()):
-                    gain = marginal_gain(working, seed_credits, user)
-                    result.oracle_calls += 1
-                    queue.push(user, gain, iteration=0)
-        discount = working.discount_through
-        if vectorized:
-            from repro.kernels.cd_numpy import Lemma2Discount
-
-            discount = Lemma2Discount(working)
+            engine = CDEngine(
+                working, None if state is None else state.seed_credits
+            )
+        else:
+            engine = _ReferenceEngine(
+                working,
+                SeedCredits() if state is None else state.seed_credits.copy(),
+            )
+        if state is None:
+            for user, gain in engine.initial_gains():
+                result.oracle_calls += 1
+                queue.push(user, gain, iteration=0)
         while len(result.seeds) < k and queue:
             entry = queue.pop()
             if entry.iteration == len(result.seeds):
                 result.seeds.append(entry.item)
                 result.gains.append(entry.gain)
                 result.spread += entry.gain
-                _absorb_seed(working, seed_credits, entry.item, discount)
+                engine.absorb(entry.item)
                 if time_log is not None:
                     time_log.append((len(result.seeds), time.perf_counter() - started))
                 if checkpoints is not None:
                     checkpoints.append((result.oracle_calls, result.spread))
             else:
-                gain = marginal_gain(working, seed_credits, entry.item)
+                gain = engine.gain(entry.item)
                 result.oracle_calls += 1
                 queue.push(entry.item, gain, iteration=len(result.seeds))
         if state_out is not None:
             state_out.append(
                 CDState(
                     index=working,
-                    seed_credits=seed_credits,
+                    seed_credits=engine.seed_credits(),
                     queue=queue.snapshot(),
                     seeds=list(result.seeds),
                     gains=list(result.gains),
@@ -227,5 +252,10 @@ def cd_maximize(
                     oracle_calls=result.oracle_calls,
                 )
             )
-        span.set(oracle_calls=result.oracle_calls, seeds=len(result.seeds))
+        span.set(
+            oracle_calls=result.oracle_calls,
+            seeds=len(result.seeds),
+            lemma2_updates=engine.lemma2_updates,
+            lemma3_adds=engine.lemma3_adds,
+        )
         return result

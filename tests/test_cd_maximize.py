@@ -154,19 +154,26 @@ class TestCDMaximize:
         assert truncated_spread >= 0.95 * exact_spread
 
 
-def _discounts(index):
-    """Both Lemma-2 implementations over ``index`` (NumPy when installed)."""
-    discounts = {"python": index.discount_through}
+def _absorber(index, backend):
+    """``(absorb, seed_credits)`` of one engine over ``index``: the
+    python engine's ``_absorb_seed``, or the numpy engine (``None``
+    without NumPy)."""
+    if backend == "python":
+        credits = SeedCredits()
+        return (lambda seed: _absorb_seed(index, credits, seed)), (
+            lambda: credits
+        )
     try:
-        from repro.kernels.cd_numpy import Lemma2Discount
+        from repro.kernels.cd_numpy import CDEngine
     except ImportError:
-        return discounts
-    discounts["numpy"] = Lemma2Discount(index)
-    return discounts
+        return None
+    engine = CDEngine(index)
+    return engine.absorb, engine.seed_credits
 
 
 class TestLemma2Discount:
-    """Both Lemma-2 implementations leave exactly the per-entry oracle's state."""
+    """Both engines' Lemma-2 and Lemma-3 updates leave exactly the
+    per-entry oracle's state."""
 
     @staticmethod
     def _missing_pairs(credits, seed):
@@ -181,23 +188,25 @@ class TestLemma2Discount:
 
     def _absorb_both(self, index, k):
         """Absorb cd's first ``k`` seeds into copies of ``index`` with
-        each Lemma-2 implementation and into the nested-dict oracle,
-        comparing after each.
+        each engine and into the nested-dict oracle, comparing after
+        each.
 
         Returns how many decrements found no entry to discount.
         """
         seeds = cd_maximize(index, k=k).seeds
         for backend in ("python", "numpy"):
-            fast, fast_credits = index.copy(), SeedCredits()
-            discount = _discounts(fast).get(backend)
-            if discount is None:
+            fast = index.copy()
+            engine = _absorber(fast, backend)
+            if engine is None:
                 continue
+            absorb, seed_credits = engine
             slow, slow_credits = nested_credits(index), SeedCredits()
             missing = 0
             for seed in seeds:
                 missing += self._missing_pairs(slow, seed)
-                _absorb_seed(fast, fast_credits, seed, discount)
+                absorb(seed)
                 reference_absorb_seed(slow, slow_credits, seed)
+                fast_credits = seed_credits()
                 assert list(fast.entries()) == flat_credits(slow), backend
                 assert fast.total_entries == len(flat_credits(slow))
                 assert list(fast_credits._credits.items()) == list(

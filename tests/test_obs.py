@@ -361,8 +361,11 @@ class TestBuildSpans:
         selection = result.runs[0].selection
         assert maximize.attrs == {
             "k": 3,
+            "resumed": False,
             "oracle_calls": selection.oracle_calls,
             "seeds": len(selection.seeds),
+            "lemma2_updates": 52,
+            "lemma3_adds": 85,
         }
 
     def test_one_build_span_per_slot_built(self, flixster_mini):

@@ -263,26 +263,34 @@ class TestLemma2Properties:
     )
     @settings(max_examples=40, deadline=None)
     def test_live_entries_equal_the_oracle(self, backend, data, order, truncation):
-        """After any sequence of absorbed seeds, the index's live
-        entries (values and layout order) equal the oracle's."""
+        """After any sequence of absorbed seeds, repeats included, the
+        index's live entries (values and layout order) and the seed
+        credits (values and dict order) equal the oracle's."""
         graph, log = data
         index = scan_action_log(graph, log, truncation=truncation)
         users = list(index.users())
         if backend == "numpy":
-            from repro.kernels.cd_numpy import Lemma2Discount
+            from repro.kernels.cd_numpy import CDEngine
 
-            discount = Lemma2Discount(index)
+            engine = CDEngine(index)
         else:
-            discount = index.discount_through
+            engine = None
+            credits = SeedCredits()
         oracle, oracle_credits = nested_credits(index), SeedCredits()
-        credits = SeedCredits()
         for position in order:
             seed = users[position % len(users)]
-            _absorb_seed(index, credits, seed, discount)
+            if engine is None:
+                _absorb_seed(index, credits, seed)
+            else:
+                engine.absorb(seed)
+                credits = engine.seed_credits()
             reference_absorb_seed(oracle, oracle_credits, seed)
             assert list(index.entries()) == flat_credits(oracle)
             assert list(credits._credits.items()) == list(
                 oracle_credits._credits.items()
+            )
+            assert list(credits._sums.items()) == list(
+                oracle_credits._sums.items()
             )
 
 
