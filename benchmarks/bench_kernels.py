@@ -188,9 +188,12 @@ def bench_em(mode: str) -> dict:
                 graph, log, compiled=compiled
             )
         )
-        assert list(result_numpy.probabilities) == list(
-            result_python.probabilities
+        # Bit for bit: the same edges, values and dict order, and the
+        # same number of rounds.
+        assert list(result_numpy.probabilities.items()) == list(
+            result_python.probabilities.items()
         )
+        assert result_numpy.iterations == result_python.iterations
     else:
         prep_numpy = kernel_numpy = None
 

@@ -381,7 +381,7 @@ class SelectionContext:
         )
         name = _PROBABILITY_PREFIX + method
         if method not in self._probabilities and self._stored(name) is None:
-            with obs_trace.span("context.build", artifact=name):
+            with obs_trace.span("context.build", artifact=name) as span:
                 if method == "UN":
                     value = uniform_probabilities(self.graph)
                 elif method == "TV":
@@ -397,13 +397,19 @@ class SelectionContext:
                             learn_ic_probabilities_em_numpy,
                         )
 
-                        value = learn_ic_probabilities_em_numpy(
+                        learned = learn_ic_probabilities_em_numpy(
                             self.graph, log, compiled=self.compiled_log()
-                        ).probabilities
+                        )
                     else:
-                        value = learn_ic_probabilities_em(
+                        learned = learn_ic_probabilities_em(
                             self.graph, log, propagations=self.propagation
-                        ).probabilities
+                        )
+                    value = learned.probabilities
+                    span.set(
+                        iterations=learned.iterations,
+                        converged=learned.converged,
+                        edges=len(value),
+                    )
                 else:  # PT
                     value = perturb_probabilities(
                         self.ic_probabilities("EM"), noise=0.2, seed=self.seed

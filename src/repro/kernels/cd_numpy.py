@@ -28,11 +28,14 @@ from the context's cached :class:`~repro.kernels.interning.CompiledLog`
 instead of one :class:`~repro.data.propagation.PropagationGraph` per
 action: the compiled log's positions and links are already the
 evaluator's columns, the users are the objects ``log.trace(action)``
-holds, and the gammas come from
+holds, numbered in first-seen order through
+:func:`~repro.kernels.interning._first_seen`'s dense table over the
+interned ids, and the gammas come from
 :meth:`~repro.kernels.scan_numpy.CompiledCredit.exact_gammas`.  Its
 pickle equals the reference construction's byte for byte.
 :func:`cd_kappa_numpy` answers its queries level by level over the
-whole link table, bit-identical to the reference walk.
+whole link table, bit-identical to the reference walk, and orders the
+credited users by first position through the same table.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.core.index import _ZERO, CreditIndex, SeedCredits
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
-from repro.kernels.interning import CompiledGraph, CompiledLog
+from repro.kernels.interning import CompiledGraph, CompiledLog, _first_seen
 from repro.kernels.scan_numpy import CompiledCredit, _compute_depths
 
 __all__ = [
@@ -381,9 +384,7 @@ def cd_evaluator_numpy(
     )
     # User ids in first-seen order: every graph id ranked by its first
     # position, as the reference's append loop numbers them.
-    node_set, first, inverse = np.unique(
-        node_ids, return_index=True, return_inverse=True
-    )
+    node_set, first, inverse = _first_seen(node_ids, compiled.graph.n)
     by_first = np.argsort(first)
     rank = np.empty(len(node_set), dtype=np.int32)
     rank[by_first] = np.arange(len(node_set), dtype=np.int32)
@@ -490,7 +491,7 @@ def cd_kappa_numpy(
     credited = np.flatnonzero(credit > 0.0)
     owners = np.frombuffer(evaluator.position_user, dtype=np.int32)[credited]
     totals = np.bincount(owners, weights=credit[credited])
-    ids, first = np.unique(owners, return_index=True)
+    ids, first, _ = _first_seen(owners, len(totals))
     ids = ids[np.argsort(first)]
     values = totals[ids] / np.frombuffer(evaluator.counts, dtype=np.int32)[ids]
     users = evaluator.users

@@ -11,9 +11,9 @@ rebuilt here exactly once per ``(graph, log)`` pair as flat arrays:
   pure-Python code makes;
 * :class:`CompiledGraph` is the social graph in CSR form (both
   orientations), with a sorted ``src * n + dst`` key array that gives
-  every social edge a stable *global edge id* — the key the EM kernel
-  uses to accumulate per-edge statistics with ``np.bincount`` /
-  ``np.add.at``;
+  every social edge a stable *global edge id* — the key the EM and
+  Eq.-9 kernels number their parameters by (:func:`_first_seen`) and
+  accumulate per-edge statistics over with ``np.bincount``;
 * :func:`positive_csr` is the one CSR over the edges carrying a
   positive value (an IC probability or an LT weight) — the layout the
   Monte-Carlo and sketch kernels run on, interned over the graph's own
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from math import isfinite
 from operator import itemgetter
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -214,6 +214,31 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def _first_seen(
+    ids: np.ndarray, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_index=True, return_inverse=True)`` for
+    ids in ``[0, bound)``, through one dense table instead of a sort.
+
+    Returns ``(distinct, first, inverse)``, element for element equal
+    to ``np.unique``'s, ``distinct`` of ``ids``' dtype.  ``np.unique``
+    with indices pays a stable argsort; here a ``bound``-long table
+    takes each id's smallest position by ``np.minimum.at`` (an
+    order-free rule: a fancy assignment leaves the winner among
+    repeated indices unspecified), and one gather of the table's ranks
+    is the inverse.
+    """
+    size = len(ids)
+    keys = ids.astype(np.intp, copy=False)  # intp indexes fastest
+    table = np.full(bound, size, dtype=np.intp)
+    np.minimum.at(table, keys, np.arange(size, dtype=np.intp))
+    seen = table < size
+    distinct = np.flatnonzero(seen)
+    rank = np.cumsum(seen, dtype=np.intp)
+    rank -= 1
+    return distinct.astype(ids.dtype, copy=False), table[distinct], rank[keys]
+
+
 class CompiledGraph:
     """The social graph as CSR arrays over interned ids.
 
@@ -308,9 +333,14 @@ class CompiledGraph:
         )
         return positions, found
 
-    def edge_endpoints(self, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` interned ids for global edge ids."""
-        return self.edge_src[edge_ids], self.out_indices[edge_ids]
+    def edges(self, edge_ids: np.ndarray) -> Iterator[Edge]:
+        """The ``(source, target)`` pairs of global edge ids, in order,
+        as the id map's own node objects."""
+        values = self.idmap.values
+        return zip(
+            [values[i] for i in self.edge_src[edge_ids].tolist()],
+            [values[i] for i in self.out_indices[edge_ids].tolist()],
+        )
 
 
 class CompiledLog:
@@ -343,6 +373,13 @@ class CompiledLog:
     _CHUNK_SLOT_BUDGET = 1 << 21
     _MAX_CHUNK_ACTIONS = 64
 
+    @classmethod
+    def _chunk_size(cls, n: int) -> int:
+        """Actions per chunk over an ``n``-node graph: at most
+        ``_MAX_CHUNK_ACTIONS``, and ``(slot, node)`` scratch buffers
+        within ``_CHUNK_SLOT_BUDGET``."""
+        return max(1, min(cls._MAX_CHUNK_ACTIONS, cls._CHUNK_SLOT_BUDGET // max(n, 1)))
+
     def __init__(
         self,
         graph: CompiledGraph,
@@ -355,9 +392,7 @@ class CompiledLog:
         self.actions: list[Hashable] = (
             list(log.actions()) if actions is None else list(actions)
         )
-        chunk_actions = max(
-            1, min(self._MAX_CHUNK_ACTIONS, self._CHUNK_SLOT_BUDGET // max(graph.n, 1))
-        )
+        chunk_actions = self._chunk_size(graph.n)
         # Scratch buffers reused across chunks: activation time (inf =
         # did not perform) and trace position, per (slot, node) key.
         time_buf = np.full(chunk_actions * graph.n, np.inf)

@@ -1,10 +1,14 @@
-"""The NumPy kernels' integer dedup: one sort, never NumPy's hash path.
+"""The NumPy kernels' integer dedup and numbering: never NumPy's hash
+path, never its argsort path.
 
 NumPy >= 2.3 answers a bare ``np.unique`` (and ``np.union1d``, which
 calls it) through a hash table, an order of magnitude slower than one
-sort on the kernels' integer keys.  ``_sorted_unique`` is the sort;
-the guard below keeps every kernel on it.  A ``np.unique`` call that
-asks for indices, an inverse or counts is answered by sorting already.
+sort on the kernels' integer keys; ``_sorted_unique`` is the sort.  A
+``np.unique`` that asks for first indices or an inverse pays a stable
+argsort instead: on 16,000 int64 keys about 1.2 ms, against 0.09 ms
+for ``np.sort``, and 10-30x the dense first-seen table of
+``_first_seen``, which numbers ids below a known bound.  The guards
+below keep every kernel on those two; ``return_counts`` stays allowed.
 """
 
 from __future__ import annotations
@@ -39,30 +43,46 @@ def test_sorted_unique_equals_np_unique(name, dtype):
     np.testing.assert_array_equal(got, expected)
 
 
-def _hashing_calls(path: Path) -> list[str]:
-    """Each ``np.union1d`` or bare ``np.unique`` call in ``path``."""
+def _kernel_numpy_calls(flagged) -> list[str]:
+    """Each ``np.<name>(...)`` call under ``src/repro/kernels`` for which
+    ``flagged(name, keyword_names)`` holds."""
+    modules = sorted(KERNELS_DIR.glob("*.py"))
+    assert modules
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy")
-        ):
-            continue
-        keywords = {keyword.arg or "" for keyword in node.keywords}
-        bare_unique = node.func.attr == "unique" and not any(
-            keyword.startswith("return_") for keyword in keywords
-        )
-        if node.func.attr == "union1d" or bare_unique:
-            found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and flagged(
+                    node.func.attr,
+                    {keyword.arg or "" for keyword in node.keywords},
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
     return found
 
 
 def test_no_kernel_dedups_through_a_hash_table():
-    modules = sorted(KERNELS_DIR.glob("*.py"))
-    assert modules
-    found = [call for path in modules for call in _hashing_calls(path)]
+    found = _kernel_numpy_calls(
+        lambda name, keywords: name == "union1d"
+        or (
+            name == "unique"
+            and not any(keyword.startswith("return_") for keyword in keywords)
+        )
+    )
     assert found == [], (
         "use repro.kernels.interning._sorted_unique instead: " + ", ".join(found)
+    )
+
+
+def test_no_kernel_numbers_ids_through_an_argsort():
+    found = _kernel_numpy_calls(
+        lambda name, keywords: name == "unique"
+        and bool(keywords & {"return_index", "return_inverse"})
+    )
+    assert found == [], (
+        "use repro.kernels.interning._first_seen instead: " + ", ".join(found)
     )

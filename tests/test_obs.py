@@ -26,7 +26,9 @@ import time
 
 import pytest
 
+from repro import kernels
 from repro.api import ExperimentConfig, SelectionContext, run_experiment
+from repro.data.split import train_test_split
 from repro.obs.metrics import (
     EXPOSITION_CONTENT_TYPE,
     Registry,
@@ -366,6 +368,24 @@ class TestBuildSpans:
             "seeds": len(selection.seeds),
             "lemma2_updates": 52,
             "lemma3_adds": 85,
+        }
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_em_build_records_its_work(self, flixster_mini, backend):
+        train, _ = train_test_split(flixster_mini.log, every=5)
+        context = SelectionContext(flixster_mini.graph, train, backend=backend)
+        with Trace(trace_id="em-work").activate() as trace:
+            context.ic_probabilities("EM")
+        (build,) = [
+            recorded
+            for recorded in _named(trace.spans, "context.build")
+            if recorded.attrs["artifact"] == "ic_probabilities/EM"
+        ]
+        assert build.attrs == {
+            "artifact": "ic_probabilities/EM",
+            "iterations": 30,
+            "converged": False,
+            "edges": 275,
         }
 
     def test_one_build_span_per_slot_built(self, flixster_mini):
