@@ -2,7 +2,7 @@
 
 Beyond the paper's own comparison (Figure 6), this bench lines up every
 seed-selection algorithm the library implements — the CD maximizer, the
-lazy-greedy family (CELF/CELF++), the sampling-based RIS selector, the
+lazy greedy (CELF), the sampling-based RIS selector, the
 simulation-free SimPath (LT) estimator, and the structural heuristics
 (High-Degree, DegreeDiscount) — on one dataset, reporting runtime and
 the spread of each selector's seeds under the CD proxy (the paper's
@@ -30,8 +30,6 @@ NUM_RR_SETS = 3000
 SELECTORS = [
     {"name": "cd", "label": "CD (cd_maximize)"},
     {"name": "celf", "params": {"model": "cd"}, "label": "CELF over sigma_cd"},
-    {"name": "celfpp", "params": {"model": "cd"},
-     "label": "CELF++ over sigma_cd"},
     {"name": "ris", "params": {"num_rr_sets": NUM_RR_SETS, "seed": 7},
      "label": "RIS (EM probabilities)"},
     {"name": "simpath", "params": {"eta": 1e-3},

@@ -13,7 +13,7 @@ the budget loosens the two passes converge; CEF always matches the
 better pass and dominates the activity baseline.
 """
 
-from repro.core.budget import _lazy_budget_pass, cd_budget_maximize
+from repro.core.budget import _budget_pass, cd_budget_maximize
 from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator
 from repro.evaluation.reporting import format_table
@@ -61,12 +61,12 @@ def test_extension_budgeted_maximization(
 
     rows = []
     for budget, result in zip(BUDGETS, results):
-        benefit_seeds, benefit_gains, _, _ = _lazy_budget_pass(
-            index.copy(), budget, costs, 1.0, by_ratio=False
+        benefit, ratio = (
+            _budget_pass(index, budget, costs.__getitem__, by_ratio)
+            for by_ratio in (False, True)
         )
-        ratio_seeds, ratio_gains, _, _ = _lazy_budget_pass(
-            index.copy(), budget, costs, 1.0, by_ratio=True
-        )
+        benefit_seeds, benefit_gains = benefit.seeds, benefit.gains
+        ratio_seeds, ratio_gains = ratio.seeds, ratio.gains
         baseline_seeds = _greedy_by_activity(index, budget, costs)
         baseline_spread = evaluator.spread(baseline_seeds)
         rows.append(

@@ -136,7 +136,6 @@ from repro.diffusion.lt import estimate_spread_lt
 from repro.graphs.digraph import SocialGraph
 from repro.graphs.metrics import GraphSummary, summarize_graph
 from repro.maximization.celf import celf_maximize
-from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.degree_discount import (
     degree_discount_ic_seeds,
     single_discount_seeds,
@@ -215,7 +214,6 @@ __all__ = [
     "GreedyResult",
     "greedy_maximize",
     "celf_maximize",
-    "celfpp_maximize",
     "single_discount_seeds",
     "degree_discount_ic_seeds",
     "high_degree_seeds",

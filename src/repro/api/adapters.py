@@ -22,7 +22,6 @@ from repro.api.results import SeedSelection
 from repro.core.budget import cd_budget_maximize
 from repro.core.maximize import cd_maximize
 from repro.maximization.celf import celf_maximize
-from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.degree_discount import (
     degree_discount_ic_seeds,
     single_discount_seeds,
@@ -32,6 +31,7 @@ from repro.maximization.heuristics import high_degree_seeds, pagerank_seeds
 from repro.maximization.irie import irie_seeds
 from repro.maximization.ris import ris_maximize
 from repro.maximization.simpath import simpath_maximize
+from repro.utils.validation import require_finite_number
 
 __all__: list[str] = []
 
@@ -110,6 +110,8 @@ def _cd_budget(
     """
     if budget is None:
         budget = float(k)
+    require_finite_number(budget, "budget")
+    require_finite_number(cost_scale, "cost_scale")
     index = ctx.credit_index()
     costs = None
     if cost_scale > 0.0:
@@ -117,7 +119,7 @@ def _cd_budget(
             user: 1.0 + index.activity[user] / cost_scale
             for user in index.users()
         }
-    result = cd_budget_maximize(index, budget=budget, costs=costs)
+    result = cd_budget_maximize(index, budget, costs, backend=ctx.backend)
     return SeedSelection(
         seeds=list(result.seeds),
         gains=list(result.gains),
@@ -205,32 +207,6 @@ def _celf(
 ):
     return _oracle_family(
         ctx, k, celf_maximize, model, method, seed, time_log,
-        checkpoints=checkpoints, state=state, state_out=state_out,
-    )
-
-
-@register_selector(
-    "celfpp",
-    family="mc",
-    description="CELF++ lazier greedy (Goyal, Lu, Lakshmanan, WWW 2011)",
-    needs_oracle=True,
-    supports_time_log=True,
-    stochastic=True,
-)
-def _celfpp(
-    ctx: SelectionContext,
-    k: int,
-    *,
-    model: str = "cd",
-    method: str | None = None,
-    seed: int | None = None,
-    time_log=None,
-    checkpoints=None,
-    state=None,
-    state_out=None,
-):
-    return _oracle_family(
-        ctx, k, celfpp_maximize, model, method, seed, time_log,
         checkpoints=checkpoints, state=state, state_out=state_out,
     )
 

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     prefix.add_argument(
         "--selector", action="append", required=True, metavar="NAME",
         help="prefixable selector to precompute (repeatable): "
-        "cd, celf, celfpp, greedy",
+        "cd, celf, greedy, hop, ris",
     )
     prefix.add_argument("--k-max", type=int, required=True,
                         help="selections to record (serves any k <= k_max)")
@@ -656,9 +656,14 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    result = get_selector(
-        "cd_budget", budget=args.budget, cost_scale=args.cost_scale
-    ).select(_uniform_context(args), 0)
+    context = _uniform_context(args)
+    try:
+        result = get_selector(
+            "cd_budget", budget=args.budget, cost_scale=args.cost_scale
+        ).select(context, 0)
+    except ValueError as error:  # a negative or non-finite number
+        print(f"budget: {error}", file=sys.stderr)
+        return 2
     meta = result.metadata
     print(format_table(
         ["rank", "seed", "cost", "marginal gain"],

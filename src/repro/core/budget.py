@@ -18,10 +18,10 @@ optimisation originates.  Their CEF rule is implemented here:
 
 Either pass alone can be arbitrarily bad, but their maximum is a
 ``(1 - 1/e) / 2`` approximation of the budgeted optimum (Leskovec et
-al. 2007, building on Khuller, Moss & Naor 1999).  Both passes use CELF
-laziness — lazy evaluation is sound for the ratio ranking too, because
-dividing a submodularly-shrinking gain by a constant cost keeps stale
-priorities upper bounds.
+al. 2007, building on Khuller, Moss & Naor 1999).  Each pass is a run
+of the CD CELF loop — lazy evaluation is sound for the ratio ranking
+too, because dividing a submodularly-shrinking gain by a constant cost
+keeps stale priorities upper bounds.
 
 Unaffordable candidates are discarded permanently when popped: the
 remaining budget only shrinks, so a node too expensive now stays too
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Callable, Hashable, Mapping
 
-from repro.core.index import CreditIndex, SeedCredits
-from repro.core.maximize import _absorb_seed, marginal_gain
-from repro.utils.pqueue import LazyQueue
+from repro.core.index import CreditIndex
+from repro.core.maximize import _celf_loop, _engine
+from repro.obs import trace as obs_trace
 from repro.utils.validation import require
 
 __all__ = ["BudgetResult", "cd_budget_maximize"]
@@ -82,59 +82,24 @@ class BudgetResult:
     elapsed_seconds: float = 0.0
 
 
-def _lazy_budget_pass(
+def _budget_pass(
     index: CreditIndex,
     budget: float,
-    costs: Mapping[User, float],
-    default_cost: float,
+    cost: Callable[[User], float],
     by_ratio: bool,
-) -> tuple[list[User], list[float], list[float], int]:
-    """One CELF pass; ranking by gain (benefit) or gain/cost (ratio).
-
-    Returns ``(seeds, gains, seed_costs, oracle_calls)``.  Mutates
-    ``index`` (callers pass a private copy).
-    """
-
-    def cost_of(user: User) -> float:
-        return costs.get(user, default_cost)
-
-    def priority(user: User, gain: float) -> float:
-        return gain / cost_of(user) if by_ratio else gain
-
-    seed_credits = SeedCredits()
-    seeds: list[User] = []
-    gains: list[float] = []
-    seed_costs: list[float] = []
-    oracle_calls = 0
-    remaining = budget
-    queue = LazyQueue()
-    for user in list(index.users()):
-        if cost_of(user) > remaining:
-            continue
-        gain = marginal_gain(index, seed_credits, user)
-        oracle_calls += 1
-        queue.push(user, priority(user, gain), iteration=0)
-    while queue:
-        entry = queue.pop()
-        cost = cost_of(entry.item)
-        if cost > remaining:
-            continue  # the budget only shrinks: drop permanently
-        if entry.iteration == len(seeds):
-            gain = (
-                entry.gain * cost if by_ratio else entry.gain
-            )  # undo the ratio scaling to record the raw gain
-            if gain <= 0.0:
-                break
-            seeds.append(entry.item)
-            gains.append(gain)
-            seed_costs.append(cost)
-            remaining -= cost
-            _absorb_seed(index, seed_credits, entry.item)
-        else:
-            gain = marginal_gain(index, seed_credits, entry.item)
-            oracle_calls += 1
-            queue.push(entry.item, priority(entry.item, gain), iteration=len(seeds))
-    return seeds, gains, seed_costs, oracle_calls
+    backend: str | None = None,
+) -> BudgetResult:
+    """One CEF pass over a private copy of ``index``: the CELF loop,
+    ranking by gain (benefit) or gain/cost (ratio), until nothing
+    affordable with a positive gain is left."""
+    rule = "ratio" if by_ratio else "benefit"
+    with obs_trace.span("maximize.cd", budget=budget, rule=rule) as span:
+        result = BudgetResult(budget=budget, rule=rule)
+        _celf_loop(
+            _engine(index.copy(), None, backend), result, span,
+            stop_at_zero=True, cost=cost, budget=budget, by_ratio=by_ratio,
+        )
+    return result
 
 
 def cd_budget_maximize(
@@ -142,6 +107,8 @@ def cd_budget_maximize(
     budget: float,
     costs: Mapping[User, float] | None = None,
     default_cost: float = 1.0,
+    *,
+    backend: str | None = None,
 ) -> BudgetResult:
     """Select seeds maximizing ``sigma_cd`` subject to a cost budget.
 
@@ -158,6 +125,8 @@ def cd_budget_maximize(
         ``default_cost``.  All costs must be positive.
     default_cost:
         Cost of nodes not listed in ``costs`` (must be positive).
+    backend:
+        As in :func:`~repro.core.maximize.cd_maximize`.
     """
     require(budget >= 0.0, f"budget must be non-negative, got {budget}")
     require(default_cost > 0.0, f"default_cost must be positive, got {default_cost}")
@@ -165,29 +134,15 @@ def cd_budget_maximize(
     for user, cost in cost_map.items():
         require(cost > 0.0, f"cost of {user!r} must be positive, got {cost}")
     started = time.perf_counter()
-    result = BudgetResult(budget=budget)
-    passes = {
-        "benefit": _lazy_budget_pass(
-            index.copy(), budget, cost_map, default_cost, by_ratio=False
-        ),
-        "ratio": _lazy_budget_pass(
-            index.copy(), budget, cost_map, default_cost, by_ratio=True
-        ),
-    }
-    best_rule = ""
-    best_spread = float("-inf")
-    for rule, (seeds, gains, seed_costs, calls) in passes.items():
-        result.oracle_calls += calls
-        spread = sum(gains)
-        if spread > best_spread:
-            best_rule = rule
-            best_spread = spread
-    seeds, gains, seed_costs, _ = passes[best_rule]
-    result.rule = best_rule
-    result.seeds = seeds
-    result.gains = gains
-    result.costs = seed_costs
-    result.spread = sum(gains)
-    result.spent = sum(seed_costs)
+    price = {user: cost_map.get(user, default_cost) for user in index.users()}
+    passes = [
+        _budget_pass(index, budget, price.__getitem__, by_ratio, backend)
+        for by_ratio in (False, True)
+    ]
+    # The benefit pass wins ties.
+    result = max(passes, key=lambda run: sum(run.gains))
+    result.spread = sum(result.gains)
+    result.spent = sum(result.costs)
+    result.oracle_calls = sum(run.oracle_calls for run in passes)
     result.elapsed_seconds = time.perf_counter() - started
     return result

@@ -10,9 +10,8 @@ submodular set-cover algorithm (Wolsey 1982): to reach
 ``|OPT| * (1 + ln(sigma_cd(V) / epsilon))`` seeds, where ``OPT`` is the
 smallest set whose spread reaches the target.
 
-The implementation reuses the whole Theorem-3 machinery of
-:mod:`repro.core.maximize` — marginal gains read off the credit index,
-CELF laziness, Lemma-2/3 incremental updates — so covering a target is
+The implementation is the CD CELF loop of :mod:`repro.core.maximize`
+with a spread target for its stopping rule, so covering a target is
 exactly as cheap per seed as maximizing, and the selected prefix is the
 same greedy sequence ``cd_maximize`` would produce
 (``tests/test_coverage.py`` pins that equivalence).
@@ -29,9 +28,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from repro.core.index import CreditIndex, SeedCredits
-from repro.core.maximize import _absorb_seed, marginal_gain
-from repro.utils.pqueue import LazyQueue
+from repro.core.index import CreditIndex
+from repro.core.maximize import _celf_loop, _engine
+from repro.obs import trace as obs_trace
 from repro.utils.validation import require, require_non_negative
 
 __all__ = ["CoverageResult", "cd_cover"]
@@ -117,33 +116,14 @@ def cd_cover(
         require(max_seeds >= 0, f"max_seeds must be non-negative, got {max_seeds}")
     started = time.perf_counter()
     result = CoverageResult(target=target)
-    if target <= 0.0:
-        result.reached = True
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-    working = index if mutate else index.copy()
-    limit = len(working.activity) if max_seeds is None else max_seeds
-    seed_credits = SeedCredits()
-    queue = LazyQueue()
-    for user in list(working.users()):
-        gain = marginal_gain(working, seed_credits, user)
-        result.oracle_calls += 1
-        queue.push(user, gain, iteration=0)
-    while result.spread < target and len(result.seeds) < limit and queue:
-        entry = queue.pop()
-        if entry.iteration == len(result.seeds):
-            if entry.gain <= 0.0:
-                # Submodularity: every remaining gain is <= this one, so
-                # no further progress toward the target is possible.
-                break
-            result.seeds.append(entry.item)
-            result.gains.append(entry.gain)
-            result.spread += entry.gain
-            _absorb_seed(working, seed_credits, entry.item)
-        else:
-            gain = marginal_gain(working, seed_credits, entry.item)
-            result.oracle_calls += 1
-            queue.push(entry.item, gain, iteration=len(result.seeds))
+    if target > 0.0:
+        with obs_trace.span("maximize.cd", target=target) as span:
+            working = index if mutate else index.copy()
+            _celf_loop(
+                _engine(working, None, None), result, span,
+                k=len(working.activity) if max_seeds is None else max_seeds,
+                target=target, stop_at_zero=True,
+            )
     result.reached = result.spread >= target
     result.elapsed_seconds = time.perf_counter() - started
     return result

@@ -13,6 +13,11 @@ Lemma 2 re-roots every remaining credit on paths avoiding it — both in
 time proportional to the credits touching the new seed, never by
 re-scanning the log.
 
+One CELF loop (:func:`_celf_loop`) serves :func:`cd_maximize`,
+:func:`repro.core.coverage.cd_cover` and
+:func:`repro.core.budget.cd_budget_maximize`; only its stopping rule
+differs.
+
 One deliberate correction to the paper's pseudocode:
 Algorithm 4 as printed adds the self-credit term ``1/A_x`` only for
 actions where ``x`` has outgoing credit; consistency with Theorem 3 and
@@ -25,11 +30,12 @@ brute-force recomputation of ``sigma_cd``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.core.index import CreditIndex, SeedCredits
 from repro.kernels import resolve_backend
@@ -116,7 +122,7 @@ def _absorb_seed(
 
 
 class _ReferenceEngine:
-    """``cd_maximize``'s python engine: :func:`marginal_gain` and
+    """The CD selectors' python engine: :func:`marginal_gain` and
     :func:`_absorb_seed` over the working index, with the numpy engine's
     interface (:class:`repro.kernels.cd_numpy.CDEngine`)."""
 
@@ -126,8 +132,15 @@ class _ReferenceEngine:
         self.lemma2_updates = 0
         self.lemma3_adds = 0
 
-    def initial_gains(self) -> list[tuple[User, float]]:
-        return [(user, self.gain(user)) for user in list(self._index.users())]
+    def initial_gains(
+        self, admits: Callable[[User], bool] | None = None
+    ) -> list[tuple[User, float]]:
+        index, seed_credits = self._index, self._seed_credits
+        return [
+            (user, marginal_gain(index, seed_credits, user))
+            for user in list(index.users())
+            if admits is None or admits(user)
+        ]
 
     def gain(self, node: User) -> float:
         return marginal_gain(self._index, self._seed_credits, node)
@@ -139,6 +152,96 @@ class _ReferenceEngine:
 
     def seed_credits(self) -> SeedCredits:
         return self._seed_credits
+
+
+def _engine(
+    index: CreditIndex, seed_credits: SeedCredits | None, backend: str | None
+) -> Any:
+    """The backend's engine over ``index``, from ``seed_credits`` (never
+    mutated; ``None`` for a cold run)."""
+    if resolve_backend(backend) == "numpy":
+        from repro.kernels.cd_numpy import CDEngine
+
+        return CDEngine(index, seed_credits)
+    return _ReferenceEngine(index, (seed_credits or SeedCredits()).copy())
+
+
+def _celf_loop(
+    engine: Any,
+    result: Any,
+    span: Any,
+    queue: LazyQueue | None = None,
+    *,
+    k: float = math.inf,
+    target: float = math.inf,
+    stop_at_zero: bool = False,
+    cost: Callable[[User], float] | None = None,
+    budget: float = math.inf,
+    by_ratio: bool = False,
+    picked: Callable[[], None] | None = None,
+) -> LazyQueue:
+    """Algorithm 3's CELF loop over ``engine`` (cold without a ``queue``).
+
+    Picks go to ``result`` (``costs`` too under a ``cost``), then to
+    ``picked``.  It stops at ``k`` seeds, a ``spread`` that reaches
+    ``target``, a spent ``budget`` or an empty queue, and with
+    ``stop_at_zero`` at the first fresh gain ``<= 0``.  Under a positive
+    ``cost`` the sweep computes gains only for users who fit in
+    ``budget``, a popped user over what is left is dropped for good, and
+    ``by_ratio`` ranks by gain/cost and records ``priority * cost``.
+    Each gain computed is one oracle call; ``span`` gets the counters.
+    """
+    seeds, remaining, cheapest = result.seeds, budget, 0.0
+    if queue is None:
+        queue = LazyQueue()
+        swept = engine.initial_gains(
+            None if cost is None else lambda user: cost(user) <= budget
+        )
+        for user, gain in swept:
+            result.oracle_calls += 1
+            queue.push(
+                user, gain / cost(user) if by_ratio else gain, iteration=0
+            )
+        if cost is not None:
+            # Only users who fit are queued: once what is left is below
+            # the cheapest of them, the budget is spent.
+            cheapest = min((cost(user) for user, _ in swept), default=math.inf)
+    while (
+        len(seeds) < k and result.spread < target and remaining >= cheapest
+        and queue
+    ):
+        entry = queue.pop()
+        user = entry.item
+        if cost is not None:
+            price = cost(user)
+            if price > remaining:
+                continue
+        if entry.iteration == len(seeds):
+            gain = entry.gain * price if by_ratio else entry.gain
+            if stop_at_zero and gain <= 0.0:
+                break
+            seeds.append(user)
+            result.gains.append(gain)
+            result.spread += gain
+            if cost is not None:
+                result.costs.append(price)
+                remaining -= price
+            engine.absorb(user)
+            if picked is not None:
+                picked()
+        else:
+            gain = engine.gain(user)
+            result.oracle_calls += 1
+            queue.push(
+                user, gain / price if by_ratio else gain, iteration=len(seeds)
+            )
+    span.set(
+        oracle_calls=result.oracle_calls,
+        seeds=len(seeds),
+        lemma2_updates=engine.lemma2_updates,
+        lemma3_adds=engine.lemma3_adds,
+    )
+    return queue
 
 
 def cd_maximize(
@@ -180,13 +283,9 @@ def cd_maximize(
         If given, the final :class:`CDState` is appended, ready to
         resume past this run's ``k``.
     backend:
-        Compute backend.  One CELF loop drives an engine through
-        ``gain(user)`` and ``absorb(user)``: under ``"numpy"`` it is
-        :class:`repro.kernels.cd_numpy.CDEngine`, which runs the
-        initial sweep, every CELF re-evaluation, Lemma 3 and Lemma 2 as
-        array passes over the index columns; otherwise
-        :func:`marginal_gain` and :func:`_absorb_seed`.  Both are
-        bit-identical, exported ``CDState`` bytes included.
+        Compute backend: :class:`repro.kernels.cd_numpy.CDEngine` under
+        ``"numpy"``, :func:`marginal_gain` and :func:`_absorb_seed`
+        otherwise; bit-identical, exported ``CDState`` bytes included.
 
     Returns
     -------
@@ -200,6 +299,7 @@ def cd_maximize(
     ) as span:
         started = time.perf_counter()
         result = GreedyResult()
+        queue = None
         if state is not None:
             working = state.index.copy()
             queue = LazyQueue.restore(state.queue)
@@ -209,37 +309,15 @@ def cd_maximize(
             result.oracle_calls = state.oracle_calls
         else:
             working = index if mutate else index.copy()
-            queue = LazyQueue()
-        if resolve_backend(backend) == "numpy":
-            from repro.kernels.cd_numpy import CDEngine
+        engine = _engine(working, state and state.seed_credits, backend)
 
-            engine = CDEngine(
-                working, None if state is None else state.seed_credits
-            )
-        else:
-            engine = _ReferenceEngine(
-                working,
-                SeedCredits() if state is None else state.seed_credits.copy(),
-            )
-        if state is None:
-            for user, gain in engine.initial_gains():
-                result.oracle_calls += 1
-                queue.push(user, gain, iteration=0)
-        while len(result.seeds) < k and queue:
-            entry = queue.pop()
-            if entry.iteration == len(result.seeds):
-                result.seeds.append(entry.item)
-                result.gains.append(entry.gain)
-                result.spread += entry.gain
-                engine.absorb(entry.item)
-                if time_log is not None:
-                    time_log.append((len(result.seeds), time.perf_counter() - started))
-                if checkpoints is not None:
-                    checkpoints.append((result.oracle_calls, result.spread))
-            else:
-                gain = engine.gain(entry.item)
-                result.oracle_calls += 1
-                queue.push(entry.item, gain, iteration=len(result.seeds))
+        def picked() -> None:
+            if time_log is not None:
+                time_log.append((len(result.seeds), time.perf_counter() - started))
+            if checkpoints is not None:
+                checkpoints.append((result.oracle_calls, result.spread))
+
+        queue = _celf_loop(engine, result, span, queue, k=k, picked=picked)
         if state_out is not None:
             state_out.append(
                 CDState(
@@ -252,10 +330,4 @@ def cd_maximize(
                     oracle_calls=result.oracle_calls,
                 )
             )
-        span.set(
-            oracle_calls=result.oracle_calls,
-            seeds=len(result.seeds),
-            lemma2_updates=engine.lemma2_updates,
-            lemma3_adds=engine.lemma3_adds,
-        )
         return result

@@ -6,10 +6,11 @@ Algorithm 3's cold start evaluates the Theorem-3 marginal gain of
 the gain collapses to ``1 + sum_a sum_u UC[x][a][u] / A_u``, so
 :func:`cd_initial_gains` is one segmented pass over the credit index's
 columns, read in place through ``np.frombuffer``.  :class:`CDEngine`
-runs the rest of :func:`repro.core.maximize.cd_maximize` on the same
-columns: each CELF re-evaluation, Lemma 3 and Lemma 2 is a handful of
-array passes over the user's row, the seed's row or its sources'
-segments, matched through dense ``(action, user)`` pair ids.
+runs the rest of the CD selectors' CELF loop
+(:func:`repro.core.maximize._celf_loop`) on the same columns: each
+CELF re-evaluation, Lemma 3 and Lemma 2 is a handful of array passes
+over the user's row, the seed's row or its sources' segments, matched
+through dense ``(action, user)`` pair ids.
 
 Bit-identity with :func:`repro.core.maximize.marginal_gain` and
 :func:`repro.core.maximize._absorb_seed` holds because every float sum
@@ -41,7 +42,7 @@ credited users by first position through the same table.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CDEngine:
     """Algorithm 3's per-seed work over one working index, as array passes.
 
-    ``cd_maximize``'s numpy engine: :meth:`gain` is
+    The CD selectors' numpy engine: :meth:`gain` is
     :func:`~repro.core.maximize.marginal_gain` and :meth:`absorb` is
     :func:`~repro.core.maximize._absorb_seed` (Lemma 3, Lemma 2, then
     the seed's removal), bit for bit.  The index's ``val`` and ``alive``
@@ -215,9 +216,13 @@ class CDEngine:
         self.lemma2_updates = 0
         self.lemma3_adds = 0
 
-    def initial_gains(self) -> list[tuple[User, float]]:
-        """The empty-seed-set gains (:func:`cd_initial_gains`)."""
-        return cd_initial_gains(self._index)
+    def initial_gains(
+        self, admits: Callable[[User], bool] | None = None
+    ) -> list[tuple[User, float]]:
+        """The empty-seed-set gains (:func:`cd_initial_gains`) of the
+        users ``admits`` accepts (all by default)."""
+        return [pair for pair in cd_initial_gains(self._index)
+                if admits is None or admits(pair[0])]
 
     def gain(self, node: User) -> float:
         """``marginal_gain(index, SC, node)``, always a Python ``float``.

@@ -28,7 +28,6 @@ functions below remain the primitive, directly callable layer.
 """
 
 from repro.maximization.celf import celf_maximize
-from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.degree_discount import (
     degree_discount_ic_seeds,
     single_discount_seeds,
@@ -56,7 +55,6 @@ __all__ = [
     "GreedyResult",
     "greedy_maximize",
     "celf_maximize",
-    "celfpp_maximize",
     "single_discount_seeds",
     "degree_discount_ic_seeds",
     "irie_ranks",

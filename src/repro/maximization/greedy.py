@@ -34,8 +34,8 @@ User = Hashable
 def _spread_chunk(payload: tuple) -> list[float]:
     """Worker task: ``oracle.spread(base + [node])`` per node of a chunk.
 
-    Module-level (picklable) and shared with the CELF/CELF++ initial
-    sweeps.  ``base`` is materialised by the caller so every executor
+    Module-level (picklable) and shared with CELF's initial sweep.
+    ``base`` is materialised by the caller so every executor
     evaluates exactly the same seed lists.
     """
     oracle, base, nodes = payload

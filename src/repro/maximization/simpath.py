@@ -23,7 +23,7 @@ estimate is exact; tests compare against exact live-edge enumeration.
 
 The seed selector wraps the estimator behind the library's
 :class:`~repro.maximization.oracle.SpreadOracle` protocol so plain
-greedy/CELF/CELF++ drive it unchanged.  (The original paper adds a
+greedy/CELF drive it unchanged.  (The original paper adds a
 vertex-cover initialisation and a look-ahead batching optimisation;
 those are engineering accelerations of the same estimator and are out
 of scope — the estimator and its guarantee structure are what the

@@ -38,7 +38,7 @@ __all__ = [
 # recorded in every manifest: bumping it makes every old entry an
 # invisible miss (re-learn and re-save) instead of a misread.
 # Version 2: Monte-Carlo spread moved to counter-keyed worlds, so the
-# stored celf/celfpp/greedy prefixes over IC/LT oracles changed meaning.
+# stored greedy-family prefixes over IC/LT oracles changed meaning.
 # Version 3: the credit index (and a cd prefix's resume state) pickles
 # as raw column bytes; stored bytes changed, results did not.
 # Version 4: the sigma_cd evaluator pickles as raw column bytes; stored

@@ -1,12 +1,13 @@
 """Persisted selection prefixes: ``/select`` as a lookup, not a sweep.
 
-The greedy family (``cd``, ``celf``, ``celfpp``, ``greedy``) shares one
+The greedy family (``cd``, ``celf``, ``greedy``) shares one
 structural property: the execution trace up to the j-th selection is
 identical for every target ``k >= j`` — ``k`` is only a stopping bound.
 A single run to ``K_max`` that records per-selection checkpoints
 therefore answers *every* ``k <= K_max`` byte-identically to a cold run
 at that ``k``; and for the lazy-queue maximizers the exported machine
-state (:class:`~repro.maximization.celf.CELFState` and friends) resumes
+state (:class:`~repro.maximization.celf.CELFState`,
+:class:`~repro.core.maximize.CDState`) resumes
 past ``K_max`` bit-identically too.
 
 This module persists that trace as a store artifact — a
@@ -64,7 +65,6 @@ __all__ = [
 PREFIXABLE_SELECTORS: dict[str, bool] = {
     "cd": True,
     "celf": True,
-    "celfpp": True,
     "greedy": False,
     "ris": False,
     "hop": False,

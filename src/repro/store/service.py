@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import queue as queue_module
 import threading
 import uuid
@@ -109,6 +108,7 @@ from repro.store.warm import (
     serving_context,
 )
 from repro.utils.retry import RetryPolicy, with_retry
+from repro.utils.validation import require_finite_number
 
 __all__ = ["QueryService", "ServiceError", "make_server", "serve"]
 
@@ -179,14 +179,11 @@ def _json_finite(value: Any, message: str) -> float:
     and an infinite budget would select every seed with a positive gain
     and put ``Infinity``, which is not JSON, in the response body.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ServiceError(message)
+    try:
+        require_finite_number(value, "value")
+    except ValueError:
+        raise ServiceError(message) from None
+    return float(value)
 
 
 def _context_ref(value: Any) -> str | None:

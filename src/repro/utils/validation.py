@@ -8,10 +8,14 @@ re-validate.
 
 from __future__ import annotations
 
+import math
+from typing import Any
+
 __all__ = [
     "ConfigError",
     "require",
     "require_config",
+    "require_finite_number",
     "require_positive",
     "require_non_negative",
     "require_probability",
@@ -41,6 +45,15 @@ def require_config(condition: bool, message: str) -> None:
     """Raise :class:`ConfigError(message)` unless ``condition`` holds."""
     if not condition:
         raise ConfigError(message)
+
+
+def require_finite_number(value: Any, name: str) -> None:
+    """Raise unless ``value`` is a finite int or float (not a bool)."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or 10**400
+        finite = False
+    require(finite, f"{name} must be a finite number, got {value!r:.40}")
 
 
 def require_positive(value: float, name: str) -> None:

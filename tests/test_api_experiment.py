@@ -150,7 +150,6 @@ class TestRunExperiment:
         from repro.api import selector_names
         from repro.core.maximize import cd_maximize
         from repro.maximization.celf import celf_maximize
-        from repro.maximization.celfpp import celfpp_maximize
         from repro.maximization.degree_discount import (
             degree_discount_ic_seeds,
             single_discount_seeds,
@@ -199,7 +198,6 @@ class TestRunExperiment:
             ).seeds,
             "greedy": greedy_maximize(ctx.cd_evaluator(), k).seeds,
             "celf": celf_maximize(ctx.cd_evaluator(), k).seeds,
-            "celfpp": celfpp_maximize(ctx.cd_evaluator(), k).seeds,
             "ris": ris_maximize(
                 toy.graph, em, k,
                 num_rr_sets=300, seed=ctx.derive_seed("ris", 0),

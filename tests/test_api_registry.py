@@ -22,7 +22,6 @@ from repro.api import (
 from repro.api.context import ARTIFACT_NAMES
 from repro.core.maximize import cd_maximize
 from repro.maximization.celf import celf_maximize
-from repro.maximization.celfpp import celfpp_maximize
 from repro.maximization.degree_discount import (
     degree_discount_ic_seeds,
     single_discount_seeds,
@@ -137,11 +136,6 @@ class TestParity:
         via = get_selector("celf", model="cd")(ctx, k)
         assert via.seeds == direct.seeds
 
-    def test_celfpp_over_sigma_cd(self, ctx, k):
-        direct = celfpp_maximize(ctx.cd_evaluator(), k)
-        via = get_selector("celfpp", model="cd")(ctx, k)
-        assert via.seeds == direct.seeds
-
     def test_celf_over_ic_oracle(self, ctx, k):
         oracle = SpreadEstimator(
             ctx.graph,
@@ -224,7 +218,6 @@ READS_ON_EM = {
     "cd_budget": ["credit_index"],
     "greedy": ["cd_evaluator"],
     "celf": ["cd_evaluator"],
-    "celfpp": ["cd_evaluator"],
     "ris": ["ic_probabilities/EM"],
     "hop": ["ic_probabilities/EM"],
     "simpath": ["lt_weights"],

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.budget import cd_budget_maximize
+from repro.core.budget import _budget_pass, cd_budget_maximize
 from repro.core.maximize import cd_maximize
 from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator
 from repro.data.actionlog import ActionLog
 from repro.graphs.digraph import SocialGraph
+from repro.kernels import available_backends
 
 from tests.helpers import random_instance
 
@@ -183,22 +184,23 @@ class TestLazyPassEqualsNaiveGreedy:
     @pytest.mark.parametrize("by_ratio", [False, True])
     @pytest.mark.parametrize("seed", range(4))
     def test_pass_matches_naive(self, seed, by_ratio):
-        from repro.core.budget import _lazy_budget_pass
-
         graph, log = random_instance(seed, num_nodes=6, num_actions=4)
         index = scan_action_log(graph, log, truncation=0.0)
         costs = _deterministic_costs(index, levels=3)
         budget = 5.0
-        lazy_seeds, lazy_gains, _, _ = _lazy_budget_pass(
-            index.copy(), budget, costs, 1.0, by_ratio=by_ratio
-        )
         naive_seeds, naive_spread = self._naive_pass(
             graph, log, costs, budget, by_ratio
         )
-        # Seed identity can differ only on exact key ties; the achieved
-        # spread (and the spend pattern it implies) must agree.
-        assert sum(lazy_gains) == pytest.approx(naive_spread, abs=1e-9)
-        assert len(lazy_seeds) == len(naive_seeds)
+        for backend in available_backends():
+            lazy = _budget_pass(
+                index, budget, lambda user: costs.get(user, 1.0), by_ratio,
+                backend,
+            )
+            lazy_seeds, lazy_gains = lazy.seeds, lazy.gains
+            # Seed identity can differ only on exact key ties; the achieved
+            # spread (and the spend pattern it implies) must agree.
+            assert sum(lazy_gains) == pytest.approx(naive_spread, abs=1e-9)
+            assert len(lazy_seeds) == len(naive_seeds)
 
 
 class TestBudgetProperties:

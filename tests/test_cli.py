@@ -137,7 +137,7 @@ class TestListSelectors:
         assert code == 0
         output = capsys.readouterr().out
         assert "high_degree" in output
-        assert "celf" not in output.replace("celfpp", "")
+        assert "celf" not in output
 
 
 class TestRun:
@@ -345,6 +345,19 @@ class TestBudget:
         output = capsys.readouterr().out
         spent = float(output.split("spent ")[1].split(" ")[0])
         assert spent <= 6.0 + 1e-9
+
+    @pytest.mark.parametrize("budget", ["inf", "nan", "-1"])
+    def test_bad_budget_is_a_usage_error(self, dataset_files, capsys, budget):
+        graph_path, log_path = dataset_files
+        code = main(
+            ["budget", "--graph", graph_path, "--log", log_path,
+             "--budget", budget]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget: budget must be")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestGraphStats:

@@ -229,6 +229,19 @@ class TestQueryService:
             service.select({**payload, field: value})
         assert info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), float("nan"), "2.5", True, 10**400, "abc", [1]],
+    )
+    @pytest.mark.parametrize("field", ["budget", "cost_scale"])
+    def test_select_params_numbers_are_not_coerced(self, service, field, value):
+        # A budget pinned in params wins over the top-level one, so it
+        # passes the same check, and so does the cost scale.
+        payload = {"selector": "cd_budget", "k": 2, "budget": 2.0}
+        with pytest.raises(ServiceError, match=field) as info:
+            service.select({**payload, "params": {field: value}})
+        assert info.value.status == 400
+
     def test_validation_errors(self, service):
         with pytest.raises(ServiceError):
             service.select({"k": 2})

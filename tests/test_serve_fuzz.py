@@ -4,16 +4,20 @@ Arbitrary JSON values — null, booleans, huge integers, floats with NaN
 and infinities, strings, nested arrays and objects — are drawn into
 the fields of ``/select``, ``/spread``, ``/predict`` and ``/ingest``
 payloads, mixed with well-formed values so that the draws also reach
-the checks behind the first ones.  The invariant is the one the HTTP
-handler relies on to never answer 5xx other than 503: each call
-returns a body or raises :class:`ServiceError` with a 4xx or 503
-status.  Any other exception would be a 500.
+the checks behind the first ones; a ``cd_budget`` ``/select`` also
+draws its ``params`` from ``budget`` and ``cost_scale`` values.  The invariant is the one
+the HTTP handler relies on to never answer 5xx other than 503: each
+call returns a body that is strict JSON (no ``NaN`` or ``Infinity``)
+or raises :class:`ServiceError` with a 4xx or 503 status.  Any other
+exception would be a 500.
 
 The service is marked as already ingesting, so a well-formed
 ``/ingest`` stops at its 409 after parsing and no derive runs.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -91,6 +95,14 @@ def _requests(key: str, users: list) -> st.SearchStrategy:
             "budget": st.floats(0.0, 5.0),
             "context": context,
         })),
+        st.tuples(st.just("select"), st.fixed_dictionaries({
+            "selector": st.just("cd_budget"),
+            "k": st.integers(1, 8),
+            "params": _payload({
+                "budget": st.floats(0.0, 5.0),
+                "cost_scale": st.floats(0.0, 20.0),
+            }),
+        })),
         st.tuples(st.just("spread"), _payload({
             "seeds": seeds, "context": context,
         })),
@@ -131,3 +143,4 @@ def test_every_answer_is_a_body_or_a_client_error(fuzzed, data):
         assert 400 <= error.status < 500 or error.status == 503, error
     else:
         assert isinstance(body, dict)
+        json.dumps(body, allow_nan=False)
