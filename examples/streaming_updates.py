@@ -6,16 +6,22 @@ independent, the credit index ingests each completed trace exactly once
 and the standing index always equals a full batch rescan — no
 approximation drift, no periodic rebuilds.
 
-The script replays a Flixster-like action log in chronological waves,
-folds each wave into a :class:`repro.StreamingCreditIndex`, re-selects
-seeds, and reports how the seed set and its spread stabilise as
-evidence accumulates (the online version of the paper's Figure 9).
+The script replays a Flixster-like action log in chronological waves.
+Each wave is one :class:`repro.stream.ActionLogDelta` that closes the
+traces completed in it; :func:`repro.stream.fold_delta` folds it into a
+uniform-credit context (the same path ``repro ingest`` takes over a
+store), and the ``cd`` selector re-selects seeds on the folded context.
+It reports how the seed set and its spread stabilise as evidence
+accumulates (the online version of the paper's Figure 9).
 
 Run with:  python examples/streaming_updates.py
 """
 
-from repro import StreamingCreditIndex, flixster_like
+from repro import flixster_like
+from repro.api import SelectionContext, get_selector
+from repro.data.actionlog import ActionLog
 from repro.data.temporal import traces_by_completion
+from repro.stream import ActionLogDelta, fold_delta
 
 NUM_WAVES = 4
 K = 8
@@ -30,22 +36,31 @@ def main() -> None:
     actions = [action for action, _ in traces_by_completion(dataset.log)]
     wave_size = (len(actions) + NUM_WAVES - 1) // NUM_WAVES
 
-    stream = StreamingCreditIndex(dataset.graph, truncation=0.001)
+    # Uniform credits depend only on each trace's own DAG, so a fold
+    # scans just the closed traces into the standing index.
+    context = SelectionContext(
+        dataset.graph, ActionLog(), credit_scheme="uniform", truncation=0.001
+    )
+    context.credit_index()
+    selector = get_selector("cd")
     previous_seeds: set = set()
     for wave_number in range(NUM_WAVES):
         wave = actions[wave_number * wave_size : (wave_number + 1) * wave_size]
+        delta = ActionLogDelta()
         for action in wave:
             for user, time in dataset.log.trace(action):
-                stream.observe(user, action, time)
-        folded = stream.flush()
+                delta.add(user, action, time)
+            delta.close(action)
+        fold = fold_delta(context, delta)
+        context = fold.context
 
-        result = stream.select_seeds(K)
+        result = selector.select(context, K)
         seeds = set(result.seeds)
         retained = len(seeds & previous_seeds)
         print(
-            f"\nwave {wave_number + 1}: +{folded} traces "
-            f"({stream.flushed_actions} total, "
-            f"{stream.index.total_entries} credit entries)"
+            f"\nwave {wave_number + 1}: +{fold.report.closed_actions} traces "
+            f"({context.train_log.num_actions} total, "
+            f"{context.credit_index().total_entries} credit entries)"
         )
         print(
             f"  seeds: {sorted(result.seeds, key=repr)}\n"

@@ -18,7 +18,7 @@ every substrate its evaluation depends on:
   Algorithm-2 scan, exact ``sigma_cd`` evaluation, the CELF-based
   maximizer built on Theorem 3, and the campaign-planning extensions
   (seed minimization, budgeted selection, topic conditioning,
-  streaming maintenance, influence analytics);
+  influence analytics);
 * :mod:`repro.evaluation` — the metrics, statistics and reporting that
   score what :func:`repro.api.run_experiment` produces for each table
   and figure of the paper's evaluation section;
@@ -37,7 +37,8 @@ every substrate its evaluation depends on:
   (``ExperimentConfig(store=...)`` or ``repro learn --store``) and
   reused by later runs (byte-identical, learning skipped) and by the
   ``repro serve`` HTTP endpoint, which answers ``select``/``spread``/
-  ``predict`` queries without touching the raw action log.
+  ``predict`` queries without touching the raw action log;
+* :mod:`repro.stream` — action-log deltas folded into learned artifacts.
 
 Quickstart
 ----------
@@ -101,7 +102,6 @@ from repro.core.queries import (
 )
 from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator, sigma_cd
-from repro.core.streaming import StreamingCreditIndex
 from repro.core.topics import (
     partition_actions,
     scan_topics,
@@ -251,7 +251,6 @@ __all__ = [
     "topic_seed_sets",
     "topic_top_influencers",
     "topic_specialization",
-    "StreamingCreditIndex",
     "kappa",
     "influence_vector",
     "top_influencers",

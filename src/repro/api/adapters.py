@@ -31,7 +31,6 @@ from repro.maximization.heuristics import high_degree_seeds, pagerank_seeds
 from repro.maximization.irie import irie_seeds
 from repro.maximization.ris import ris_maximize
 from repro.maximization.simpath import simpath_maximize
-from repro.utils.validation import require_finite_number
 
 __all__: list[str] = []
 
@@ -110,8 +109,6 @@ def _cd_budget(
     """
     if budget is None:
         budget = float(k)
-    require_finite_number(budget, "budget")
-    require_finite_number(cost_scale, "cost_scale")
     index = ctx.credit_index()
     costs = None
     if cost_scale > 0.0:

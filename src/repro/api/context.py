@@ -41,6 +41,7 @@ from repro.utils.validation import require, require_non_negative
 
 __all__ = [
     "SelectionContext",
+    "MissingTrainLog",
     "IC_PROBABILITY_METHODS",
     "ARTIFACT_NAMES",
     "GRAPH_ONLY_ARTIFACTS",
@@ -90,6 +91,10 @@ PREDICTION_ARTIFACTS = {
     "LT": "lt_weights",
     "CD": "cd_evaluator",
 }
+
+
+class MissingTrainLog(ValueError):
+    """A context without a log (a served one) lacks an artifact it needs."""
 
 
 class SelectionContext:
@@ -202,12 +207,12 @@ class SelectionContext:
     # Guards and derived seeds
     # ------------------------------------------------------------------
     def _require_log(self, what: str) -> ActionLog:
-        require(
-            self.train_log is not None,
-            f"{what} needs a training action log, but this "
-            "SelectionContext was built without one",
-        )
-        return self.train_log  # type: ignore[return-value]
+        if self.train_log is None:
+            raise MissingTrainLog(
+                f"{what} needs a training action log, but this "
+                "SelectionContext was built without one"
+            )
+        return self.train_log
 
     def derive_seed(self, *labels: object) -> int:
         """A deterministic child seed for ``labels`` (selector, trial, ...).

@@ -14,13 +14,17 @@ legacy result (:class:`~repro.maximization.greedy.GreedyResult`,
 ready :class:`~repro.api.results.SeedSelection`; the registry coerces
 and stamps it uniformly.  Adapters *wrap* the public algorithm
 functions — they never reimplement them — which is what keeps registry
-dispatch byte-identical to a direct call.
+dispatch byte-identical to a direct call.  Each keyword-only parameter
+is annotated ``int``, ``float`` or ``str`` (optionally ``| None``), and
+every bind checks the bound values against their annotations.
 """
 
 from __future__ import annotations
 
 import inspect
+import numbers
 import time
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -32,7 +36,7 @@ from repro.api.context import (
 from repro.api.results import SeedSelection
 from repro.maximization.greedy import GreedyResult
 from repro.maximization.ris import RISResult
-from repro.utils.validation import require, require_config
+from repro.utils.validation import is_finite_number, require, require_config
 
 __all__ = [
     "SelectorSpec",
@@ -52,6 +56,11 @@ FAMILIES = ("cd", "mc", "sketch", "heuristic")
 # are only reachable through ``Selector.select(..., extras=...)``.
 _INSTRUMENTATION_PARAMS = ("time_log", "checkpoints", "state", "state_out")
 
+# What a bound value of each adapter parameter type must be, and each
+# annotation a parameter may carry -> (type, admits None).
+_PARAM_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
+_ANNOTATIONS = {h: (t, h is not t) for t in _PARAM_TYPES for h in (t, t | None)}
+
 _REGISTRY: dict[str, "SelectorSpec"] = {}
 
 
@@ -69,6 +78,9 @@ class SelectorSpec:
         ``heuristic`` (structural and model-based heuristics).
     func:
         The adapter callable (see module docstring for the contract).
+    param_types:
+        Each bindable parameter's ``(type, admits None)``, resolved from
+        its annotation once by :func:`register_selector`.
     description:
         One-line summary for listings.
     needs_oracle / needs_index / needs_probabilities / needs_weights /
@@ -104,6 +116,9 @@ class SelectorSpec:
     supports_budget: bool = False
     supports_time_log: bool = False
     stochastic: bool = False
+    param_types: Mapping[str, tuple[type, bool]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def capabilities(self) -> dict[str, bool]:
         """The capability flags as one mapping (for listings/export)."""
@@ -120,13 +135,7 @@ class SelectorSpec:
 
     def param_names(self) -> list[str]:
         """Keyword parameters the adapter accepts (beyond context, k)."""
-        signature = inspect.signature(self.func)
-        return [
-            name
-            for name, parameter in signature.parameters.items()
-            if parameter.kind == inspect.Parameter.KEYWORD_ONLY
-            and name not in _INSTRUMENTATION_PARAMS
-        ]
+        return list(self.param_types)
 
 
 class Selector:
@@ -138,13 +147,19 @@ class Selector:
     """
 
     def __init__(self, spec: SelectorSpec, params: Mapping[str, Any]) -> None:
-        allowed = set(spec.param_names())
-        unknown = sorted(set(params) - allowed)
+        unknown = sorted(set(params) - set(spec.param_types))
         require(
             not unknown,
             f"selector {spec.name!r} got unknown parameter(s) {unknown}; "
-            f"accepted: {sorted(allowed)}",
+            f"accepted: {sorted(spec.param_types)}",
         )
+        for name, value in params.items():
+            kind, nullable = spec.param_types[name]
+            require(
+                (value is None and nullable) or _binds_as(kind, value),
+                f"selector {spec.name!r} got {name} {value!r:.40}; {name} must "
+                f"be {_PARAM_TYPES[kind]}{' or null' if nullable else ''}",
+            )
         self.spec = spec
         self.params = dict(params)
         model = self.params.get("model", "cd")
@@ -278,6 +293,31 @@ class Selector:
         )
 
 
+def _binds_as(kind: type, value: Any) -> bool:
+    """Whether ``value`` is a parameter value of type ``kind``."""
+    if kind is float:
+        return is_finite_number(value)
+    wanted = numbers.Integral if kind is int else str
+    return isinstance(value, wanted) and not isinstance(value, bool)
+
+
+def _param_types(name: str, func: Callable[..., Any]) -> dict[str, tuple]:
+    """Each bindable parameter's ``(type, admits None)``; refuse others."""
+    hints = typing.get_type_hints(func)
+    resolved = {}
+    for param in inspect.signature(func).parameters.values():
+        if param.kind != param.KEYWORD_ONLY or param.name in _INSTRUMENTATION_PARAMS:
+            continue
+        hint = hints.get(param.name)
+        require(
+            hint in _ANNOTATIONS,
+            f"selector {name!r}: parameter {param.name!r} must be annotated "
+            f"int, float or str, optionally | None; got {hint!r}",
+        )
+        resolved[param.name] = _ANNOTATIONS[hint]
+    return resolved
+
+
 def register_selector(
     name: str,
     family: str,
@@ -289,7 +329,8 @@ def register_selector(
     ``capabilities`` are the boolean :class:`SelectorSpec` flags
     (``needs_oracle``, ``needs_index``, ``needs_probabilities``,
     ``needs_weights``, ``needs_sketches``, ``supports_budget``,
-    ``supports_time_log``, ``stochastic``).
+    ``supports_time_log``, ``stochastic``).  An adapter parameter
+    annotated with anything but a ``_PARAM_TYPES`` type is refused.
     """
     require(
         family in FAMILIES, f"family must be one of {FAMILIES}, got {family!r}"
@@ -304,6 +345,7 @@ def register_selector(
             family=family,
             func=func,
             description=description or (func.__doc__ or "").strip().split("\n")[0],
+            param_types=_param_types(name, func),
             **capabilities,
         )
         return func

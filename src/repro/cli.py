@@ -640,7 +640,11 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             return 2
         ceiling = cd_maximize(index, k=len(index.activity)).spread
         target = ceiling * args.target_fraction
-    result = cd_cover(index, target=target, max_seeds=args.max_seeds)
+    try:
+        result = cd_cover(index, target=target, max_seeds=args.max_seeds)
+    except ValueError as error:  # a negative or non-finite number
+        print(f"cover: {error}", file=sys.stderr)
+        return 2
     print(format_table(
         ["rank", "seed", "marginal gain"],
         [[rank, seed, f"{gain:.2f}"]
@@ -853,6 +857,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.store.store import ArtifactStore, StoreError
     from repro.stream.delta import load_action_log_delta
+    from repro.stream.derive import derive_bundle
 
     try:
         store = ArtifactStore(args.store, create=False)
@@ -866,7 +871,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        result = store.derive(
+        result = derive_bundle(
+            store,
             delta,
             context=args.context,
             dataset_name=args.dataset_name,

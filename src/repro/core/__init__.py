@@ -42,7 +42,6 @@ from repro.core.queries import (
 )
 from repro.core.scan import scan_action_log
 from repro.core.spread import CDSpreadEvaluator, sigma_cd
-from repro.core.streaming import StreamingCreditIndex
 from repro.core.variants import (
     LinearDecayCredit,
     PairWeightedCredit,
@@ -56,7 +55,6 @@ __all__ = [
     "LinearDecayCredit",
     "PowerDecayCredit",
     "PairWeightedCredit",
-    "StreamingCreditIndex",
     "kappa",
     "influence_vector",
     "top_influencers",

@@ -76,10 +76,10 @@ def restrict_to_window(
 def traces_by_completion(log: ActionLog) -> list[tuple[Action, float]]:
     """Actions with their completion time, earliest-finishing first.
 
-    The order a streaming consumer sees traces close — the replay order
-    for :class:`~repro.core.streaming.StreamingCreditIndex` examples and
-    benchmarks.  Ties break on the action's representation so replays
-    are deterministic.
+    The order a streaming consumer sees traces close, in which a replay
+    closes actions in its :class:`~repro.stream.ActionLogDelta` waves.
+    Ties break on the action's representation so replays are
+    deterministic.
     """
     completions = [
         (action, log.trace(action)[-1][1]) for action in log.actions()

@@ -31,8 +31,8 @@ across every action at once*:
 Direct-credit schemes are compiled to flat ``gamma`` arrays; the two
 schemes the :class:`~repro.api.context.SelectionContext` uses
 (:class:`UniformCredit`, :class:`TimeDecayCredit`) are supported, and
-anything else raises :class:`UnsupportedCreditScheme` so dispatch sites
-can fall back to the reference implementation.
+anything else raises :class:`UnsupportedCreditScheme` (no caller falls
+back: a context holds only those two).
 
 Credit values can differ from the reference in the last float bit
 (summation order inside a row is direct-then-transitive rather than

@@ -256,9 +256,9 @@ def _stage_ingest(state: PipelineState) -> None:
     Runs between ``learn`` and ``select`` when ``config.delta`` names a
     delta file: selection then operates over the *union* log with
     incrementally maintained artifacts (see :mod:`repro.stream`).  With
-    a store configured the fold goes through the store's derive path,
-    so the derived bundle — lineage link and all — is committed as a
-    side effect and later warm runs over the union hit it.
+    a store configured the fold goes through ``derive_bundle``, so the
+    derived bundle — lineage link and all — is committed as a side
+    effect and later warm runs over the union hit it.
     """
     from repro.stream.delta import load_action_log_delta
 

@@ -81,7 +81,7 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Hashable, Mapping
 
-from repro.api.context import SelectionContext
+from repro.api.context import MissingTrainLog, SelectionContext
 from repro.api.registry import bind_selector, list_selectors
 from repro.data.io import parse_id
 from repro.obs import trace as obs_trace
@@ -108,7 +108,7 @@ from repro.store.warm import (
     serving_context,
 )
 from repro.utils.retry import RetryPolicy, with_retry
-from repro.utils.validation import require_finite_number
+from repro.utils.validation import is_finite_number
 
 __all__ = ["QueryService", "ServiceError", "make_server", "serve"]
 
@@ -179,10 +179,8 @@ def _json_finite(value: Any, message: str) -> float:
     and an infinite budget would select every seed with a positive gain
     and put ``Infinity``, which is not JSON, in the response body.
     """
-    try:
-        require_finite_number(value, "value")
-    except ValueError:
-        raise ServiceError(message) from None
+    if not is_finite_number(value):
+        raise ServiceError(message)
     return float(value)
 
 
@@ -738,11 +736,13 @@ class QueryService:
             raise ServiceError(str(error)) from None
         try:
             selection = self._run_select(slot, selector, k)
-        except ValueError as error:
+        except MissingTrainLog as error:
             raise ServiceError(
                 f"selector {name!r} cannot be served from the stored "
                 f"artifacts: {error}"
             ) from None
+        except ValueError as error:
+            raise ServiceError(str(error)) from None
         body = selection.to_dict()
         # Responses are deterministic payloads (identical request →
         # identical bytes); wall-clock telemetry would break that.

@@ -499,33 +499,6 @@ class ArtifactStore:
                     self.delete(key)
         return removed
 
-    def derive(
-        self,
-        delta: Any,
-        context: str | None = None,
-        dataset_name: str | None = None,
-        verify: bool = False,
-    ) -> Any:
-        """Apply an action-log delta to a stored bundle (see repro.stream).
-
-        Thin delegate to :func:`repro.stream.derive.derive_bundle`:
-        folds ``delta`` into the bundle selected by ``context`` (key or
-        prefix; default the store's only context) and commits the
-        updated bundle under the union dataset's fingerprint with a
-        ``derived_from`` lineage link.  Returns the
-        :class:`~repro.stream.derive.DeriveResult`.
-        """
-        from repro.stream.derive import derive_bundle
-
-        with obs_trace.span("store.derive"):
-            return derive_bundle(
-                self,
-                delta,
-                context=context,
-                dataset_name=dataset_name,
-                verify=verify,
-            )
-
     def size_bytes(self) -> int:
         """Total payload bytes across committed entries."""
         return sum(entry.payload_bytes for entry in self.entries())

@@ -4,8 +4,9 @@ An :class:`ActionLogDelta` carries what arrived since a model was
 learned: new ``(user, action, time)`` tuples, plus *closed-action
 markers* declaring which propagation traces are now complete.  The
 split matters because the CD model folds credit per whole trace — a
-trace must be folded once and entirely (late tuples for a folded
-action would be mis-credited, see :mod:`repro.core.streaming`).
+trace must be folded once and entirely (a user's credits depend on
+every earlier activation in the trace, so late tuples would be
+mis-credited).
 Tuples for actions that are not yet closed ride along as *pending*
 state until a later delta closes them.
 
@@ -23,9 +24,9 @@ or future version instead of guessing.  Identifiers round-trip through
 validates the delta against the base log and pending state
 (all-or-nothing — nothing is mutated on failure), then produces the
 *union log* (base + newly closed traces, base traces first) and the
-new pending set.  Every consumer — the incremental updaters, the
-store's ``derive``, the ``/ingest`` endpoint — goes through it, so
-"what a delta means" cannot drift between layers.
+new pending set.  Every consumer — ``fold_delta``, ``derive_bundle``,
+the ``/ingest`` endpoint — goes through it, so "what a delta means"
+cannot drift between layers.
 """
 
 from __future__ import annotations

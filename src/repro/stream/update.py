@@ -9,9 +9,9 @@ route its statistics allow:
 ========================  ==========================================
 artifact                  route
 ========================  ==========================================
-``credit_index``          exact trace-folding via
-                          :class:`~repro.core.streaming.StreamingCreditIndex`
-                          (uniform credits; time-decay re-learns)
+``credit_index``          closed traces scanned into a copy
+                          (``scan_action_log(index=...)``; uniform
+                          credits; time-decay re-learns)
 ``cd_evaluator``          per-action compile, columns appended via
                           :meth:`~repro.core.spread.CDSpreadEvaluator.extend`
                           (uniform credits; time-decay re-learns)
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from repro.api.context import GRAPH_ONLY_ARTIFACTS, SelectionContext
-from repro.core.streaming import StreamingCreditIndex
+from repro.core.scan import scan_action_log
 from repro.probabilities.lt_weights import (
     count_propagations,
     lt_weights_from_counts,
@@ -202,18 +202,17 @@ def fold_delta(
             new_context.set_artifact(name, context.get_artifact(name))
             report.carried.append(name)
         elif name == "credit_index" and uniform:
-            base_index = context.get_artifact("credit_index")
-            stream = StreamingCreditIndex(
-                context.graph,
-                credit=None,
-                truncation=base_index.truncation,
-                index=base_index.copy(),
-                flushed=base_log.actions(),
-                backend=context.backend,
-            )
-            stream.observe_many(closed_log.tuples())
-            stream.flush()
-            new_context.set_artifact("credit_index", stream.index)
+            index = context.get_artifact("credit_index").copy()
+            if context.backend == "numpy":
+                from repro.kernels.scan_numpy import scan_action_log_numpy
+
+                scan_action_log_numpy(context.graph, closed_log, index=index)
+            else:
+                scan_action_log(
+                    context.graph, closed_log, index=index,
+                    propagations=new_context.propagation,
+                )
+            new_context.set_artifact("credit_index", index)
             report.updated.append(name)
         elif name == "cd_evaluator" and uniform:
             extended = context.get_artifact("cd_evaluator").extend(

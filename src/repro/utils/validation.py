@@ -15,7 +15,7 @@ __all__ = [
     "ConfigError",
     "require",
     "require_config",
-    "require_finite_number",
+    "is_finite_number",
     "require_positive",
     "require_non_negative",
     "require_probability",
@@ -47,13 +47,12 @@ def require_config(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def require_finite_number(value: Any, name: str) -> None:
-    """Raise unless ``value`` is a finite int or float (not a bool)."""
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is a finite int or float (not a bool)."""
     try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):  # not a number, or 10**400
-        finite = False
-    require(finite, f"{name} must be a finite number, got {value!r:.40}")
+        return False
 
 
 def require_positive(value: float, name: str) -> None:

@@ -6,6 +6,7 @@ underlying public function returns, because adapters wrap — never
 fork — the originals.
 """
 
+import inspect
 import sys
 import threading
 
@@ -49,6 +50,23 @@ def mini_context(flixster_mini):
     return SelectionContext(flixster_mini.graph, train, num_simulations=10)
 
 
+# Adapters whose parameter a registration must refuse.
+def _untyped(ctx, k, *, depth=2):
+    return []
+
+
+def _list_typed(ctx, k, *, depth: list = ()):
+    return []
+
+
+def _bool_typed(ctx, k, *, depth: bool = False):
+    return []
+
+
+def _union_typed(ctx, k, *, depth: int | str = 2):
+    return []
+
+
 class TestRegistry:
     def test_at_least_twelve_selectors(self):
         assert len(list_selectors()) >= 12
@@ -88,6 +106,62 @@ class TestRegistry:
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError, match="already registered"):
             register_selector("cd", family="cd")(lambda ctx, k: [])
+
+    def test_every_builtin_param_passes_the_registration_check(self):
+        # Every keyword-only adapter parameter but the instrumentation
+        # channels is bindable and annotated int, float or str; exactly
+        # those defaulting to None also admit None.
+        channels = {"time_log", "checkpoints", "state", "state_out"}
+        for spec in list_selectors():
+            parameters = inspect.signature(spec.func).parameters
+            keyword_only = [
+                name for name, parameter in parameters.items()
+                if parameter.kind == parameter.KEYWORD_ONLY
+                and name not in channels
+            ]
+            assert spec.param_names() == keyword_only, spec.name
+            for name in keyword_only:
+                kind, nullable = spec.param_types[name]
+                assert kind in (int, float, str), (spec.name, name)
+                assert nullable == (parameters[name].default is None), (
+                    spec.name, name,
+                )
+
+    @pytest.mark.parametrize(
+        "adapter", [_untyped, _list_typed, _bool_typed, _union_typed]
+    )
+    def test_untyped_param_refused_at_registration(self, adapter):
+        with pytest.raises(ValueError, match="'depth' must be annotated"):
+            register_selector("typing_probe", family="heuristic")(adapter)
+        assert "typing_probe" not in selector_names()
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("ris", {"num_rr_sets": True}, "num_rr_sets must be an integer"),
+            ("ris", {"num_rr_sets": 2.0}, "num_rr_sets must be an integer"),
+            ("ris", {"num_rr_sets": None}, "num_rr_sets must be an integer"),
+            ("pagerank", {"damping": float("nan")},
+             "damping must be a finite number"),
+            ("pagerank", {"damping": 10**400}, "damping must be a finite number"),
+            ("high_degree", {"direction": 1}, "direction must be a string"),
+            ("cd_budget", {"budget": "3"},
+             "budget must be a finite number or null"),
+        ],
+    )
+    def test_mistyped_param_rejected_at_bind(self, name, params, message):
+        (param, value), = params.items()
+        with pytest.raises(ValueError) as error:
+            get_selector(name, **params)
+        assert str(error.value) == (
+            f"selector {name!r} got {param} {value!r:.40}; {message}"
+        )
+
+    def test_typed_params_bind(self):
+        assert get_selector("pagerank", damping=1).params == {"damping": 1}
+        assert get_selector(
+            "ris", method=None, seed=None, hops=None, num_rr_sets=10
+        ).params["hops"] is None
 
     def test_negative_k_rejected(self, toy_context):
         with pytest.raises(ValueError, match="non-negative"):

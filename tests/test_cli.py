@@ -314,6 +314,24 @@ class TestCover:
         assert code == 1
         assert "reached = NO" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--target", "-1"], "cover: target must be non-negative, got -1.0"),
+            (["--target", "5", "--max-seeds", "-1"],
+             "cover: max_seeds must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(
+        self, dataset_files, capsys, flags, message
+    ):
+        graph_path, log_path = dataset_files
+        code = main(["cover", "--graph", graph_path, "--log", log_path, *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_target_and_fraction_mutually_exclusive(self, dataset_files):
         graph_path, log_path = dataset_files
         with pytest.raises(SystemExit):
@@ -356,7 +374,13 @@ class TestBudget:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("budget: budget must be")
+        # A non-number fails the selector's parameter type, a negative
+        # budget the maximizer's bound.
+        assert captured.err.startswith(
+            "budget: budget must be non-negative" if budget == "-1"
+            else f"budget: selector 'cd_budget' got budget {budget}; "
+            "budget must be a finite number"
+        )
         assert len(captured.err.splitlines()) == 1
 
 

@@ -134,7 +134,7 @@ class TestModelParameterValidation:
         from repro.core.coverage import cd_cover
         from repro.core.index import CreditIndex
         from repro.core.scan import scan_action_log
-        from repro.core.streaming import StreamingCreditIndex
+        from repro.api import SelectionContext
         from repro.maximization.simpath import SimPathOracle, simpath_spread
 
         nan = float("nan")
@@ -144,8 +144,9 @@ class TestModelParameterValidation:
                 graph, ActionLog(), truncation=nan
             ),
             "scan_numpy": lambda: _scan_numpy(graph, nan),
-            "streaming_index": lambda: StreamingCreditIndex(
-                graph, truncation=nan
+            # The index repro.stream folds into is the context's.
+            "streaming_index": lambda: SelectionContext(
+                graph, ActionLog(), truncation=nan
             ),
             "credit_index": lambda: CreditIndex(truncation=nan),
             "cd_cover_target": lambda: cd_cover(CreditIndex(), nan),
@@ -229,16 +230,28 @@ class TestStatefulMisuse:
             log.add(1, "a", 1.0)
 
     def test_streaming_double_flush_of_same_action(self):
-        from repro.core.streaming import StreamingCreditIndex
+        from repro.api import SelectionContext
+        from repro.stream import ActionLogDelta, fold_delta
 
-        stream = StreamingCreditIndex(SocialGraph.from_edges([(1, 2)]))
-        stream.observe(1, "a", 0.0)
-        stream.flush()
-        # The buffer is empty now; re-flushing the same name is a no-op,
-        # and re-observing the action is an error.
-        assert stream.flush(actions=["a"]) == 0
+        context = SelectionContext(
+            SocialGraph.from_edges([(1, 2)]), ActionLog(),
+            credit_scheme="uniform",
+        )
+        context.credit_index()
+        delta = ActionLogDelta()
+        delta.add(1, "a", 0.0)
+        delta.close("a")
+        folded = fold_delta(context, delta).context
+        # The trace is frozen now: closing it again, or a late tuple
+        # for it, is an error.
+        again = ActionLogDelta()
+        again.close("a")
+        with pytest.raises(ValueError, match="cannot close action 'a'"):
+            fold_delta(folded, again)
+        late = ActionLogDelta()
+        late.add(2, "a", 1.0)
         with pytest.raises(ValueError, match="frozen"):
-            stream.observe(2, "a", 1.0)
+            fold_delta(folded, late)
 
     def test_queue_pop_empty(self):
         from repro.utils.pqueue import LazyQueue

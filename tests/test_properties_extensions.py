@@ -8,8 +8,9 @@ the paper's core machinery:
 * the RIS estimator is consistent with possible-world semantics
   (bounds, monotonicity in the seed set);
 * SimPath with eta = 0 equals exact live-edge LT enumeration;
-* the streaming index equals a batch rescan under arbitrary
-  interleavings of observe/flush;
+* folding a growing log through ``repro.stream.fold_delta`` equals one
+  scan of the union under any pattern of closes, pending tuples carried
+  from fold to fold;
 * query-API identities: ``sigma_cd({v}) = 1 + sum_u kappa_{v,u}`` and
   ``explain_spread`` never exceeds the per-action credit cap.
 """
@@ -18,14 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SelectionContext
 from repro.core.maximize import cd_maximize
 from repro.core.queries import explain_spread, kappa, most_influential
 from repro.core.scan import scan_action_log
 from repro.core.sketch import generate_sketches
-from repro.core.streaming import StreamingCreditIndex
+from repro.data.actionlog import ActionLog
+from repro.kernels import available_backends
 from repro.maximization.celf import celf_maximize
 from repro.maximization.greedy import greedy_maximize
 from repro.maximization.simpath import simpath_spread
+from repro.store.serialize import dump_payload
+from repro.stream import ActionLogDelta, fold_delta
+from repro.stream.update import _credit_index_parity
 from tests.helpers import exact_lt_spread, random_instance
 
 
@@ -167,26 +173,58 @@ class TestStreamingEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        flush_pattern=st.lists(
+        close_pattern=st.lists(
             st.booleans(), min_size=6, max_size=6
         ),
     )
-    def test_any_interleaving_equals_batch(self, seed, flush_pattern):
+    def test_any_interleaving_equals_batch(self, seed, close_pattern):
+        """Each action's trace arrives in its own delta; a delta closes
+        every open action when its ``close_pattern`` entry is set, and a
+        last delta closes the rest, so open traces ride from fold to
+        fold as pending tuples.  The folded index is byte-identical to
+        one scan of the union on python, and within the kernel parity
+        contract on numpy (whose merge order depends on the batch)."""
         graph, log = random_instance(seed=seed, num_nodes=8, num_actions=6)
-        batch = scan_action_log(graph, log, truncation=0.0)
+        plan, opened = [], []  # per delta: (arriving actions, closed ones)
+        for action, close_now in zip(log.actions(), close_pattern):
+            opened.append(action)
+            plan.append(([action], opened if close_now else []))
+            if close_now:
+                opened = []
+        plan.append(([], opened))
+        union = ActionLog()
+        for _arriving, closing in plan:
+            for action in closing:
+                for user, time in log.trace(action):
+                    union.add(user, action, time)
 
-        stream = StreamingCreditIndex(graph, truncation=0.0)
-        pending = []
-        for action, flush_now in zip(log.actions(), flush_pattern):
-            for user, time in log.trace(action):
-                stream.observe(user, action, time)
-            pending.append(action)
-            if flush_now:
-                stream.flush(actions=pending)
-                pending = []
-        stream.flush()
-        assert stream.index.total_entries == batch.total_entries
-        assert stream.index.activity == batch.activity
+        for backend in available_backends():
+            context = SelectionContext(
+                graph, ActionLog(), credit_scheme="uniform",
+                truncation=0.0, backend=backend,
+            )
+            context.credit_index()
+            pending: list = []
+            for arriving, closing in plan:
+                delta = ActionLogDelta()
+                for action in arriving:
+                    for user, time in log.trace(action):
+                        delta.add(user, action, time)
+                for action in closing:
+                    delta.close(action)
+                fold = fold_delta(context, delta, pending=pending)
+                context, pending = fold.context, fold.pending
+            assert pending == []
+            assert list(context.train_log.tuples()) == list(union.tuples())
+            got = context.credit_index()
+            expected = SelectionContext(
+                graph, union, credit_scheme="uniform",
+                truncation=0.0, backend=backend,
+            ).credit_index()
+            if backend == "python":
+                assert dump_payload(got) == dump_payload(expected)
+            else:
+                assert _credit_index_parity(got, expected)
 
 
 class TestQueryIdentities:

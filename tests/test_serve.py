@@ -187,8 +187,35 @@ class TestQueryService:
             )
         )
         lean = QueryService(root)
-        with pytest.raises(ServiceError, match="training action log"):
+        with pytest.raises(ServiceError, match="training action log") as error:
             lean.select({"selector": "ldag", "k": 2})
+        assert error.value.status == 400
+        assert str(error.value) == (
+            "selector 'ldag' cannot be served from the stored artifacts: "
+            "LT weight learning needs a training action log, but this "
+            "SelectionContext was built without one"
+        )
+
+    def test_bad_param_value_is_not_blamed_on_the_store(self, service):
+        # Only a missing artifact is the store's problem; any other
+        # error of the run answers 400 with its own message.
+        with pytest.raises(ServiceError) as error:
+            service.select(
+                {"selector": "cd_budget", "k": 3, "params": {"budget": -1}}
+            )
+        assert error.value.status == 400
+        assert str(error.value) == "budget must be non-negative, got -1"
+
+    def test_mistyped_param_is_a_client_error(self, service):
+        with pytest.raises(ServiceError) as error:
+            service.select(
+                {"selector": "pagerank", "k": 3, "params": {"damping": "x"}}
+            )
+        assert error.value.status == 400
+        assert str(error.value) == (
+            "selector 'pagerank' got damping 'x'; damping must be a finite "
+            "number"
+        )
 
     def test_budget_flag_enforced(self, service):
         with pytest.raises(ServiceError, match="budget"):
@@ -745,6 +772,11 @@ class TestBindingChecksMethodAndModel:
              "selector 'ris' got method 'XX'; method must be one of"),
             ("celf", {"model": "percolation"},
              "selector 'celf' got model 'percolation'; model must be one of"),
+            ("hop", {"hops": 2.5},
+             "selector 'hop' got hops 2.5; hops must be an integer"),
+            ("ris", {"num_rr_sets": "many"},
+             "selector 'ris' got num_rr_sets 'many'; num_rr_sets must be an "
+             "integer"),
         ],
     )
     def test_one_message_on_every_surface(

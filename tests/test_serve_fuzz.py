@@ -13,17 +13,22 @@ exception would be a 500.
 
 The service is marked as already ingesting, so a well-formed
 ``/ingest`` stops at its 409 after parsing and no derive runs.
+
+A second test draws, for every selector parameter, JSON values that
+do not match the type its adapter annotates; each such ``/select``
+must answer 400 naming the selector and the parameter.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import SelectionContext
+from repro.api import SelectionContext, list_selectors
 from repro.store import ArtifactStore
 from repro.store.prefix import precompute_prefix
 from repro.store.service import QueryService, ServiceError
@@ -144,3 +149,63 @@ def test_every_answer_is_a_body_or_a_client_error(fuzzed, data):
     else:
         assert isinstance(body, dict)
         json.dumps(body, allow_nan=False)
+
+
+def _typed_params() -> list[tuple[str, str, type, bool]]:
+    """(selector, param, annotated type, admits null) per adapter param."""
+    typed = []
+    for spec in list_selectors():
+        hints = typing.get_type_hints(spec.func)
+        for name in spec.param_names():
+            args = typing.get_args(hints[name])
+            kind = next((a for a in args if a is not type(None)), hints[name])
+            typed.append((spec.name, name, kind, type(None) in args))
+    return typed
+
+
+def _mistyped(kind: type, nullable: bool) -> st.SearchStrategy:
+    """JSON values that are not a bindable ``kind``."""
+    wrong = [
+        st.booleans(),
+        st.lists(JSON_LEAVES, max_size=3),
+        st.dictionaries(st.text(max_size=3), JSON_LEAVES, max_size=3),
+    ]
+    if not nullable:
+        wrong.append(st.none())
+    if kind is str:
+        wrong += [st.integers(), st.floats()]
+    else:
+        wrong.append(st.text(max_size=6))
+    if kind is int:
+        wrong.append(st.floats())
+    if kind is float:
+        wrong.append(st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), 10**400]
+        ))
+    return st.one_of(wrong)
+
+
+TYPED_PARAMS = _typed_params()
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_mistyped_params_answer_400(fuzzed, data):
+    service, key, _users = fuzzed
+    selector, name, kind, nullable = data.draw(
+        st.sampled_from(TYPED_PARAMS), label="param"
+    )
+    value = data.draw(_mistyped(kind, nullable), label="value")
+    with pytest.raises(ServiceError) as error:
+        service.select({
+            "selector": selector, "k": 3, "params": {name: value},
+            "context": key,
+        })
+    assert error.value.status == 400
+    assert str(error.value).startswith(f"selector {selector!r} got {name} ")

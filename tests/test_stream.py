@@ -157,31 +157,57 @@ class TestApplyDelta:
 
 
 # ----------------------------------------------------------------------
-# observe_many is all-or-nothing (streaming index ingestion)
+# A delta lands whole or not at all
 # ----------------------------------------------------------------------
 class TestObserveManyAtomicity:
+    """A rejected delta leaves the base context's artifacts and the
+    pending list as they were; a valid one lands every tuple."""
+
+    PENDING = [(0, "open", 0.0)]
+
     @pytest.fixture()
-    def stream(self, chain_graph):
-        from repro.core.streaming import StreamingCreditIndex
+    def context(self, chain_graph):
+        context = SelectionContext(
+            chain_graph, ActionLog.from_tuples([(1, "done", 0.0)]),
+            credit_scheme="uniform",
+        )
+        context.credit_index()
+        context.cd_evaluator()
+        return context
 
-        stream = StreamingCreditIndex(chain_graph)
-        stream.observe(1, "done", 0.0)
-        stream.flush()
-        return stream
+    def _rejected(self, context, tuples, match):
+        delta = ActionLogDelta()
+        for user, action, time in tuples:
+            delta.add(user, action, time)
+        pending = list(self.PENDING)
+        before = {
+            name: dump_payload(context.get_artifact(name))
+            for name in context.artifact_names()
+        }
+        with pytest.raises(ValueError, match=match):
+            fold_delta(context, delta, pending=pending)
+        assert pending == self.PENDING
+        assert {
+            name: dump_payload(context.get_artifact(name))
+            for name in context.artifact_names()
+        } == before
 
-    def test_frozen_action_leaves_batch_unbuffered(self, stream):
-        with pytest.raises(ValueError, match="frozen"):
-            stream.observe_many([(1, "new", 0.0), (2, "done", 1.0)])
-        assert stream.pending_tuples() == 0
+    def test_frozen_action_leaves_batch_unbuffered(self, context):
+        self._rejected(context, [(1, "new", 0.0), (2, "done", 1.0)], "frozen")
 
-    def test_intra_batch_duplicate_leaves_batch_unbuffered(self, stream):
-        with pytest.raises(ValueError, match="already performed"):
-            stream.observe_many([(1, "new", 0.0), (1, "new", 1.0)])
-        assert stream.pending_tuples() == 0
+    def test_intra_batch_duplicate_leaves_batch_unbuffered(self, context):
+        self._rejected(
+            context, [(1, "new", 0.0), (1, "new", 1.0)], "already performed"
+        )
 
-    def test_valid_batch_lands_whole(self, stream):
-        stream.observe_many([(1, "new", 0.0), (2, "new", 1.0)])
-        assert stream.pending_tuples() == 2
+    def test_valid_batch_lands_whole(self, context):
+        delta = ActionLogDelta()
+        delta.add(1, "new", 0.0)
+        delta.add(2, "new", 1.0)
+        fold = fold_delta(context, delta, pending=self.PENDING)
+        assert fold.pending == [
+            (0, "open", 0.0), (1, "new", 0.0), (2, "new", 1.0),
+        ]
 
 
 # ----------------------------------------------------------------------
